@@ -22,8 +22,7 @@ from .params import FormFactor, Kernel, ModelParams, PowerExpProfile
 from .reports import Report, report_to_json, series_to_csv, table_to_csv
 
 MODEL_KEYS = {"beta", "lam", "theta", "epsilon", "a", "bound_energy",
-              "e_max", "n_e", "u_max", "n_u", "n_max", "fiber_dim",
-              "n_sigma", "angular_weight"}
+              "e_max", "n_e", "u_max", "n_u", "n_max", "angular_weight"}
 SPECIAL_MODEL_KEYS = {"form_power", "form_scale", "kernel_power",
                       "kernel_scale", "g_ee"}
 

@@ -250,12 +250,16 @@ def run_virial_scan(cfg: ExperimentConfig) -> Report:
     c1_direct = comm.commutator(liou.liouvillian, conj.full)
     scan = virial.commutator_expectation_scan(family, c1_direct)
     final = abs(scan[-1][1])
+    orders = (np.diff(np.log(np.abs([v for _, v in scan])))
+              / np.diff(np.log([a for a, _ in scan])))
     checks.append(BoundReport(
         check="commutator expectation vanishes along the smoothed family",
         value=final, bound=1e-6, slack=1e-6 - final,
         passed=bool(final < 1e-6 and abs(scan[-1][1]) <= abs(scan[0][1])
                     + 1e-12),
-        detail={"scan": [[a, v] for a, v in scan]}))
+        detail={"scan": [[a, v] for a, v in scan],
+                "alpha_orders": orders.tolist(),
+                "krylov_error": family.krylov_error}))
 
     i1 = comm.interaction_commutator(p, liou, conj.particle_gen, 1)
     k49 = comm.estimate_small_coupling_bound(p, liou, i1)
@@ -302,14 +306,16 @@ def run_dynamics(cfg: ExperimentConfig) -> Report:
         series_out.append(ser)
         fit = dyn.decay_rate(ser, window=cfg.opt("fit_window", None))
         fits[lam] = fit
-        in_range = bool(np.all(np.real(ser.values) <= 1.0 + 1e-8)
-                        and np.all(np.real(ser.values) >= -1e-8))
+        vals = np.real(ser.values)
+        val_max, val_min = float(np.max(vals)), float(np.min(vals))
         checks.append(BoundReport(
             check=f"survival stays in [0,1] (lam={lam})",
-            value=float(np.max(np.real(ser.values))), bound=1.0 + 1e-8,
-            slack=1e-8, passed=in_range,
+            value=val_max, bound=1.0 + 1e-8, slack=1.0 + 1e-8 - val_max,
+            passed=bool(val_max <= 1.0 + 1e-8 and val_min >= -1e-8),
             detail={"rate": fit.rate, "residual": fit.residual,
-                    "window": list(fit.window), "widened": fit.widened}))
+                    "window": list(fit.window), "widened": fit.widened,
+                    "min": val_min, "min_margin": val_min + 1e-8,
+                    "krylov_error": ser.meta["krylov_error"]}))
 
     if lams:
         lam_big = max(lams)

@@ -169,7 +169,6 @@ class BoundOperators:
     m_limit: sp.csr_matrix     # sharp-projection version (the a -> 0 limit)
     k49: float
     i1: sp.csr_matrix
-    scaled_minus_limit_diag: np.ndarray
 
 
 def _both_factors_diag(basis, diag_p: np.ndarray) -> np.ndarray:
@@ -198,8 +197,7 @@ def assemble_bound_operators(params: ModelParams, liou: LiouvillianOps,
                          + conj.correction_comm)
     m_limit = hermitize(sp.diags(diag_limit.astype(complex))
                         + conj.correction_comm)
-    return BoundOperators(m_scaled, m_limit, float(k49), i1,
-                          diag_scaled - diag_limit)
+    return BoundOperators(m_scaled, m_limit, float(k49), i1)
 
 
 def scaled_to_limit_convergence(params: ModelParams, liou: LiouvillianOps,

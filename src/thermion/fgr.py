@@ -29,7 +29,6 @@ TINY_REL = 1e-16
 class FgrResult:
     gamma_eps: dict            # width -> value
     gamma_limit: float
-    err_estimates: dict = field(default_factory=dict)
     cutoffs: dict = field(default_factory=dict)
 
 

@@ -122,14 +122,6 @@ def integrate_flow(field: VectorField, x: float, t: float,
     return FlowResult(x, t, end, deriv, jac, abs(end - end_chk))
 
 
-def flow_map(field: VectorField, xs: np.ndarray, t: float,
-             tol: float = 1e-10):
-    """Vectorized endpoint / derivative over many initial points."""
-    res = [integrate_flow(field, float(x), t, tol) for x in np.atleast_1d(xs)]
-    return (np.array([r.endpoint for r in res]),
-            np.array([r.derivative for r in res]))
-
-
 @dataclass
 class UnitaryResult:
     values: np.ndarray
@@ -154,8 +146,9 @@ def induced_unitary_apply(field: VectorField, mu: Callable, t: float,
     if t == 0.0:
         return UnitaryResult(psi.astype(complex).copy(), 0.0, False)
 
-    end, deriv = flow_map(field, nodes, t, tol)
-    jac = np.abs(deriv)
+    res = [integrate_flow(field, float(x), t, tol) for x in nodes]
+    end = np.array([r.endpoint for r in res])
+    jac = np.abs([r.derivative for r in res])
     inside = (end >= nodes[0]) & (end <= nodes[-1])
     spline_r = CubicSpline(nodes, np.real(psi))
     spline_i = CubicSpline(nodes, np.imag(psi))

@@ -84,17 +84,14 @@ class ParticleBasis:
 
     bound_energy: float
     grid: EnergyGrid
-    fiber_dim: int = 1
 
     def __post_init__(self):
         if self.bound_energy >= 0:
             raise ValueError("bound state energy must be negative")
-        if self.fiber_dim != 1:
-            raise NotImplementedError("fiber_dim > 1 is stored but not built")
 
     @property
     def dim(self) -> int:
-        return 1 + self.grid.n_e * self.fiber_dim
+        return 1 + self.grid.n_e
 
     @property
     def energies(self) -> np.ndarray:
@@ -201,7 +198,7 @@ def build_bases(params) -> CompositeBasis:
     """Construct all index structures for the given parameters."""
     egrid = EnergyGrid(params.e_max, params.n_e)
     ugrid = FieldGrid(params.u_max, params.n_u, params.angular_weight)
-    pb = ParticleBasis(params.bound_energy, egrid, params.fiber_dim)
+    pb = ParticleBasis(params.bound_energy, egrid)
     fb = FockBasis(ugrid, params.n_max)
     return CompositeBasis(pb, pb, fb)
 

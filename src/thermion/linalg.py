@@ -1,9 +1,16 @@
-"""Eigenvalue, norm and Krylov-propagation helpers.
+"""Eigenvalue, norm and Krylov helpers.
 
 Small problems go dense; large ones go through ARPACK / Lanczos with
 deterministic start vectors so repeated runs give identical output.
+``lanczos_functions`` is the one matrix-function primitive: a family of
+f(A)v (or the quadratic forms <v, f(A) v>) from one tridiagonalisation,
+with convergence checked by doubling the Krylov dimension.  The restarted
+exponential ``expm_multiply_hermitian`` remains for propagating arbitrary
+vectors.
 """
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -77,16 +84,6 @@ def min_eig_hermitian(m, tol: float = 1e-10, with_vector: bool = False):
     return (float(w[0]), v[:, 0]) if with_vector else float(w[0])
 
 
-def max_eig_hermitian(m, tol: float = 1e-10) -> float:
-    n = m.shape[0]
-    if n <= DENSE_CUTOFF:
-        return float(eigh(_as_matrix(m), eigvals_only=True,
-                          subset_by_index=[n - 1, n - 1])[0])
-    w = spla.eigsh(m, k=1, which="LA", tol=tol, v0=_start_vector(n),
-                   return_eigenvectors=False, maxiter=60 * n)
-    return float(w[0])
-
-
 def eig_pairs_smallest(m, k: int, tol: float = 1e-10):
     """k smallest eigenpairs of a Hermitian matrix."""
     n = m.shape[0]
@@ -99,76 +96,87 @@ def eig_pairs_smallest(m, k: int, tol: float = 1e-10):
     return w[order], v[:, order]
 
 
-def lanczos_decomposition(apply_op, v0: np.ndarray, m: int):
-    """Hermitian Lanczos with full reorthogonalization.
+@dataclass
+class KrylovFunctions:
+    values: np.ndarray      # quadratic forms (n_f,) or vectors (n_f, n)
+    error: float            # m/2-vs-m difference; 0 when T is exact
+    krylov_dim: int
 
-    Returns (V, alpha, beta) with V of shape (k, n) (basis vectors as
-    rows), k <= m; beta[k-1] is the residual coefficient of the next,
-    unstored vector (0 on breakdown).  Row layout keeps the
-    reorthogonalization free of large transposed copies.
+
+def lanczos_functions(apply_op, v: np.ndarray, fns, tol: float,
+                      vectors: bool = False, measure=None,
+                      m_max: int = 4096) -> KrylovFunctions:
+    """A family of functions of a Hermitian operator A at v, from one
+    Lanczos run: ||v||^2 e1^T f_j(T) e1 or, with ``vectors``,
+    ||v|| V f_j(T) e1, where ``fns`` maps the Ritz values theta (k,) to
+    f_j(theta) (n_f, k).  The quadratic form keeps no basis (O(n) memory):
+    Gauss quadrature survives the loss of orthogonality of the bare
+    three-term recurrence (Golub & Meurant 2010).
+
+    The Krylov dimension m doubles from 8 until the largest
+    |difference| of measure(values) between m/2 and m (a 2-norm per
+    vector) is within tol.  A breakdown makes T exact and stops at once;
+    reaching m_max unconverged raises RuntimeError.
     """
-    n = v0.shape[0]
-    m = min(m, n)
-    V = np.zeros((m + 1, n), dtype=complex)
-    alpha = np.zeros(m)
-    beta = np.zeros(m)
-    V[0] = v0 / np.linalg.norm(v0)
-    for j in range(m):
-        w = apply_op(V[j])
-        a = np.vdot(V[j], w)
-        alpha[j] = a.real
-        w = w - a * V[j]
-        if j > 0:
-            w = w - beta[j - 1] * V[j - 1]
-        # full reorthogonalization: cheap at these subspace sizes and it
-        # keeps the propagation unitary to near machine precision
-        overlaps = np.conj(V[: j + 1] @ np.conj(w))
-        w = w - overlaps @ V[: j + 1]
-        b = np.linalg.norm(w)
-        beta[j] = b
-        if b < 1e-13:
-            return V[: j + 1], alpha[: j + 1], beta[: j + 1]
-        V[j + 1] = w / b
-    return V[:m], alpha[:m], beta[:m]
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    measure = measure or (lambda x: x)
+    nrm = float(np.linalg.norm(v))
+    q_prev, q, b_prev = np.zeros_like(v, complex), v / nrm, 0.0
+    alpha, beta, basis, prev, m = [], [], [], None, min(8, m_max)
+    while True:
+        exact = False
+        while len(alpha) < m and not exact:
+            basis += [q] if vectors else []
+            w = apply_op(q)
+            alpha.append(float(np.vdot(q, w).real))
+            w = w - alpha[-1] * q - b_prev * q_prev
+            beta.append(float(np.linalg.norm(w)))
+            exact = beta[-1] <= 1e-13 * (abs(alpha[-1]) + b_prev)
+            q_prev, q, b_prev = q, w / (beta[-1] or 1.0), beta[-1]
+        k = len(alpha)
+        theta, ritz = eigh_tridiagonal(np.array(alpha), np.array(beta[:-1]))
+        weighted = np.asarray(fns(theta)) * ritz[0]
+        cur = (nrm * (weighted @ ritz.T) @ np.array(basis) if vectors
+               else nrm ** 2 * (weighted @ ritz[0]))
+        if exact:
+            return KrylovFunctions(cur, 0.0, k)
+        if prev is not None:
+            diff = np.abs(measure(cur) - measure(prev))
+            err = float(np.max(np.linalg.norm(diff, axis=-1) if vectors
+                               else diff))
+            if err <= tol:
+                return KrylovFunctions(cur, err, k)
+        if k >= m_max:
+            raise RuntimeError(f"Lanczos unconverged at dimension {k}")
+        prev, m = cur, min(2 * m, m_max)
 
 
 def expm_multiply_hermitian(apply_op, psi: np.ndarray, t: float,
                             tol: float = 1e-9, m_max: int = 60):
-    """exp(-i t Op) psi for Hermitian Op, by restarted Lanczos stepping.
-
-    Within one Krylov space the step is cut until the standard residual
-    estimate (last-component coefficient times the next beta) meets the
-    per-step error budget; the budget is tol scaled by the step fraction.
-    """
-    if t == 0.0:
-        return psi.astype(complex).copy()
-    psi = psi.astype(complex)
-    nrm = np.linalg.norm(psi)
-    if nrm == 0:
+    """exp(-i t Op) psi for Hermitian Op, in steps of at most m_max Krylov
+    vectors; a step that does not converge is halved, and each step gets
+    the share of tol (relative to ||psi||) of its length."""
+    psi = np.asarray(psi, dtype=complex)
+    nrm = float(np.linalg.norm(psi))
+    if t == 0.0 or nrm == 0.0:
         return psi.copy()
-    remaining = float(t)
-    total = abs(t)
-    cur = psi.copy()
-    sign = 1.0
-    while abs(remaining) > 1e-15 * total:
-        V, alpha, beta = lanczos_decomposition(apply_op, cur, m_max)
-        k = len(alpha)
-        evals, evecs = eigh_tridiagonal(alpha, beta[: k - 1]) if k > 1 else (
-            alpha.copy(), np.ones((1, 1)))
-        e1 = evecs[0, :].conj()
-        dt = remaining
-        while True:
-            phases = np.exp(-1j * dt * evals)
-            small = evecs @ (phases * e1)
-            err = abs(beta[k - 1]) * abs(small[-1]) * abs(dt) if k > 1 else 0.0
-            budget = tol * abs(dt) / total
-            if err <= budget or abs(dt) < 1e-12 * total or k == cur.shape[0]:
-                break
-            dt *= 0.5
-        cur = np.linalg.norm(cur) * (small @ V)
+    remaining = dt = float(t)
+    while abs(remaining) > 1e-15 * abs(t):
+        dt = dt if abs(dt) < abs(remaining) else remaining
+        try:
+            psi = lanczos_functions(
+                apply_op, psi, lambda theta: np.exp(-1j * dt * theta)[None],
+                nrm * max(tol * abs(dt / t), 1e-14), vectors=True,
+                m_max=m_max).values[0]
+        except RuntimeError:
+            if abs(dt) < 1e-12 * abs(t):
+                raise
+            dt /= 2.0
+            continue
         remaining -= dt
     # one global norm audit: the exact flow is unitary
-    drift = abs(np.linalg.norm(cur) - nrm)
+    drift = abs(np.linalg.norm(psi) - nrm)
     if drift > 1e3 * tol * max(1.0, nrm):
         raise RuntimeError(f"propagation lost unitarity: drift {drift:.2e}")
-    return cur
+    return psi

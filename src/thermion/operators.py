@@ -508,7 +508,7 @@ class LiouvillianAction:
         t = psi.reshape(b.fock.dim, b.right.dim, b.left.dim)
         t1 = t @ self.g.T                       # coupling on the left factor
         t1 = (self.phi_direct @ t1.reshape(b.fock.dim, -1)).reshape(t.shape)
-        t2 = np.einsum("ab,nbi->nai", self.g_bar, t)
+        t2 = np.matmul(self.g_bar, t)           # on the right factor
         t2 = (self.phi_image @ t2.reshape(b.fock.dim, -1)).reshape(t.shape)
         return (t1 - t2).ravel()
 

@@ -108,8 +108,6 @@ class ModelParams:
     u_max: float = 6.0
     n_u: int = 32
     n_max: int = 1
-    fiber_dim: int = 1
-    n_sigma: int = 1
     angular_weight: float = 4.0 * math.pi
 
     form_factor: FormFactor = field(default_factory=FormFactor)
@@ -129,8 +127,6 @@ class ModelParams:
         if self.n_u % 2 != 0 or self.n_u < 2:
             raise ValueError("n_u must be even and >= 2 (frequency grid must "
                              "be symmetric under u -> -u)")
-        if self.fiber_dim != 1:
-            raise NotImplementedError("only scalar fibers are implemented")
 
     def with_(self, **kw) -> "ModelParams":
         return replace(self, **kw)

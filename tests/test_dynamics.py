@@ -69,6 +69,22 @@ def test_survival_bounded_and_real(small):
         recurrence_time(small))
 
 
+def test_survival_matches_dense_exponential(small):
+    liou = assemble_liouvillian(small)
+    dense = liou.liouvillian.toarray()
+    from scipy.linalg import expm
+    idx = liou.basis.vacuum_bound_index()
+    times = np.linspace(0.0, 10.0, 11)
+    ser = survival(small, times, tol=1e-10)
+    step = expm(-1j * (times[1] - times[0]) * dense)
+    col, exact = np.eye(len(dense))[:, idx].astype(complex), []
+    for _ in times:
+        exact.append(abs(col[idx]) ** 2)
+        col = step @ col
+    assert np.max(np.abs(ser.values - exact)) < 1e-10
+    assert 0.0 <= ser.meta["krylov_error"] <= 1e-10
+
+
 def test_decay_rate_constant_series():
     t = np.linspace(0.0, 10.0, 50)
     ser = TimeSeries(times=t, values=np.ones_like(t),
@@ -117,3 +133,18 @@ def test_krylov_matches_dense_on_liouvillian(small):
     approx = expm_multiply_hermitian(lambda v: liou.liouvillian @ v, psi,
                                      4.0, tol=1e-10)
     assert np.linalg.norm(exact - approx) < 1e-8
+
+
+def test_survival_range_check_slack_and_minimum(small):
+    from thermion.experiments import ExperimentConfig, run
+    rep = run(ExperimentConfig(kind="dynamics", params=small,
+                               options={"lambdas": [0.05, 0.1],
+                                        "n_times": 20}))
+    checks = [c for c in rep.checks if c.check.startswith("survival stays")]
+    assert len(checks) == 2
+    for c, ser in zip(checks, rep.series[1:]):
+        assert c.slack == c.bound - c.value
+        assert c.value == np.max(ser.values)
+        assert c.detail["min"] == np.min(ser.values)
+        assert c.detail["min_margin"] == c.detail["min"] + 1e-8
+        assert c.detail["krylov_error"] == ser.meta["krylov_error"]

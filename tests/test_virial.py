@@ -73,6 +73,22 @@ def test_family_norm_and_convergence(setup):
         assert rep.passed, rep
 
 
+def test_family_matches_dense_spectral_calculus(setup):
+    p, liou, conj = setup
+    from scipy.linalg import eigh
+    evals, vecs = eig_pairs_smallest(liou.liouvillian, 1)
+    psi = vecs[:, 0]
+    family = build_regularized_family(psi, conj.full, liou.number,
+                                      eigenvalue=float(evals[0]))
+    w, v = eigh(conj.full.toarray())
+    coeffs = v.conj().T @ psi
+    for alpha, vec in zip(family.alphas, family.vectors):
+        dense = bump(alpha ** 3 * liou.number) ** 2 * (
+            v @ (bandlimited_mollifier(alpha * w) * coeffs))
+        assert np.linalg.norm(vec - dense) < 1e-12
+    assert 0.0 <= family.krylov_error <= 1e-12
+
+
 def test_vacuum_sector_number_cutoff_is_identity(setup):
     p, liou, conj = setup
     # a state in the boson vacuum is untouched by the number cutoff
