@@ -80,7 +80,7 @@ def run_fgr(cfg: ExperimentConfig) -> Report:
         detail={"gamma_eps": {str(k): v for k, v in res.gamma_eps.items()},
                 "cutoffs": res.cutoffs}))
 
-    adaptive = fgr.gamma_regularized(p, eps_list[0], method="adaptive")
+    adaptive = res.gamma_eps[eps_list[0]]
     midpoint = fgr.gamma_regularized(p, eps_list[0], method="midpoint")
     rel = abs(adaptive - midpoint) / abs(adaptive)
     checks.append(BoundReport(
@@ -89,7 +89,7 @@ def run_fgr(cfg: ExperimentConfig) -> Report:
         detail={"adaptive": adaptive, "midpoint": midpoint,
                 "eps": eps_list[0]}))
 
-    checks.append(fgr.eps_convergence(p, eps_list))
+    checks.append(fgr.eps_convergence(p, eps_list, res))
     checks.extend(fgr.check_hypotheses(p))
 
     if cfg.opt("operator_check", False):

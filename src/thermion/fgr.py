@@ -114,7 +114,7 @@ def _gamma_reg_midpoint(params: ModelParams, eps, lo, om_hi, e_hi,
         ge2 = np.abs(params.kernel.gamma(e)) ** 2
         x = params.bound_energy + om
         total = 0.0
-        chunk = 512
+        chunk = 128
         for i in range(0, m, chunk):
             lor = eps / ((e[None, :] - x[i:i + chunk, None]) ** 2 + eps ** 2)
             total += float(wj[i:i + chunk] @ (lor @ ge2))
@@ -155,11 +155,16 @@ def gamma_limit(params: ModelParams, method: str = "adaptive",
 
 
 def eps_convergence(params: ModelParams,
-                    eps_list=(0.2, 0.1, 0.05, 0.025)) -> BoundReport:
+                    eps_list=(0.2, 0.1, 0.05, 0.025),
+                    result: FgrResult | None = None) -> BoundReport:
     """|gamma_eps - gamma_limit| <= C * eps with C read off the data; the
-    honest content is that the per-eps ratios stay bounded (linear decay)."""
-    glim = gamma_limit(params)
-    diffs = {e: abs(gamma_regularized(params, e) - glim) for e in eps_list}
+    honest content is that the per-eps ratios stay bounded (linear decay).
+    ``result`` is a ``golden_rule`` bundle holding every width of
+    ``eps_list``; without one it is computed here."""
+    if result is None:
+        result = golden_rule(params, eps_list)
+    glim = result.gamma_limit
+    diffs = {e: abs(result.gamma_eps[e] - glim) for e in eps_list}
     ratios = np.array([d / e for e, d in diffs.items()])
     big_c = float(ratios.max())
     spread = float(ratios.max() / max(ratios.min(), 1e-300))
@@ -270,34 +275,22 @@ def check_kernel_integrals(params: ModelParams) -> BoundReport:
     energy-weighted block."""
     ker = params.kernel
     e_hi = _energy_cutoff(params)
-    detail = {}
-    worst_finite = True
-    worst_val = 0.0
-
+    columns = {}
     for m1 in range(4):
         for m2 in range(4 - m1):
             def f(e):
                 return (e ** (-2 * m1)) * abs(ker.gamma(e, m2)) ** 2
-            val, _ = quad(f, 0.0, e_hi, limit=200)
-            detail[f"column_w{m1}_d{m2}"] = float(val)
-            worst_finite &= np.isfinite(val)
-            worst_val = max(worst_val, abs(val))
-
-    # separable double integrals for the default rank-one block
-    for m1 in range(4):
-        for m2 in range(4 - m1):
-            def f(e):
-                return (e ** (-2 * m1)) * abs(ker.gamma(e, m2)) ** 2
-            v1, _ = quad(f, 0.0, e_hi, limit=200)
-            v2, _ = quad(lambda e: abs(ker.gamma(e)) ** 2, 0.0, e_hi)
-            detail[f"block_w{m1}_d{m2}"] = float(v1 * v2)
-            worst_finite &= np.isfinite(v1 * v2)
-
+            columns[f"w{m1}_d{m2}"] = float(quad(f, 0.0, e_hi, limit=200)[0])
+    v_pl = columns["w0_d0"]
     v_en, _ = quad(lambda e: e ** 2 * abs(ker.gamma(e)) ** 2, 0.0, e_hi)
-    v_pl, _ = quad(lambda e: abs(ker.gamma(e)) ** 2, 0.0, e_hi)
-    detail["energy_weighted_block"] = float(v_en * v_pl)
-    worst_finite &= np.isfinite(v_en)
-
+    # separable double integrals for the default rank-one block
+    blocks = {k: v * v_pl for k, v in columns.items()}
+    detail = {**{f"column_{k}": v for k, v in columns.items()},
+              **{f"block_{k}": v for k, v in blocks.items()},
+              "energy_weighted_block": float(v_en * v_pl)}
+    worst_val = max(0.0, *(abs(v) for v in columns.values()))
+    worst_finite = np.all(np.isfinite([*columns.values(), *blocks.values(),
+                                       v_en]))
     return BoundReport(
         check="kernel weighted integrals finite (orders <= 3)",
         value=worst_val, bound=np.inf, slack=np.inf if worst_finite else -1.0,

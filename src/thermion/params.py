@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
+import numpy as np
+
 
 def falling_product(p: float, k: int) -> float:
     """p (p-1) ... (p-k+1); empty product = 1."""
@@ -27,25 +29,34 @@ class PowerExpProfile:
 
     Used for the default form factor (p = 5/2) and the default bound-state
     coupling (p = 3).  Derivatives follow from the Leibniz rule; powers of x
-    with negative exponent only ever get evaluated at x > 0.
+    with negative exponent only ever get evaluated at x > 0.  A scalar x (a
+    Python or NumPy float/int, as quadrature integrands pass) takes the same
+    sum in ``math`` arithmetic and returns a float; where a float ``**``
+    overflows, the array path gives the inf/nan instead.
     """
 
     power: float
     scale: float = 1.0
 
     def __call__(self, x, deriv: int = 0):
-        import numpy as np
-
+        terms = [(math.comb(deriv, k) * falling_product(self.power, k)
+                  * (-1.0) ** (deriv - k), self.power - k)
+                 for k in range(deriv + 1)]
+        if isinstance(x, (int, float, np.integer, np.floating)):
+            x, out = float(x), 0.0
+            if not x > 0:
+                return 0.0
+            try:
+                for coeff, q in terms:
+                    out += coeff * x ** q
+                return self.scale * out * math.exp(-x)
+            except OverflowError:
+                pass
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
-        for k in range(deriv + 1):
-            coeff = (
-                math.comb(deriv, k)
-                * falling_product(self.power, k)
-                * (-1.0) ** (deriv - k)
-            )
+        for coeff, q in terms:
             with np.errstate(divide="ignore", invalid="ignore"):
-                term = np.where(x > 0, x ** (self.power - k), 0.0)
+                term = np.where(x > 0, x ** q, 0.0)
             out = out + coeff * term
         res = self.scale * out * np.exp(-np.where(x > 0, x, 0.0))
         res = np.where(x > 0, res, 0.0)

@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
+from thermion import experiments, fgr
 from thermion.fgr import (check_hypotheses, check_ir_uv,
                           check_kernel_integrals, eps_convergence,
                           gamma_limit, gamma_regularized, golden_rule,
                           operator_vs_quadrature, thermal_factor)
 from thermion.params import (FormFactor, Kernel, ModelParams,
-                             PowerExpProfile)
+                             PowerExpProfile, falling_product)
 
 
 def test_zero_form_factor_gives_zero_rate():
@@ -116,3 +119,52 @@ def test_operator_vs_quadrature_small_grid():
     p = ModelParams(n_e=32, n_u=32, n_max=1)
     rep = operator_vs_quadrature(p, eps=0.5, rel_tol=0.05)
     assert rep.passed, rep
+
+
+# x values where float ** overflows, exp underflows or the profile is cut off
+SPECIAL_X = (-1.0, 0.0, np.nan, np.inf, 1e-320, 800.0, 1e200)
+
+
+@pytest.mark.parametrize("prof", [PowerExpProfile(2.5),
+                                  PowerExpProfile(3.0, 0.5)])
+@pytest.mark.parametrize("deriv", range(5))
+def test_power_exp_scalar_path_matches_array_path(prof, deriv):
+    x = np.concatenate([np.geomspace(1e-6, 700.0, 2001),
+                        np.linspace(0.01, 12.0, 1200)])
+    with np.errstate(all="ignore"):
+        arr = prof(x, deriv)
+        scal = np.array([prof(v, deriv) for v in x.tolist()])
+        special = [prof(v, deriv) for v in SPECIAL_X]
+    # NumPy's SIMD pow and exp each differ from libm's by up to one ulp,
+    # and the derivatives' Leibniz sums cancel near their zeros, so the
+    # paths are compared in ulps of the sum of the terms' magnitudes
+    mag = abs(prof.scale) * np.exp(-x) * sum(
+        math.comb(deriv, k) * abs(falling_product(prof.power, k))
+        * x ** (prof.power - k) for k in range(deriv + 1))
+    assert np.all(np.abs(scal - arr) <= 4 * np.spacing(mag))
+    assert all(type(v) is float for v in special)
+    with np.errstate(all="ignore"):
+        ref = prof(np.array(SPECIAL_X), deriv)
+    np.testing.assert_array_equal(np.array(special), ref)
+    # Python int and NumPy scalars take the scalar path too
+    for v in (2, np.int64(2), np.float64(2.0)):
+        assert type(prof(v, deriv)) is float
+        assert prof(v, deriv) == prof(2.0, deriv)
+
+
+def test_run_fgr_integrates_each_width_once(monkeypatch):
+    calls = {"gamma_regularized": 0, "gamma_limit": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(fgr, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(fgr, name, counted)
+    eps_list = (0.2, 0.1)
+    rep = experiments.run_fgr(experiments.ExperimentConfig(
+        kind="fgr", options={"eps_list": list(eps_list)}))
+    # adaptive at 0.2 and 0.1, midpoint at 0.2; one zero-width limit
+    assert calls == {"gamma_regularized": 3, "gamma_limit": 1}
+    monkeypatch.undo()
+    by_name = {c.check: c for c in rep.checks}
+    alone = eps_convergence(ModelParams(), eps_list)
+    assert by_name[alone.check] == alone
