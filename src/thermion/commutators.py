@@ -99,9 +99,9 @@ class CommutatorSet:
     c1: sp.csr_matrix
     c2: sp.csr_matrix
     c3: sp.csr_matrix
-    c1_direct: sp.csr_matrix
-    c2_direct: sp.csr_matrix
-    c3_direct: sp.csr_matrix
+    c1_direct: sp.csr_matrix | None     # None unless built with_direct
+    c2_direct: sp.csr_matrix | None
+    c3_direct: sp.csr_matrix | None
     discrepancies: tuple   # test-state norms of (closed form - direct)
 
 
@@ -191,7 +191,7 @@ def assemble_commutator_set(params: ModelParams, liou: LiouvillianOps,
             max(np.linalg.norm((ca - cd) @ psi) for psi in tests)
             for ca, cd in ((c1, c1_d), (c2, c2_d), (c3, c3_d)))
     else:
-        c1_d = c2_d = c3_d = sp.csr_matrix(c1.shape, dtype=complex)
+        c1_d = c2_d = c3_d = None
         disc = (np.nan, np.nan, np.nan)
     return CommutatorSet(c1, c2, c3, c1_d, c2_d, c3_d, disc)
 

@@ -233,7 +233,8 @@ def run_virial_scan(cfg: ExperimentConfig) -> Report:
     p = cfg.params
     liou = assemble_liouvillian(p)
     conj = assemble_conjugates(p, liou)
-    a_full = (conj.full + conj.correction).tocsr()
+    corr_comm = conj.correction_comm.tosparse()
+    a_full = (conj.full + conj.correction.tosparse()).tocsr()
     checks = [virial.eigenpair_residual_check(
         liou.liouvillian, a_full, n_pairs=int(cfg.opt("n_pairs", 10)))]
 
@@ -263,11 +264,10 @@ def run_virial_scan(cfg: ExperimentConfig) -> Report:
 
     i1 = comm.interaction_commutator(p, liou, conj.particle_gen, 1)
     k49 = comm.estimate_small_coupling_bound(p, liou, i1)
-    c_op = (cset.c1 + conj.correction_comm).tocsr()
+    c_op = (cset.c1 + corr_comm).tocsr()
     import scipy.sparse as sp
     b_op = sp.diags((0.1 * liou.number + k49 * p.lam ** 2
-                     * np.ones(liou.basis.dim)).astype(complex)) \
-        - conj.correction_comm
+                     * np.ones(liou.basis.dim)).astype(complex)) - corr_comm
     checks.append(virial.regularity_check(c_op, liou.number, b_op, family))
 
     tables = {"family_scan": {"columns": ["alpha", "residual"],

@@ -6,6 +6,10 @@ of the finite-rank commutator correction), assembles the two candidate
 lower-bound operators, and checks each inequality of the argument as an
 eigenvalue statement with explicit slack.  Nothing is assumed: parameter
 regimes that the truncation cannot reach are diagnosed and reported.
+
+A dressed operator is a diagonal plus the factored rank-4 correction,
+D + U C U*: its reduced block comes by Woodbury, its spectral bounds by
+exact inertia counting.  ``feshbach_map`` is the dense reduction.
 """
 from __future__ import annotations
 
@@ -13,15 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .commutators import (estimate_small_coupling_bound,
                           interaction_commutator)
 from .fgr import gamma_limit
-from .linalg import min_eig_hermitian, operator_norm
-from .operators import (ConjugateOps, LiouvillianOps, assemble_conjugates,
-                        assemble_liouvillian, assemble_particle_ops,
-                        hermitize)
+from .linalg import min_eig_diag_plus_lowrank, min_eig_hermitian
+from .operators import (ConjugateOps, LiouvillianOps, LowRank,
+                        assemble_conjugates, assemble_liouvillian,
+                        assemble_particle_ops, hermitize)
 from .params import ModelParams
 from .reports import BoundReport
 
@@ -40,67 +43,73 @@ class FeshbachResult:
         return float(np.real(self.f_matrix[0, 0]))
 
 
-def _orthonormal_range(pi: np.ndarray, dim: int):
+def _range_and_complement(pi, dim: int):
+    """Orthonormal bases (q, qbar) of the range of a projection and of its
+    complement; ``pi`` is an index array or a matrix whose columns span
+    the range."""
     pi = np.asarray(pi)
     if pi.ndim == 1:
         q = np.zeros((dim, len(pi)), dtype=complex)
-        for c, idx in enumerate(pi):
-            q[idx, c] = 1.0
-        return q
-    q, r = np.linalg.qr(pi.astype(complex))
-    keep = np.abs(np.diag(r)) > 1e-12
-    return q[:, keep]
+        q[pi, np.arange(len(pi))] = 1.0
+    else:
+        q, r = np.linalg.qr(pi.astype(complex))
+        q = q[:, np.abs(np.diag(r)) > 1e-12]
+    w, v = np.linalg.eigh(np.eye(dim, dtype=complex) - q @ q.conj().T)
+    return q, v[:, w > 0.5]
 
 
-def feshbach_map(mat, pi, m: float, cond_tol: float = 1e-8,
-                 complement_floor: float | None = None) -> FeshbachResult:
+def _refuse(m: float, dist: float):
+    raise ValueError(
+        f"spectral parameter {m} within {dist:.3e} of the complement "
+        "spectrum; refusing the reduction")
+
+
+def feshbach_map(mat, pi, m: float, cond_tol: float = 1e-8) -> FeshbachResult:
     """Reduce a Hermitian matrix to the range of a projection at spectral
-    parameter m:  P (M - M Q (Qbar M Qbar - m)^{-1} Q M) P.
+    parameter m:  P (M - M Q (Qbar M Qbar - m)^{-1} Q M) P, densely.
 
     ``pi`` is either an index array (coordinate projection) or a matrix
     whose columns span the range.  Refuses when m is too close to the
-    complement spectrum.  ``complement_floor`` may carry a precomputed
-    lower bound on the complement spectrum to skip the eigensolve.
+    complement spectrum.
     """
-    dim = mat.shape[0]
-    if sp.issparse(mat) and np.ndim(pi) == 1:
-        keep = np.setdiff1d(np.arange(dim), np.asarray(pi))
-        sub = mat.tocsr()
-        mbar = sub[keep][:, keep]
-        cross = sub[keep][:, np.asarray(pi)].toarray()
-        block = sub[np.asarray(pi)][:, np.asarray(pi)].toarray()
-        low = (complement_floor if complement_floor is not None
-               else min_eig_hermitian(mbar))
-        dist = low - m
-        if dist <= cond_tol:
-            raise ValueError(
-                f"spectral parameter {m} within {dist:.3e} of the complement "
-                "spectrum; refusing the reduction")
-        shifted = (mbar - m * sp.identity(mbar.shape[0], dtype=complex,
-                                          format="csr")).tocsc()
-        solve = spla.factorized(shifted)
-        sol = np.column_stack([solve(cross[:, k])
-                               for k in range(cross.shape[1])])
-        f = block - cross.conj().T @ sol
-        return FeshbachResult(m, hermitize(f), float(dist))
-
     dense = mat.toarray() if sp.issparse(mat) else np.asarray(mat)
-    q = _orthonormal_range(pi, dim)
-    proj = np.eye(dim, dtype=complex) - q @ q.conj().T
-    w, v = np.linalg.eigh(proj)
-    qbar = v[:, w > 0.5]
+    q, qbar = _range_and_complement(pi, dense.shape[0])
     mbar = qbar.conj().T @ dense @ qbar
     evals = np.linalg.eigvalsh(mbar)
     dist = float(np.min(np.abs(evals - m)))
     if dist <= cond_tol:
-        raise ValueError(
-            f"spectral parameter {m} within {dist:.3e} of the complement "
-            "spectrum; refusing the reduction")
+        _refuse(m, dist)
     cross = qbar.conj().T @ dense @ q
     block = q.conj().T @ dense @ q
     sol = np.linalg.solve(mbar - m * np.eye(mbar.shape[0]), cross)
     f = block - cross.conj().T @ sol
     return FeshbachResult(m, hermitize(f), dist)
+
+
+def feshbach_woodbury(d: np.ndarray, lr: LowRank, k: int, m: float,
+                      floor: float, cond_tol: float = 1e-8) -> FeshbachResult:
+    """F(m) = d_k + u_k C u_k* - b* (Mbar - m)^{-1} b, b = Ubar C u_k*, of
+    M = diag(d) + U C U* on the coordinate k, by Woodbury through
+    I + C Ubar* (Dbar - m)^{-1} Ubar (C need not be invertible) on the
+    support of U.  Refuses when m is within cond_tol of ``floor`` (a lower
+    bound on the complement spectrum) or the residual exceeds 1e-10 ||b||.
+    """
+    dist = floor - m
+    if dist <= cond_tol:
+        _refuse(m, dist)
+    rows = np.flatnonzero(np.any(lr.u != 0, axis=1))
+    ub, u_k, shifted = lr.u[rows[rows != k]], lr.u[k], d[rows[rows != k]] - m
+    b = ub @ (lr.c @ u_k.conj())
+    with np.errstate(all="ignore"):     # a zero shift shows in the residual
+        z, y = ub / shifted[:, None], b / shifted
+        small = np.eye(len(lr.c)) + lr.c @ (ub.conj().T @ z)
+        s = y - z @ np.linalg.solve(small, lr.c @ (ub.conj().T @ y))
+        resid = np.linalg.norm(shifted * s + ub @ (lr.c @ (ub.conj().T @ s))
+                               - b)
+    if not resid <= 1e-10 * np.linalg.norm(b):
+        _refuse(m, dist)
+    f = d[k] + u_k @ lr.c @ u_k.conj() - np.vdot(b, s)
+    return FeshbachResult(m, hermitize(np.array([[f]])), float(dist))
 
 
 def isospectrality_defect(mat: np.ndarray, pi, tol_rel: float = 1e-10):
@@ -112,12 +121,8 @@ def isospectrality_defect(mat: np.ndarray, pi, tol_rel: float = 1e-10):
     projection rank.
     """
     dense = np.asarray(mat)
-    dim = dense.shape[0]
-    q = _orthonormal_range(pi, dim)
+    q, qbar = _range_and_complement(pi, dense.shape[0])
     rank = q.shape[1]
-    proj = np.eye(dim, dtype=complex) - q @ q.conj().T
-    w, v = np.linalg.eigh(proj)
-    qbar = v[:, w > 0.5]
     mbar_evals = np.linalg.eigvalsh(qbar.conj().T @ dense @ qbar)
     evals = np.linalg.eigvalsh(dense)
     below = evals[evals < mbar_evals[0] - 1e-9]
@@ -136,11 +141,8 @@ def find_reduction_roots(mat: np.ndarray, pi, n_grid: int = 400):
     from scipy.optimize import brentq
 
     dense = np.asarray(mat)
-    q = _orthonormal_range(pi, dense.shape[0])
+    q, qbar = _range_and_complement(pi, dense.shape[0])
     rank = q.shape[1]
-    proj = np.eye(dense.shape[0], dtype=complex) - q @ q.conj().T
-    w, v = np.linalg.eigh(proj)
-    qbar = v[:, w > 0.5]
     mbar_low = float(np.linalg.eigvalsh(qbar.conj().T @ dense @ qbar)[0])
     lo = float(np.linalg.eigvalsh(dense)[0]) - 1.0
     hi = mbar_low - 1e-6
@@ -165,8 +167,10 @@ def find_reduction_roots(mat: np.ndarray, pi, n_grid: int = 400):
 
 @dataclass
 class BoundOperators:
-    m_scaled: sp.csr_matrix    # dilation-profile version (depends on a)
-    m_limit: sp.csr_matrix     # sharp-projection version (the a -> 0 limit)
+    """The two dressed lower-bound operators, diag(d) + correction."""
+    d_scaled: np.ndarray       # dilation-profile version (depends on a)
+    d_limit: np.ndarray        # sharp-projection version (the a -> 0 limit)
+    correction: LowRank        # the commutator correction i[L, A0]
     k49: float
     i1: sp.csr_matrix
 
@@ -184,20 +188,27 @@ def assemble_bound_operators(params: ModelParams, liou: LiouvillianOps,
                              k49: float | None = None) -> BoundOperators:
     basis = liou.basis
     part = assemble_particle_ops(params, basis)
+    i1 = interaction_commutator(params, liou, conj.particle_gen, 1)
     if k49 is None:
-        i1 = interaction_commutator(params, liou, conj.particle_gen, 1)
         k49 = estimate_small_coupling_bound(params, liou, i1)
-    else:
-        i1 = interaction_commutator(params, liou, conj.particle_gen, 1)
 
     offset = 0.9 * (1.0 - liou.vacuum_proj) - k49 * params.lam ** 2
-    diag_scaled = _both_factors_diag(basis, part.xi_of_h) + offset
-    diag_limit = _both_factors_diag(basis, part.continuum_proj) + offset
-    m_scaled = hermitize(sp.diags(diag_scaled.astype(complex))
-                         + conj.correction_comm)
-    m_limit = hermitize(sp.diags(diag_limit.astype(complex))
-                        + conj.correction_comm)
-    return BoundOperators(m_scaled, m_limit, float(k49), i1)
+    d_scaled = _both_factors_diag(basis, part.xi_of_h) + offset
+    d_limit = _both_factors_diag(basis, part.continuum_proj) + offset
+    return BoundOperators(d_scaled, d_limit, conj.correction_comm,
+                          float(k49), i1)
+
+
+def _max_abs_row_sum(d: np.ndarray, lr: LowRank, chunk: int = 256) -> float:
+    """max_i sum_j |(diag(d) + U C U*)_ij|: |d_i| off the support of U, on
+    it the dense rows a chunk at a time."""
+    sums, on = np.abs(d), np.flatnonzero(np.any(lr.u != 0, axis=1))
+    us = lr.u[on]
+    for i in range(0, len(on), chunk):
+        block = (us[i:i + chunk] @ lr.c) @ us.conj().T
+        block[:, i:i + chunk] += np.diag(d[on[i:i + chunk]])
+        sums[on[i:i + chunk]] = np.abs(block).sum(axis=1)
+    return float(sums.max())
 
 
 def scaled_to_limit_convergence(params: ModelParams, liou: LiouvillianOps,
@@ -295,6 +306,16 @@ class ChainReport:
         return all(s.passed for s in self.steps)
 
 
+def _probe_k49(params: ModelParams) -> float:
+    """The compensation constant at lam = 1e-4 (it only shrinks with the
+    coupling); the probe operators are freed before the run stage."""
+    probe = params.with_(lam=1e-4)
+    liou = assemble_liouvillian(probe)
+    conj = assemble_conjugates(probe, liou)
+    i1 = interaction_commutator(probe, liou, conj.particle_gen, 1)
+    return estimate_small_coupling_bound(probe, liou, i1)
+
+
 def verify_bound_chain(params: ModelParams,
                        theta: float | None = None,
                        epsilon: float | None = None,
@@ -305,15 +326,7 @@ def verify_bound_chain(params: ModelParams,
     """Run every inequality of the positivity argument at the given (or
     recipe-chosen) parameters and report slacks."""
     gamma = gamma if gamma is not None else gamma_limit(params)
-
-    # stage 1: measure the compensation constant in the perturbative limit
-    # (it only shrinks with the coupling, so this choice is conservative)
-    probe = params.with_(lam=1e-4)
-    liou0 = assemble_liouvillian(probe)
-    conj0 = assemble_conjugates(probe, liou0)
-    i1_probe = interaction_commutator(probe, liou0, conj0.particle_gen, 1)
-    k49 = estimate_small_coupling_bound(probe, liou0, i1_probe)
-
+    k49 = _probe_k49(params)
     recipe = chain_recipe(params, gamma, k49)
     theta = theta if theta is not None else recipe.theta
     epsilon = epsilon if epsilon is not None else recipe.epsilon
@@ -335,30 +348,33 @@ def verify_bound_chain(params: ModelParams,
     combo = hermitize(
         sp.diags((liou.number - 0.9 * (1.0 - liou.vacuum_proj)
                   + k49 * lam ** 2).astype(complex)) + lam * i1)
-    scale = max(1.0, float(abs(ops.m_scaled).sum(axis=1).max()))
-    low = min_eig_hermitian(combo)
+    corr = ops.correction
+    scale = max(1.0, _max_abs_row_sum(ops.d_scaled, corr))
+    low, vec = min_eig_hermitian(combo, with_vector=True)
+    residual = float(np.linalg.norm(combo @ vec - low * vec))
     steps.append(BoundReport(
         check="commutator dominates the dressed bound operator",
         value=low, bound=-tol_scale * scale, slack=low + tol_scale * scale,
-        passed=bool(low >= -tol_scale * scale), detail={"norm_scale": scale}))
+        passed=bool(low >= -tol_scale * scale),
+        detail={"norm_scale": scale, "residual": residual}))
 
     # complement block strictly above one half
     k_pi = conj.pi_index
-    keep = np.setdiff1d(np.arange(liou.basis.dim), [k_pi])
-    mbar = ops.m_limit.tocsr()[keep][:, keep]
-    mbar_low = min_eig_hermitian(mbar)
+    keep = np.arange(liou.basis.dim) != k_pi
+    mbar_low, mbar_width = min_eig_diag_plus_lowrank(
+        ops.d_limit[keep], LowRank(corr.u[keep], corr.c))
     steps.append(BoundReport(
         check="complement block exceeds one half",
         value=mbar_low, bound=0.5, slack=mbar_low - 0.5,
-        passed=bool(mbar_low > 0.5), detail={}))
+        passed=bool(mbar_low > 0.5), detail={"bracket": mbar_width}))
 
     # reduced scalar positive uniformly on the parameter grid
     f_vals = {}
     if mbar_low > 0.3:
         for m in m_grid:
             if m < mbar_low - 1e-6:
-                res = feshbach_map(ops.m_limit, np.array([k_pi]), float(m),
-                                   complement_floor=mbar_low)
+                res = feshbach_woodbury(ops.d_limit, corr, k_pi, float(m),
+                                        mbar_low)
                 f_vals[m] = res.f_value
     if f_vals:
         fmin = min(f_vals.values())
@@ -375,15 +391,16 @@ def verify_bound_chain(params: ModelParams,
         detail={"f_values": {str(k): v for k, v in f_vals.items()},
                 "spread": fspread, "target": target}))
 
-    m_low = min_eig_hermitian(ops.m_limit)
+    m_low, m_width = min_eig_diag_plus_lowrank(ops.d_limit, corr)
     steps.append(BoundReport(
         check="dressed operator strictly positive at the scaled target",
         value=m_low, bound=0.9 * target, slack=m_low - 0.9 * target,
         passed=bool(m_low >= 0.9 * target
-                    and (m_low > 0.0 or target > 0.0)), detail={}))
+                    and (m_low > 0.0 or target > 0.0)),
+        detail={"bracket": m_width}))
 
     # parameter-regime flags with measured constants
-    corr_norm = operator_norm(conj.correction_comm)
+    corr_norm = corr.norm()
     a66_lhs = k49 * lam ** 2 + corr_norm
     steps.append(BoundReport(
         check="smallness conditions for the complement bound",

@@ -6,7 +6,7 @@ deterministic start vectors so repeated runs give identical output.
 f(A)v (or the quadratic forms <v, f(A) v>) from one tridiagonalisation,
 with convergence checked by doubling the Krylov dimension.  The restarted
 exponential ``expm_multiply_hermitian`` remains for propagating arbitrary
-vectors.
+vectors.  ``min_eig_diag_plus_lowrank`` is exact, by inertia counting.
 """
 from __future__ import annotations
 
@@ -94,6 +94,53 @@ def eig_pairs_smallest(m, k: int, tol: float = 1e-10):
                       v0=_start_vector(n), maxiter=80 * n)
     order = np.argsort(w)
     return w[order], v[:, order]
+
+
+def min_eig_diag_plus_lowrank(d: np.ndarray, lr) -> tuple[float, float]:
+    """Smallest eigenvalue of diag(d) + U C U* (d real, ``lr`` a LowRank)
+    and its bracket width.  With C = Q diag(w) Q* (w != 0), W = U Q |w|^1/2
+    and J = sign(w), Haynsworth inertia additivity counts the eigenvalues
+    below s as neg(D - s) + neg(-J - W* (D - s)^-1 W) - neg(-J) (Golub's
+    secular equation), O(dim r^2) a count; pivots d_i - s below |W_i|^2
+    keep their exact shifts in a small block, so s may sit on an entry of
+    d.  s is bisected to adjacent floats; d off the support of W is exact.
+    Returns the lower end of the bracket, a lower bound up to rounding.
+    """
+    w, q = np.linalg.eigh(lr.c)
+    nz = np.abs(w) > len(w) * np.finfo(float).eps * np.abs(w).max(initial=0)
+    wmat = (lr.u @ q[:, nz]) * np.sqrt(np.abs(w[nz]))
+    on = np.any(wmat != 0, axis=1)
+    off_min = float(np.min(d[~on], initial=np.inf))
+    if not on.any():
+        return off_min, 0.0
+    ds, ws, sign = d[on], wmat[on], np.sign(w[nz])
+    sq = np.sum(np.abs(ws) ** 2, axis=1)
+
+    def below(s):
+        sh = ds - s
+        near = np.abs(sh) < sq
+        far = ~near
+        wn, wf = ws[near], ws[far]
+        border = -np.diag(sign) - (wf.conj().T / sh[far]) @ wf
+        evals = np.linalg.eigvalsh(border)
+        if near.any() and np.abs(evals).min() > 1e-8 * np.abs(evals).max():
+            schur = np.diag(sh[near]) - wn @ np.linalg.solve(border,
+                                                             wn.conj().T)
+            evals = np.r_[evals, np.linalg.eigvalsh(schur)]
+        elif near.any():
+            evals = np.linalg.eigvalsh(np.block([[np.diag(sh[near]), wn],
+                                                 [wn.conj().T, border]]))
+        return (np.count_nonzero(sh[far] < 0) - np.count_nonzero(sign > 0)
+                + np.count_nonzero(evals < 0))
+
+    # Weyl: the lowest eigenvalue is within ||W||_F^2 of min(ds)
+    lo = np.nextafter(ds.min() - sq.sum(), -np.inf)
+    hi = np.nextafter(ds.min() + sq.sum(), np.inf)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (lo, mid) if below(mid) >= 1 else (mid, hi)
+    if off_min < lo:
+        return off_min, 0.0
+    return float(lo), float(min(hi, off_min) - lo)
 
 
 @dataclass

@@ -362,14 +362,32 @@ def assemble_liouvillian(params: ModelParams,
 # conjugate operator and its finite-rank correction
 # ---------------------------------------------------------------------------
 
-def sparse_outer(u: np.ndarray, v: np.ndarray, tol: float = 0.0):
-    """|u><v| as a sparse matrix, dropping exact zeros."""
-    un = np.flatnonzero(u != 0 if tol == 0 else np.abs(u) > tol)
-    vn = np.flatnonzero(v != 0 if tol == 0 else np.abs(v) > tol)
-    rows = np.repeat(un, len(vn))
-    cols = np.tile(vn, len(un))
-    data = (u[un][:, None] * np.conj(v[vn])[None, :]).ravel()
-    return sp.csr_matrix((data, (rows, cols)), shape=(len(u), len(v)))
+@dataclass(frozen=True)
+class LowRank:
+    """Hermitian finite-rank operator U C U*, kept factored (``u`` is
+    dim x r, ``c`` a Hermitian r x r matrix)."""
+
+    u: np.ndarray
+    c: np.ndarray
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        return self.u @ (self.c @ (self.u.conj().T @ v))
+
+    __matmul__ = matvec
+
+    def diagonal(self) -> np.ndarray:
+        """Real, as the diagonal of a Hermitian operator."""
+        return np.real(np.sum((self.u @ self.c) * self.u.conj(), axis=1))
+
+    def norm(self) -> float:
+        """Spectral norm, from R C R* for the thin QR U = Q R."""
+        r = np.linalg.qr(self.u, mode="r")
+        return float(np.abs(np.linalg.eigvalsh(r @ self.c @ r.conj().T)).max())
+
+    def tosparse(self) -> sp.csr_matrix:
+        """Bit-level Hermitian CSR; exact zeros of u stay structural."""
+        return hermitize(sp.csr_matrix(self.u)
+                         @ sp.csr_matrix(self.c @ self.u.conj().T))
 
 
 @dataclass(frozen=True)
@@ -377,8 +395,8 @@ class ConjugateOps:
     particle_gen: np.ndarray          # Hermitian flow generator on H_p
     full: sp.csr_matrix               # left - right + field translation
     resolvent2: np.ndarray            # diag of (L0^2 + eps^2)^{-1}, 0 at Pi
-    correction: sp.csr_matrix         # the finite-rank Hermitian correction
-    correction_comm: sp.csr_matrix    # i[L, correction], rank <= 4
+    correction: LowRank               # the finite-rank Hermitian correction
+    correction_comm: LowRank          # i[L, correction], rank <= 4
     pi_index: int
 
 
@@ -407,14 +425,17 @@ def assemble_conjugates(params: ModelParams, liou: LiouvillianOps,
     x = r2bar * i_epi
 
     th_lam = params.theta * params.lam
-    correction = hermitize(1j * th_lam * (sparse_outer(e_pi, x)
-                                          - sparse_outer(x, e_pi)))
+    # i th_lam (|e_pi><x| - |x><e_pi|)
+    correction = LowRank(np.column_stack([e_pi, x]),
+                         th_lam * np.array([[0, 1j], [-1j, 0]]))
 
     l_epi = params.lam * i_epi      # L0 annihilates the reference vector
     l_x = liou.l0_diag * x + params.lam * (liou.interaction @ x)
-    correction_comm = hermitize(-th_lam * (
-        sparse_outer(l_epi, x) + sparse_outer(x, l_epi)
-        - sparse_outer(l_x, e_pi) - sparse_outer(e_pi, l_x)))
+    # -th_lam (|L e_pi><x| + |x><L e_pi| - |L x><e_pi| - |e_pi><L x|)
+    correction_comm = LowRank(
+        np.column_stack([l_epi, x, l_x, e_pi]),
+        -th_lam * np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1],
+                            [0, 0, -1, 0]], dtype=complex))
 
     return ConjugateOps(part.flow_gen, full, r2bar, correction,
                         correction_comm, k_pi)

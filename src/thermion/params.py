@@ -54,11 +54,11 @@ class PowerExpProfile:
                 pass
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
-        for coeff, q in terms:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                term = np.where(x > 0, x ** q, 0.0)
-            out = out + coeff * term
-        res = self.scale * out * np.exp(-np.where(x > 0, x, 0.0))
+        # huge x overflows the power to inf and inf * exp(-x) to nan
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for coeff, q in terms:
+                out = out + coeff * np.where(x > 0, x ** q, 0.0)
+            res = self.scale * out * np.exp(-np.where(x > 0, x, 0.0))
         res = np.where(x > 0, res, 0.0)
         return res if res.shape else float(res)
 

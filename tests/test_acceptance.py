@@ -168,7 +168,7 @@ def test_criterion_07_virial():
     p = ModelParams(n_e=6, n_u=8, n_max=1, e_max=4.0, u_max=4.0, lam=0.1)
     liou = assemble_liouvillian(p)
     conj = assemble_conjugates(p, liou)
-    a_full = (conj.full + conj.correction).tocsr()
+    a_full = (conj.full + conj.correction.tosparse()).tocsr()
     evals, vecs = eig_pairs_smallest(liou.liouvillian, 10)
     worst = -np.inf
     for k in range(vecs.shape[1]):

@@ -3,11 +3,13 @@ import pytest
 import scipy.sparse as sp
 
 from thermion.feshbach import (assemble_bound_operators, chain_recipe,
-                               feshbach_map, find_reduction_roots,
+                               feshbach_map, feshbach_woodbury,
+                               find_reduction_roots,
                                isospectrality_defect,
                                scaled_to_limit_convergence,
                                verify_bound_chain)
-from thermion.operators import assemble_conjugates, assemble_liouvillian
+from thermion.operators import (LowRank, assemble_conjugates,
+                                assemble_liouvillian)
 from thermion.params import ModelParams
 
 
@@ -97,15 +99,40 @@ def test_bound_operators_reference_block(chain_setup):
     ops = assemble_bound_operators(p, liou, conj)
     k = conj.pi_index
     # limit operator on the reference: -k49 lam^2 + correction block
-    corr = np.real(conj.correction_comm[k, k])
-    assert np.isclose(np.real(ops.m_limit[k, k]),
+    corr = conj.correction_comm.diagonal()[k]
+    assert np.isclose(ops.d_limit[k] + ops.correction.diagonal()[k],
                       -ops.k49 * p.lam ** 2 + corr)
     # at zero coupling the reference block vanishes: dressing is necessary
     p0 = p.with_(lam=0.0)
     liou0 = assemble_liouvillian(p0)
     conj0 = assemble_conjugates(p0, liou0)
     ops0 = assemble_bound_operators(p0, liou0, conj0)
-    assert ops0.m_limit[k, k] == 0.0
+    assert ops0.d_limit[k] + ops0.correction.diagonal()[k] == 0.0
+
+
+def test_woodbury_reduction_matches_dense(chain_setup):
+    p, liou, conj = chain_setup
+    ops = assemble_bound_operators(p, liou, conj)
+    k, corr = conj.pi_index, ops.correction
+    dense = np.diag(ops.d_limit) + corr.u @ corr.c @ corr.u.conj().T
+    keep = np.arange(len(dense)) != k
+    floor = float(np.linalg.eigvalsh(dense[np.ix_(keep, keep)])[0])
+    for m in (0.0, 0.05, 0.1, 0.15, 0.2, 0.24):
+        got = feshbach_woodbury(ops.d_limit, corr, k, m, floor)
+        want = feshbach_map(dense, np.array([k]), m)
+        assert got.f_value == pytest.approx(want.f_value, rel=1e-12)
+        assert got.spec_distance == pytest.approx(want.spec_distance)
+
+
+def test_woodbury_refuses_near_or_on_the_complement():
+    d = np.array([0.0, 1.0, 2.0])
+    lr = LowRank(np.full((3, 1), 0.1 + 0j), np.eye(1, dtype=complex))
+    with pytest.raises(ValueError, match="refusing"):
+        feshbach_woodbury(d, lr, 0, m=0.9, floor=0.9)
+    # a floor that lies: m sits on an entry of the complement diagonal,
+    # and the residual of the solve gives it away
+    with pytest.raises(ValueError, match="refusing"):
+        feshbach_woodbury(d, lr, 0, m=1.0, floor=5.0)
 
 
 def test_scaled_to_limit_convergence(chain_setup):

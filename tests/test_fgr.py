@@ -152,6 +152,14 @@ def test_power_exp_scalar_path_matches_array_path(prof, deriv):
         assert prof(v, deriv) == prof(2.0, deriv)
 
 
+def test_power_exp_array_path_overflow_is_silent():
+    # x ** p overflows to inf and inf * exp(-x) gives nan; the values are
+    # kept, the RuntimeWarnings are not (pytest turns them into errors)
+    assert math.isnan(PowerExpProfile(3.0)(1e200))
+    out = PowerExpProfile(2.5)(np.array([1.0, 1e200]))
+    assert out[0] == PowerExpProfile(2.5)(1.0) and math.isnan(out[1])
+
+
 def test_run_fgr_integrates_each_width_once(monkeypatch):
     calls = {"gamma_regularized": 0, "gamma_limit": 0}
     for name in calls:

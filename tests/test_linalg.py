@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh, expm
 
-from thermion.linalg import lanczos_functions
-from thermion.operators import LiouvillianAction, assemble_liouvillian
+from thermion.linalg import lanczos_functions, min_eig_diag_plus_lowrank
+from thermion.operators import (LiouvillianAction, LowRank,
+                                assemble_liouvillian)
 from thermion.params import ModelParams
 
 
@@ -80,3 +81,64 @@ def test_too_small_budget_raises(small):
                           1e-10, m_max=16)
     with pytest.raises(ValueError):
         lanczos_functions(act.matvec, v, np.cos, 0.0)
+
+
+def _dense_eigs(d, lr):
+    return np.linalg.eigvalsh(np.diag(d) + lr.u @ lr.c @ lr.u.conj().T)
+
+
+def _random_lowrank(rng, dim, rank, r=4):
+    """u is dim x r, C Hermitian r x r of the given rank with mixed signs."""
+    u = rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r))
+    a = rng.standard_normal((r, rank)) + 1j * rng.standard_normal((r, rank))
+    return LowRank(u, (a * rng.choice([-1.0, 1.0], rank)) @ a.conj().T)
+
+
+def test_diag_plus_lowrank_min_eig_matches_dense():
+    rng = np.random.default_rng(0)
+    for trial in range(48):
+        dim = int(rng.integers(8, 60))
+        d = rng.standard_normal(dim)
+        if trial % 2:
+            d = np.round(2.0 * d)       # degenerate entries on the support
+        lr = _random_lowrank(rng, dim, 1 + trial % 4)
+        val, width = min_eig_diag_plus_lowrank(d, lr)
+        evals = _dense_eigs(d, lr)
+        scale = np.abs(evals).max()
+        assert abs(val - evals[0]) <= 1e-12 * scale
+        assert 0.0 <= width <= 1e-15 * scale
+
+
+def test_diag_plus_lowrank_min_eig_off_support():
+    # the degenerate minimum of d sits where u vanishes: it is an
+    # eigenvalue as it stands, with no bracket
+    rng = np.random.default_rng(1)
+    d = np.concatenate([np.full(5, -2.0), np.repeat([0.5, 1.0, 1.5], 6)])
+    u = np.zeros((len(d), 2), dtype=complex)
+    u[5:] = 0.2 * rng.standard_normal((18, 2))
+    lr = LowRank(u, np.diag([0.3, -0.2]).astype(complex))
+    assert min_eig_diag_plus_lowrank(d, lr) == (-2.0, 0.0)
+    assert _dense_eigs(d, lr)[0] == pytest.approx(-2.0, abs=1e-14)
+
+
+def test_diag_plus_lowrank_min_eig_zero_correction():
+    rng = np.random.default_rng(2)
+    d = rng.standard_normal(20)
+    lr = LowRank(rng.standard_normal((20, 3)).astype(complex),
+                 np.zeros((3, 3), dtype=complex))
+    assert min_eig_diag_plus_lowrank(d, lr) == (d.min(), 0.0)
+
+
+def test_diag_plus_lowrank_min_eig_lifted_by_indefinite_correction():
+    # a positive direction on the minimal entry and a weak negative one
+    # elsewhere: the minimum rises above min(d)
+    d = np.arange(12, dtype=float)
+    e0 = np.eye(12)[0]
+    v = np.linspace(0.0, 0.3, 12)
+    lr = LowRank(np.column_stack([e0, v]).astype(complex),
+                 np.diag([5.0, -0.5]).astype(complex))
+    val, width = min_eig_diag_plus_lowrank(d, lr)
+    exact = _dense_eigs(d, lr)[0]
+    assert val > d.min() + 0.5
+    assert abs(val - exact) <= 1e-12 * 12.0
+    assert width <= 1e-15 * 12.0

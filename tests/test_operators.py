@@ -3,11 +3,13 @@ import pytest
 import scipy.sparse as sp
 
 from thermion.lattice import FieldGrid, FockBasis, build_bases
-from thermion.operators import (LiouvillianAction, apply_j,
+from thermion.linalg import operator_norm
+from thermion.operators import (LiouvillianAction, LowRank, apply_j,
                                 assemble_conjugates, assemble_field_ops,
                                 assemble_liouvillian, assemble_particle_ops,
                                 check_j, coupling_matrix, field_op,
-                                glue_tau_beta, hermiticity_defect, kron3,
+                                glue_tau_beta, hermiticity_defect, hermitize,
+                                kron3,
                                 lowering_op, raising_op, reflect_conjugate,
                                 tau_beta_values, thermal_weight)
 from thermion.params import Kernel, ModelParams, PowerExpProfile
@@ -218,7 +220,8 @@ def test_hermitian_flags_bit_exact(small):
     liou = assemble_liouvillian(p, b)
     conj = assemble_conjugates(p, liou)
     for op in (liou.interaction, liou.liouvillian, liou.number_comm,
-               conj.full, conj.correction, conj.correction_comm):
+               conj.full, conj.correction.tosparse(),
+               conj.correction_comm.tosparse()):
         assert hermiticity_defect(op) == 0.0
 
 
@@ -226,7 +229,8 @@ def test_correction_vanishes_at_zero_coupling(small):
     p, b = small
     liou = assemble_liouvillian(p.with_(lam=0.0), b)
     conj = assemble_conjugates(p.with_(lam=0.0), liou)
-    assert conj.correction.nnz == 0 or abs(conj.correction).max() == 0.0
+    corr = conj.correction.tosparse()
+    assert corr.nnz == 0 or abs(corr).max() == 0.0
 
 
 def test_correction_range_inside_one_boson(small):
@@ -245,7 +249,7 @@ def test_correction_pi_block_nonnegative(small):
     liou = assemble_liouvillian(p, b)
     conj = assemble_conjugates(p, liou)
     k = conj.pi_index
-    val = conj.correction_comm[k, k]
+    val = conj.correction_comm.diagonal()[k]
     assert np.imag(val) == 0.0
     assert np.real(val) >= 0.0
     # and equals 2 theta lam^2 <I e, Rbar^2 I e>
@@ -255,6 +259,48 @@ def test_correction_pi_block_nonnegative(small):
     expect = 2 * p.theta * p.lam ** 2 * np.real(
         np.vdot(iv, conj.resolvent2 * iv))
     assert np.isclose(np.real(val), expect)
+
+
+def _sparse_outer(u, v):
+    """|u><v| as CSR over the nonzero entries (the sparse form the
+    corrections had before they were kept factored)."""
+    un, vn = np.flatnonzero(u), np.flatnonzero(v)
+    data = (u[un][:, None] * np.conj(v[vn])[None, :]).ravel()
+    return sp.csr_matrix((data, (np.repeat(un, len(vn)),
+                                 np.tile(vn, len(un)))),
+                         shape=(len(u), len(v)))
+
+
+def test_lowrank_corrections_match_outer_product_form(small):
+    p, b = small
+    liou = assemble_liouvillian(p, b)
+    conj = assemble_conjugates(p, liou)
+    k = conj.pi_index
+    e = np.zeros(b.dim, dtype=complex)
+    e[k] = 1.0
+    x = conj.resolvent2 * (liou.interaction @ e)
+    l_e = p.lam * (liou.interaction @ e)
+    l_x = liou.l0_diag * x + p.lam * (liou.interaction @ x)
+    th_lam = p.theta * p.lam
+    old = {"correction": hermitize(1j * th_lam * (
+               _sparse_outer(e, x) - _sparse_outer(x, e))),
+           "correction_comm": hermitize(-th_lam * (
+               _sparse_outer(l_e, x) + _sparse_outer(x, l_e)
+               - _sparse_outer(l_x, e) - _sparse_outer(e, l_x)))}
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal(b.dim) + 1j * rng.standard_normal(b.dim)
+    for name, ref in old.items():
+        lr = getattr(conj, name)
+        new = lr.tosparse()
+        assert hermiticity_defect(new) == 0.0
+        assert new.nnz == ref.nnz
+        want = ref.toarray()
+        assert np.all(np.abs(new.toarray() - want) <= 1e-15 * np.abs(want))
+        assert np.all(np.abs(lr.diagonal() - np.real(ref.diagonal()))
+                      <= 1e-15 * np.abs(ref.diagonal()))
+        assert np.linalg.norm(lr @ v - ref @ v) <= 1e-14 * np.linalg.norm(
+            ref @ v)
+        assert lr.norm() == pytest.approx(operator_norm(new), rel=1e-12)
 
 
 def test_conjugates_reject_zero_epsilon(small):
@@ -303,8 +349,6 @@ def test_matrix_free_action_matches_assembly(small):
 def test_correction_commutator_norm_bound():
     # ||[L, A0]|| <= k (theta lam / eps + theta lam^2 / eps^2): measure the
     # ratio over a parameter sweep; k is its (finite, stable) supremum
-    from thermion.linalg import operator_norm
-
     base = ModelParams(n_e=4, n_u=8, n_max=1, e_max=3.0, u_max=3.0)
     b = build_bases(base)
     ratios = []
@@ -315,7 +359,8 @@ def test_correction_commutator_norm_bound():
                 liou = assemble_liouvillian(p, b)
                 conj = assemble_conjugates(p, liou)
                 envelope = theta * lam / eps + theta * lam ** 2 / eps ** 2
-                ratios.append(operator_norm(conj.correction_comm) / envelope)
+                ratios.append(operator_norm(conj.correction_comm.tosparse())
+                              / envelope)
     k = max(ratios)
     assert np.isfinite(k)
     assert max(ratios) / min(ratios) < 50

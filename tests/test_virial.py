@@ -45,7 +45,7 @@ def test_exact_eigenvector_residual_is_zero():
 
 def test_virial_residual_bound_on_eigenpairs(setup):
     p, liou, conj = setup
-    a_full = (conj.full + conj.correction).tocsr()
+    a_full = (conj.full + conj.correction.tosparse()).tocsr()
     rep = eigenpair_residual_check(liou.liouvillian, a_full, n_pairs=10)
     assert rep.passed, rep
 
