@@ -18,8 +18,9 @@ import scipy.sparse as sp
 
 from .lattice import CompositeBasis
 from .linalg import min_eig_hermitian, operator_norm
-from .operators import (LiouvillianOps, ConjugateOps, assemble_particle_ops,
-                        assemble_field_ops, field_op, hermitize, kron3)
+from .operators import (KronSum, LiouvillianAction, Truncation,
+                        diag_commutator, hermitize, interaction_like,
+                        pair_diag)
 from .flows import VectorField, saturating_profile
 from .params import ModelParams
 from .reports import BoundReport
@@ -64,34 +65,25 @@ def _iterated_matrix_ad(g: np.ndarray, a_p: np.ndarray, order: int):
     return out
 
 
-def interaction_commutator(params: ModelParams, liou: LiouvillianOps,
-                           a_p: np.ndarray, order: int) -> sp.csr_matrix:
+def interaction_commutator(trunc: Truncation, order: int) -> KronSum:
     """Closed form of the order-fold commutator of the interaction with the
-    conjugate operator.
+    conjugate operator, as Kronecker terms (order 0 would be the
+    interaction itself).
 
     Binomial split over the three commuting pieces of the conjugate
     operator: each step either commutes the particle coupling with the
     dilation generator (sign flip on the right factor) or differentiates
     the field smearing vector.
     """
-    basis = liou.basis
-    fops = assemble_field_ops(basis.fock)
-    d_u = fops.mode_derivative
-    ident_p = sp.identity(basis.left.dim, format="csr", dtype=complex)
-    g = liou.coupling
-    f_dir = liou.vectors.direct
-    f_img = liou.vectors.image
-    total = sp.csr_matrix(
-        (basis.dim, basis.dim), dtype=complex)
+    d_u = trunc.field.mode_derivative
+    terms = []
     for j in range(order + 1):
-        gj = _iterated_matrix_ad(g, a_p, j)
-        fd = np.linalg.matrix_power(d_u, order - j) @ f_dir
-        fi = np.linalg.matrix_power(d_u, order - j) @ f_img
-        term1 = kron3(field_op(basis.fock, fd), ident_p, sp.csr_matrix(gj))
-        term2 = kron3(field_op(basis.fock, fi),
-                      sp.csr_matrix((-1.0) ** j * np.conj(gj)), ident_p)
-        total = total + comb(order, j) * (term1 - term2)
-    return hermitize(total)
+        gj = _iterated_matrix_ad(trunc.coupling, trunc.particle.flow_gen, j)
+        d_n = np.linalg.matrix_power(d_u, order - j)
+        terms += interaction_like(trunc.basis, comb(order, j) * gj,
+                                  (-1.0) ** j, d_n @ trunc.vectors.direct,
+                                  d_n @ trunc.vectors.image)
+    return KronSum(trunc.basis, terms)
 
 
 @dataclass
@@ -153,40 +145,32 @@ def smooth_test_states(basis: CompositeBasis, n_states: int = 4,
     return out
 
 
-def assemble_commutator_set(params: ModelParams, liou: LiouvillianOps,
-                            conj: ConjugateOps,
-                            profile: VectorField | None = None,
+def assemble_commutator_set(liou: LiouvillianAction,
                             with_direct: bool = True) -> CommutatorSet:
-    profile = profile or saturating_profile()
-    basis = liou.basis
-    nodes = basis.left.grid.nodes
-    number = sp.diags(liou.number.astype(complex))
+    """c_n = the profile terms + lam I_n, n = 1, 2, 3 (c_1 adds N)."""
+    profile = saturating_profile()
+    trunc, lam = liou.trunc, liou.params.lam
+    nodes = trunc.basis.left.grid.nodes
 
-    def both_factors(diag_vals, sign):
-        dp = sp.diags(diag_vals.astype(complex))
-        ident_p = sp.identity(basis.left.dim, format="csr", dtype=complex)
-        ident_f = sp.identity(basis.fock.dim, format="csr", dtype=complex)
-        return (kron3(ident_f, ident_p, dp)
-                + sign * kron3(ident_f, dp, ident_p))
+    def closed_form(order, extra):
+        prof = _profile_diag(nodes, trunc.params.a, profile, order)
+        diag = pair_diag(trunc.basis, prof, (-1.0) ** (order + 1)) + extra
+        return hermitize(sp.diags(diag.astype(complex))
+                         + lam * trunc.commutator(order).tosparse())
 
-    a_p = conj.particle_gen
-    c1 = hermitize(both_factors(_profile_diag(nodes, params.a, profile, 1), +1)
-                   + number
-                   + params.lam * interaction_commutator(params, liou, a_p, 1))
-    c2 = hermitize(both_factors(_profile_diag(nodes, params.a, profile, 2), -1)
-                   + params.lam * interaction_commutator(params, liou, a_p, 2))
-    c3 = hermitize(both_factors(_profile_diag(nodes, params.a, profile, 3), +1)
-                   + params.lam * interaction_commutator(params, liou, a_p, 3))
+    c1 = closed_form(1, trunc.number)
+    c2 = closed_form(2, 0.0)
+    c3 = closed_form(3, 0.0)
 
     if with_direct:
         # each closed form is tested against the commutator of the
         # previous *assembled* level: iterating the raw matrix commutator
         # instead would re-amplify the previous level's grid-scale
         # residual through the derivative and mask the convergence
-        c1_d = commutator(liou.liouvillian, conj.full)
-        c2_d = commutator(c1, conj.full)
-        c3_d = commutator(c2, conj.full)
-        tests = smooth_test_states(basis)
+        c1_d = commutator(liou.liouvillian, trunc.conj_full)
+        c2_d = commutator(c1, trunc.conj_full)
+        c3_d = commutator(c2, trunc.conj_full)
+        tests = smooth_test_states(trunc.basis)
         disc = tuple(
             max(np.linalg.norm((ca - cd) @ psi) for psi in tests)
             for ca, cd in ((c1, c1_d), (c2, c2_d), (c3, c3_d)))
@@ -214,10 +198,7 @@ def gjn_check(x: sp.spmatrix, comparison_diag: np.ndarray,
     inv = sp.diags(1.0 / lam)
     k_norm = operator_norm(x @ inv)
 
-    xc = sp.coo_matrix(x)
-    comm = sp.coo_matrix(
-        (1j * xc.data * (lam[xc.col] - lam[xc.row]), (xc.row, xc.col)),
-        shape=x.shape).tocsr()
+    comm = diag_commutator(x, lam)
     half = sp.diags(1.0 / np.sqrt(lam))
     sandwiched = hermitize(half @ comm @ half)
     k_form = operator_norm(sandwiched)
@@ -233,13 +214,13 @@ def kato_half_power_bound(x: sp.spmatrix, number_diag: np.ndarray,
     return operator_norm(x @ sp.diags(1.0 / np.sqrt(shifted)))
 
 
-def estimate_small_coupling_bound(params: ModelParams, liou: LiouvillianOps,
+def estimate_small_coupling_bound(params: ModelParams, trunc: Truncation,
                                   i1: sp.spmatrix) -> float:
     """Smallest k with +-lam * I_1 <= (1/10) N P_vac-bar + k lam^2 on the
     truncation (by extremal eigenvalue of the compensated forms)."""
     if params.lam == 0.0:
         return 0.0
-    n_comp = sp.diags(0.1 * liou.number * (1.0 - liou.vacuum_proj))
+    n_comp = sp.diags(0.1 * trunc.number * (1.0 - trunc.vacuum_proj))
     worst = 0.0
     for sign in (+1.0, -1.0):
         low = min_eig_hermitian(hermitize(n_comp + sign * params.lam * i1))
@@ -247,16 +228,13 @@ def estimate_small_coupling_bound(params: ModelParams, liou: LiouvillianOps,
     return worst
 
 
-def small_coupling_stability(params: ModelParams, liou: LiouvillianOps,
-                             conj_builder, scales=(0.1, 0.2, 0.5)) -> BoundReport:
+def small_coupling_stability(params: ModelParams,
+                             scales=(0.1, 0.2, 0.5)) -> BoundReport:
     """k from the coupling bound varies by at most 2x across dilation
     scales (the uniformity-in-a claim, measured)."""
     ks = []
     for a in scales:
-        pa = params.with_(a=a)
-        i1 = interaction_commutator(
-            pa, liou, conj_builder(pa).particle_gen, 1)
-        ks.append(estimate_small_coupling_bound(pa, liou, i1))
+        ks.append(Truncation(params.with_(a=a)).compensation(params.lam))
     ks = np.array(ks)
     ratio = float(ks.max() / max(ks.min(), 1e-300)) if ks.max() > 0 else 1.0
     return BoundReport(

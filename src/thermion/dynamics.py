@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import build_bases
-from .linalg import expm_multiply_hermitian, lanczos_functions
-from .operators import LiouvillianAction, apply_j
+from .linalg import lanczos_functions
+from .operators import Truncation, apply_j, assemble_liouvillian
 from .params import ModelParams
 from .reports import BoundReport, TimeSeries
 
@@ -24,25 +23,17 @@ def recurrence_time(params: ModelParams) -> float:
     return 2.0 * np.pi / du
 
 
-def evolve(action, psi: np.ndarray, t: float, tol: float = 1e-8) -> np.ndarray:
-    """exp(-i t L) psi by restarted Hermitian Krylov propagation."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return expm_multiply_hermitian(
-        action.matvec if hasattr(action, "matvec") else
-        (lambda v: action @ v), psi, t, tol=tol)
-
-
-def survival(params: ModelParams, times: np.ndarray,
-             tol: float = 1e-8) -> TimeSeries:
+def survival(params: ModelParams, times: np.ndarray, tol: float = 1e-8,
+             trunc: Truncation | None = None) -> TimeSeries:
     """|<e_pi, exp(-i t L) e_pi>|^2 for e_pi the bound x bound x vacuum
     reference state: a quadratic form of L, so one Lanczos
     tridiagonalisation gives every sample time.  The Krylov dimension
     doubles until the survival at m/2 and m agrees within tol; meta
-    carries that difference as ``krylov_error``."""
+    carries that difference as ``krylov_error``.  ``trunc`` is a
+    truncation of ``params`` (a new one when none is given)."""
     times = np.asarray(times, float)
-    basis = build_bases(params)
-    act = LiouvillianAction(params, basis)
+    act = assemble_liouvillian(params, trunc)
+    basis = act.trunc.basis
     ref = np.zeros(basis.dim, dtype=complex)
     ref[basis.vacuum_bound_index()] = 1.0
     res = lanczos_functions(
@@ -101,15 +92,21 @@ def j_covariance_check(params: ModelParams, t: float = 2.0,
                        tol: float = 1e-8, seed: int = 5) -> BoundReport:
     """Evolving the conjugated vector equals conjugating the evolved vector
     (consequence of the anticommutation with the conjugation and
-    antilinearity)."""
-    basis = build_bases(params)
-    act = LiouvillianAction(params, basis)
+    antilinearity); each side is one Lanczos run."""
+    act = assemble_liouvillian(params)
+    basis = act.trunc.basis
     conj = apply_j(basis)
     rng = np.random.default_rng(seed)
     psi = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
     psi /= np.linalg.norm(psi)
-    lhs = evolve(act, conj.apply(psi), t, tol=tol)
-    rhs = conj.apply(evolve(act, psi, t, tol=tol))
+
+    def evolved(v):
+        return lanczos_functions(act.matvec, v,
+                                 lambda theta: np.exp(-1j * t * theta)[None],
+                                 tol, vectors=True).values[0]
+
+    lhs = evolved(conj.apply(psi))
+    rhs = conj.apply(evolved(psi))
     err = float(np.linalg.norm(lhs - rhs))
     return BoundReport(
         check="evolution commutes with the modular conjugation",

@@ -11,6 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import commutators as comm
 from . import dynamics as dyn
@@ -18,7 +19,9 @@ from . import feshbach as fesh
 from . import fgr
 from . import flows
 from . import virial
-from .operators import assemble_conjugates, assemble_liouvillian, check_j
+from .linalg import eig_pairs_smallest
+from .operators import (Truncation, assemble_conjugates, assemble_liouvillian,
+                        check_j)
 from .params import ModelParams
 from .reports import BoundReport, Report
 
@@ -232,22 +235,22 @@ def run_flow_check(cfg: ExperimentConfig) -> Report:
 def run_virial_scan(cfg: ExperimentConfig) -> Report:
     p = cfg.params
     liou = assemble_liouvillian(p)
-    conj = assemble_conjugates(p, liou)
+    trunc = liou.trunc
+    conj = assemble_conjugates(liou)
     corr_comm = conj.correction_comm.tosparse()
     a_full = (conj.full + conj.correction.tosparse()).tocsr()
     checks = [virial.eigenpair_residual_check(
         liou.liouvillian, a_full, n_pairs=int(cfg.opt("n_pairs", 10)))]
 
-    from .linalg import eig_pairs_smallest
     evals, vecs = eig_pairs_smallest(liou.liouvillian, 1)
     psi = vecs[:, 0]
     alphas = tuple(cfg.opt("alphas",
                              (0.4, 0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625)))
     family = virial.build_regularized_family(
-        psi, conj.full, liou.number, alphas, eigenvalue=float(evals[0]))
+        psi, conj.full, trunc.number, alphas, eigenvalue=float(evals[0]))
     checks.extend(virial.family_checks(family))
 
-    cset = comm.assemble_commutator_set(p, liou, conj, with_direct=False)
+    cset = comm.assemble_commutator_set(liou, with_direct=False)
     c1_direct = comm.commutator(liou.liouvillian, conj.full)
     scan = virial.commutator_expectation_scan(family, c1_direct)
     final = abs(scan[-1][1])
@@ -262,13 +265,11 @@ def run_virial_scan(cfg: ExperimentConfig) -> Report:
                 "alpha_orders": orders.tolist(),
                 "krylov_error": family.krylov_error}))
 
-    i1 = comm.interaction_commutator(p, liou, conj.particle_gen, 1)
-    k49 = comm.estimate_small_coupling_bound(p, liou, i1)
+    k49 = trunc.compensation(p.lam)
     c_op = (cset.c1 + corr_comm).tocsr()
-    import scipy.sparse as sp
-    b_op = sp.diags((0.1 * liou.number + k49 * p.lam ** 2
-                     * np.ones(liou.basis.dim)).astype(complex)) - corr_comm
-    checks.append(virial.regularity_check(c_op, liou.number, b_op, family))
+    b_op = sp.diags((0.1 * trunc.number + k49 * p.lam ** 2
+                     * np.ones(trunc.basis.dim)).astype(complex)) - corr_comm
+    checks.append(virial.regularity_check(c_op, trunc.number, b_op, family))
 
     tables = {"family_scan": {"columns": ["alpha", "residual"],
                               "rows": [[a, v] for a, v in scan]}}
@@ -289,7 +290,8 @@ def run_dynamics(cfg: ExperimentConfig) -> Report:
     checks = []
     series_out = []
 
-    base = dyn.survival(p.with_(lam=0.0), times, tol=tol)
+    trunc = Truncation(p)
+    base = dyn.survival(p.with_(lam=0.0), times, tol=tol, trunc=trunc)
     dev0 = float(np.max(np.abs(np.real(base.values) - 1.0)))
     checks.append(BoundReport(
         check="uncoupled reference state is exactly invariant",
@@ -298,7 +300,7 @@ def run_dynamics(cfg: ExperimentConfig) -> Report:
     series_out.append(base)
 
     def one(lam):
-        return dyn.survival(p.with_(lam=lam), times, tol=tol)
+        return dyn.survival(p.with_(lam=lam), times, tol=tol, trunc=trunc)
 
     runs = _pmap(one, lams, cfg.jobs)
     fits = {}
@@ -354,22 +356,20 @@ def run_dynamics(cfg: ExperimentConfig) -> Report:
 # ---------------------------------------------------------------------------
 
 def run_gjn(cfg: ExperimentConfig) -> Report:
-    p = cfg.params
-    liou = assemble_liouvillian(p)
-    conj = assemble_conjugates(p, liou)
-    cset = comm.assemble_commutator_set(p, liou, conj, with_direct=False)
-    import scipy.sparse as sp
+    liou = assemble_liouvillian(cfg.params)
+    trunc = liou.trunc
+    cset = comm.assemble_commutator_set(liou, with_direct=False)
 
     targets = {
         "liouvillian": liou.liouvillian,
-        "number": sp.diags(liou.number.astype(complex)).tocsr(),
+        "number": sp.diags(trunc.number.astype(complex)).tocsr(),
         "number_commutator": liou.number_comm,
         "c1": cset.c1, "c2": cset.c2, "c3": cset.c3,
     }
     checks = []
     rows = []
     for name, op in targets.items():
-        rep = comm.gjn_check(op, liou.comparison, name)
+        rep = comm.gjn_check(op, trunc.comparison, name)
         rows.append([name, rep.k_norm, rep.k_form])
         ok = np.isfinite(rep.k_norm) and np.isfinite(rep.k_form)
         checks.append(BoundReport(
@@ -380,7 +380,7 @@ def run_gjn(cfg: ExperimentConfig) -> Report:
 
     for name, op in (("number_commutator", liou.number_comm),
                      ("c3", cset.c3)):
-        k = comm.kato_half_power_bound(op, liou.number, liou.vacuum_proj)
+        k = comm.kato_half_power_bound(op, trunc.number, trunc.vacuum_proj)
         rows.append([f"{name}_vs_sqrt_number", k, np.nan])
         checks.append(BoundReport(
             check=f"{name} bounded by the square root of the number operator",

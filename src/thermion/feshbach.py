@@ -18,13 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .commutators import (estimate_small_coupling_bound,
-                          interaction_commutator)
 from .fgr import gamma_limit
 from .linalg import min_eig_diag_plus_lowrank, min_eig_hermitian
-from .operators import (ConjugateOps, LiouvillianOps, LowRank,
-                        assemble_conjugates, assemble_liouvillian,
-                        assemble_particle_ops, hermitize)
+from .operators import (ConjugateOps, LiouvillianAction, LowRank, Truncation,
+                        assemble_conjugates, assemble_liouvillian, hermitize,
+                        pair_diag)
 from .params import ModelParams
 from .reports import BoundReport
 
@@ -172,46 +170,32 @@ class BoundOperators:
     d_limit: np.ndarray        # sharp-projection version (the a -> 0 limit)
     correction: LowRank        # the commutator correction i[L, A0]
     k49: float
-    i1: sp.csr_matrix
 
 
-def _both_factors_diag(basis, diag_p: np.ndarray) -> np.ndarray:
-    dp = basis.left.dim
-    ones = np.ones(dp)
-    one_f = np.ones(basis.fock.dim)
-    return (np.kron(one_f, np.kron(ones, diag_p))
-            + np.kron(one_f, np.kron(diag_p, ones)))
-
-
-def assemble_bound_operators(params: ModelParams, liou: LiouvillianOps,
-                             conj: ConjugateOps,
+def assemble_bound_operators(liou: LiouvillianAction, conj: ConjugateOps,
                              k49: float | None = None) -> BoundOperators:
-    basis = liou.basis
-    part = assemble_particle_ops(params, basis)
-    i1 = interaction_commutator(params, liou, conj.particle_gen, 1)
+    trunc, lam = liou.trunc, liou.params.lam
     if k49 is None:
-        k49 = estimate_small_coupling_bound(params, liou, i1)
-
-    offset = 0.9 * (1.0 - liou.vacuum_proj) - k49 * params.lam ** 2
-    d_scaled = _both_factors_diag(basis, part.xi_of_h) + offset
-    d_limit = _both_factors_diag(basis, part.continuum_proj) + offset
-    return BoundOperators(d_scaled, d_limit, conj.correction_comm,
-                          float(k49), i1)
+        k49 = trunc.compensation(lam)
+    offset = 0.9 * (1.0 - trunc.vacuum_proj) - k49 * lam ** 2
+    d_scaled = pair_diag(trunc.basis, trunc.particle.xi_of_h) + offset
+    d_limit = pair_diag(trunc.basis, trunc.particle.continuum_proj) + offset
+    return BoundOperators(d_scaled, d_limit, conj.correction_comm, float(k49))
 
 
 def _max_abs_row_sum(d: np.ndarray, lr: LowRank, chunk: int = 256) -> float:
     """max_i sum_j |(diag(d) + U C U*)_ij|: |d_i| off the support of U, on
     it the dense rows a chunk at a time."""
     sums, on = np.abs(d), np.flatnonzero(np.any(lr.u != 0, axis=1))
-    us = lr.u[on]
+    uc, uh = lr.u[on] @ lr.c, lr.u[on].conj().T
     for i in range(0, len(on), chunk):
-        block = (us[i:i + chunk] @ lr.c) @ us.conj().T
+        block = uc[i:i + chunk] @ uh
         block[:, i:i + chunk] += np.diag(d[on[i:i + chunk]])
         sums[on[i:i + chunk]] = np.abs(block).sum(axis=1)
     return float(sums.max())
 
 
-def scaled_to_limit_convergence(params: ModelParams, liou: LiouvillianOps,
+def scaled_to_limit_convergence(params: ModelParams, liou: LiouvillianAction,
                                 a_values=(0.5, 0.25, 0.125, 0.0625),
                                 n_vectors: int = 20,
                                 seed: int = 11) -> BoundReport:
@@ -231,7 +215,7 @@ def scaled_to_limit_convergence(params: ModelParams, liou: LiouvillianOps,
     for a in a_values:
         xi = np.concatenate(([0.0], np.asarray(prof.xi(part_nodes / a))))
         cont = np.concatenate(([0.0], np.ones(len(part_nodes))))
-        dd = _both_factors_diag(basis, xi - cont)
+        dd = pair_diag(basis, xi - cont)
         norms.append([float(np.linalg.norm(dd * v)) for v in vecs])
     norms = np.array(norms)     # (n_a, n_vectors)
     monotone = bool(np.all(np.diff(norms, axis=0) < 0))
@@ -306,39 +290,30 @@ class ChainReport:
         return all(s.passed for s in self.steps)
 
 
-def _probe_k49(params: ModelParams) -> float:
-    """The compensation constant at lam = 1e-4 (it only shrinks with the
-    coupling); the probe operators are freed before the run stage."""
-    probe = params.with_(lam=1e-4)
-    liou = assemble_liouvillian(probe)
-    conj = assemble_conjugates(probe, liou)
-    i1 = interaction_commutator(probe, liou, conj.particle_gen, 1)
-    return estimate_small_coupling_bound(probe, liou, i1)
-
-
 def verify_bound_chain(params: ModelParams,
                        theta: float | None = None,
                        epsilon: float | None = None,
                        lam: float | None = None,
                        gamma: float | None = None,
                        m_grid=(0.0, 0.05, 0.1, 0.15, 0.2, 0.24),
-                       tol_scale: float = 1e-8) -> ChainReport:
+                       tol_scale: float = 1e-8,
+                       trunc: Truncation | None = None) -> ChainReport:
     """Run every inequality of the positivity argument at the given (or
-    recipe-chosen) parameters and report slacks."""
+    recipe-chosen) parameters and report slacks; the probe and the run
+    share ``trunc`` (a new truncation of ``params`` when none is given)."""
     gamma = gamma if gamma is not None else gamma_limit(params)
-    k49 = _probe_k49(params)
+    trunc = trunc or Truncation(params)
+    k49 = trunc.k49
     recipe = chain_recipe(params, gamma, k49)
     theta = theta if theta is not None else recipe.theta
     epsilon = epsilon if epsilon is not None else recipe.epsilon
     lam = lam if lam is not None else 0.5 * recipe.lambda0
 
     run = params.with_(lam=lam, theta=theta, epsilon=epsilon)
-    liou = assemble_liouvillian(run)
-    conj = assemble_conjugates(run, liou)
-    i1 = interaction_commutator(run, liou, conj.particle_gen, 1)
-    k49_run = estimate_small_coupling_bound(run, liou, i1)
-    k49 = max(k49, k49_run)
-    ops = assemble_bound_operators(run, liou, conj, k49=k49)
+    liou = assemble_liouvillian(run, trunc)
+    conj = assemble_conjugates(liou)
+    k49 = max(k49, trunc.compensation(lam))
+    ops = assemble_bound_operators(liou, conj, k49=k49)
 
     steps = []
     target = theta * lam ** 2 / epsilon * gamma
@@ -346,8 +321,9 @@ def verify_bound_chain(params: ModelParams,
     # lower-bound inequality: commutator + correction dominates the
     # dressed operator (equivalently N + lam I1 - 0.9 Pbar + k49 lam^2 >= 0)
     combo = hermitize(
-        sp.diags((liou.number - 0.9 * (1.0 - liou.vacuum_proj)
-                  + k49 * lam ** 2).astype(complex)) + lam * i1)
+        sp.diags((trunc.number - 0.9 * (1.0 - trunc.vacuum_proj)
+                  + k49 * lam ** 2).astype(complex))
+        + lam * trunc.commutator(1).tosparse())
     corr = ops.correction
     scale = max(1.0, _max_abs_row_sum(ops.d_scaled, corr))
     low, vec = min_eig_hermitian(combo, with_vector=True)
@@ -360,7 +336,7 @@ def verify_bound_chain(params: ModelParams,
 
     # complement block strictly above one half
     k_pi = conj.pi_index
-    keep = np.arange(liou.basis.dim) != k_pi
+    keep = np.arange(trunc.basis.dim) != k_pi
     mbar_low, mbar_width = min_eig_diag_plus_lowrank(
         ops.d_limit[keep], LowRank(corr.u[keep], corr.c))
     steps.append(BoundReport(
@@ -434,12 +410,13 @@ def scan_lambda0(params: ModelParams, lam_grid, betas=(0.5, 1.0, 2.0),
     reports = {}
     for beta in betas:
         pb = params.with_(beta=beta)
+        trunc = Truncation(pb)
         gamma = gamma_limit(pb)
         best = 0.0
         per_beta = []
         for lam in sorted(lam_grid):
             rep = verify_bound_chain(pb, theta=theta, epsilon=epsilon,
-                                     lam=lam, gamma=gamma)
+                                     lam=lam, gamma=gamma, trunc=trunc)
             per_beta.append(rep)
             if rep.passed:
                 best = max(best, lam)

@@ -196,16 +196,14 @@ def operator_side_rate(params: ModelParams, eps: float) -> float:
     half-line (below the bound energy for the direct term, mirrored for
     the modular image; this is the domain restriction under which the
     matrix element reproduces the quadrature rate as the width shrinks)."""
-    from .lattice import build_bases
-    from .operators import LiouvillianAction
+    from .operators import Truncation
 
-    basis = build_bases(params)
-    act = LiouvillianAction(params, basis)
+    trunc = Truncation(params)
+    basis = trunc.basis
     e_pi = np.zeros(basis.dim, dtype=complex)
     e_pi[basis.vacuum_bound_index()] = 1.0
-    iv = act.interaction_matvec(e_pi)
-    t = iv.reshape(basis.fock.dim, basis.right.dim, basis.left.dim)
-    l0 = act.l0.reshape(t.shape)
+    t = basis.as_tensor(trunc.interaction @ e_pi)
+    l0 = basis.as_tensor(trunc.l0_diag)
 
     # single-boson frequency of each Fock state (nan on other sectors)
     u = basis.fock.grid.nodes

@@ -4,9 +4,9 @@ Small problems go dense; large ones go through ARPACK / Lanczos with
 deterministic start vectors so repeated runs give identical output.
 ``lanczos_functions`` is the one matrix-function primitive: a family of
 f(A)v (or the quadratic forms <v, f(A) v>) from one tridiagonalisation,
-with convergence checked by doubling the Krylov dimension.  The restarted
-exponential ``expm_multiply_hermitian`` remains for propagating arbitrary
-vectors.  ``min_eig_diag_plus_lowrank`` is exact, by inertia counting.
+with convergence checked by doubling the Krylov dimension; it also
+propagates vectors (exp(-i t A) v in vector form).
+``min_eig_diag_plus_lowrank`` is exact, by inertia counting.
 """
 from __future__ import annotations
 
@@ -70,15 +70,12 @@ def min_eig_hermitian(m, tol: float = 1e-10, with_vector: bool = False):
             return float(w[0]), v[:, 0]
         w = eigh(_as_matrix(m), eigvals_only=True, subset_by_index=[0, 0])
         return float(w[0])
-    mc = m.tocsc() if sp.issparse(m) else m
     v0 = _start_vector(n)
     try:
-        w, v = spla.eigsh(mc, k=1, which="SA", tol=tol, v0=v0,
-                          maxiter=60 * n)
+        w, v = spla.eigsh(m, k=1, which="SA", tol=tol, v0=v0, maxiter=60 * n)
     except spla.ArpackNoConvergence:
-        shift = operator_norm(mc) + 1.0
-        w, v = spla.eigsh(mc - shift * sp.identity(n, dtype=mc.dtype,
-                                                   format="csc"),
+        shift = operator_norm(m) + 1.0
+        w, v = spla.eigsh(m - shift * sp.identity(n, dtype=m.dtype),
                           k=1, which="LM", tol=tol, v0=v0, maxiter=60 * n)
         w = w + shift
     return (float(w[0]), v[:, 0]) if with_vector else float(w[0])
@@ -197,33 +194,3 @@ def lanczos_functions(apply_op, v: np.ndarray, fns, tol: float,
         if k >= m_max:
             raise RuntimeError(f"Lanczos unconverged at dimension {k}")
         prev, m = cur, min(2 * m, m_max)
-
-
-def expm_multiply_hermitian(apply_op, psi: np.ndarray, t: float,
-                            tol: float = 1e-9, m_max: int = 60):
-    """exp(-i t Op) psi for Hermitian Op, in steps of at most m_max Krylov
-    vectors; a step that does not converge is halved, and each step gets
-    the share of tol (relative to ||psi||) of its length."""
-    psi = np.asarray(psi, dtype=complex)
-    nrm = float(np.linalg.norm(psi))
-    if t == 0.0 or nrm == 0.0:
-        return psi.copy()
-    remaining = dt = float(t)
-    while abs(remaining) > 1e-15 * abs(t):
-        dt = dt if abs(dt) < abs(remaining) else remaining
-        try:
-            psi = lanczos_functions(
-                apply_op, psi, lambda theta: np.exp(-1j * dt * theta)[None],
-                nrm * max(tol * abs(dt / t), 1e-14), vectors=True,
-                m_max=m_max).values[0]
-        except RuntimeError:
-            if abs(dt) < 1e-12 * abs(t):
-                raise
-            dt /= 2.0
-            continue
-        remaining -= dt
-    # one global norm audit: the exact flow is unitary
-    drift = abs(np.linalg.norm(psi) - nrm)
-    if drift > 1e3 * tol * max(1.0, nrm):
-        raise RuntimeError(f"propagation lost unitarity: drift {drift:.2e}")
-    return psi

@@ -6,16 +6,26 @@ matrices is kron(fock_op, kron(right_op, left_op)).  Everything flagged
 Hermitian is symmetrized bit-exactly after assembly.  Functions embedded on
 a grid carry sqrt(weight), which makes the euclidean inner product the
 discrete L2 product and keeps every assembled matrix weight-free.
+
+Every operator is assembled once per truncation; lam, theta and epsilon
+only combine the parts.  A ``Truncation`` (grids, beta, a, form factor,
+kernel) builds each operator on first use and keeps it: the interaction
+and its commutators in factored form (``KronSum``), the diagonals, the
+conjugate operator and the compensation constant per coupling (k49 at
+the probe coupling).  A ``LiouvillianAction``
+is L = L0 + lam I over a truncation, and ``assemble_conjugates`` adds the
+theta- and epsilon-dependent finite-rank corrections.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from .lattice import CompositeBasis, FieldGrid, FockBasis, build_bases
-from .flows import VectorField, saturating_profile
+from .flows import saturating_profile
 from .params import ModelParams
 from .reports import BoundReport
 
@@ -35,20 +45,6 @@ def hermiticity_defect(m) -> float:
         d = d.tocsr()
         return float(abs(d).max()) if d.nnz else 0.0
     return float(np.abs(d).max()) if d.size else 0.0
-
-
-@dataclass(frozen=True)
-class AssembledOperator:
-    """Sparse matrix plus provenance; hermitian flag is enforced, not hoped."""
-
-    mat: sp.spmatrix
-    hermitian: bool
-    provenance: str
-
-    def __post_init__(self):
-        if self.hermitian and hermiticity_defect(self.mat) != 0.0:
-            raise ValueError(
-                f"{self.provenance}: flagged hermitian but is not")
 
 
 # ---------------------------------------------------------------------------
@@ -98,9 +94,9 @@ class ParticleOps:
     flow_gen: np.ndarray       # dense Hermitian dilation generator
 
 
-def assemble_particle_ops(params: ModelParams, basis: CompositeBasis,
-                          profile: VectorField | None = None) -> ParticleOps:
-    profile = profile or saturating_profile()
+def assemble_particle_ops(params: ModelParams,
+                          basis: CompositeBasis) -> ParticleOps:
+    profile = saturating_profile()
     grid = basis.left.grid
     energies = basis.left.energies
     dp = basis.left.dim
@@ -108,11 +104,10 @@ def assemble_particle_ops(params: ModelParams, basis: CompositeBasis,
     bound[0] = 1.0
     cont = 1.0 - bound
     comparison = energies * cont + 1.0
-    xi_diag = np.concatenate(([0.0], np.asarray(
-        profile.xi(grid.nodes / params.a), float)))
+    xs = np.asarray(profile.xi(grid.nodes / params.a), float)
+    xi_diag = np.concatenate(([0.0], xs))
 
     d = central_difference(grid.nodes, grid.weight)
-    xs = np.asarray(profile.xi(grid.nodes / params.a), float)
     a_cont = 0.5j * (np.diag(xs) @ d + d @ np.diag(xs))
     flow_gen = np.zeros((dp, dp), dtype=complex)
     flow_gen[1:, 1:] = a_cont
@@ -207,12 +202,6 @@ def field_op(fb: FockBasis, f: np.ndarray) -> sp.csr_matrix:
     return hermitize((low + low.conj().T) / np.sqrt(2.0))
 
 
-def momentum_op(fb: FockBasis, f: np.ndarray) -> sp.csr_matrix:
-    """i (a(f) - a*(f)) / sqrt(2); shows up in the number-commutator."""
-    low = lowering_op(fb, f)
-    return hermitize(1j * (low - low.conj().T) / np.sqrt(2.0))
-
-
 def second_quantized_diag(fb: FockBasis, mode_values: np.ndarray) -> np.ndarray:
     """Diagonal of dGamma(diag(m)): sum_k occ_k m_k per basis state."""
     mv = np.asarray(mode_values, float)
@@ -281,81 +270,220 @@ class CouplingVectors:
     image: np.ndarray
 
 
-def coupling_vectors(params: ModelParams, grid: FieldGrid) -> CouplingVectors:
-    f1 = glue_tau_beta(lambda u: params.form_factor(u), grid, params.beta)
-    return CouplingVectors(f1, reflect_conjugate(f1, grid))
+class KronSum:
+    """A Hermitian sum of Kronecker products fock x right x left, kept
+    factored: ``terms`` are (fock, right, left) with a sparse Fock-space
+    factor and dense particle factors, None standing for the identity."""
+
+    def __init__(self, basis: CompositeBasis, terms):
+        self.basis, self.terms, self._csr = basis, tuple(terms), None
+
+    def matvec(self, psi: np.ndarray) -> np.ndarray:
+        """Tensor contraction; no composite matrix is formed."""
+        t = self.basis.as_tensor(psi)
+        out = None
+        for fock, right, left in self.terms:
+            s = t if left is None else t @ left.T
+            s = s if right is None else np.matmul(right, s)
+            s = fock @ s.reshape(len(t), -1)
+            out = s if out is None else np.add(out, s, out=out)
+        return out.ravel()
+
+    __matmul__ = matvec
+
+    def tosparse(self) -> sp.csr_matrix:
+        """Bit-level Hermitian CSR, assembled by kron3 on first use and
+        kept.  The terms are summed pairwise, neighbours first, so each
+        direct term meets its modular image (``interaction_like``) before
+        the pairs are added."""
+        if self._csr is None:
+            ident = sp.identity(self.basis.left.dim, format="csr",
+                                dtype=complex)
+
+            def factor(m):
+                return ident if m is None else sp.csr_matrix(m)
+
+            mats = [kron3(f, factor(r), factor(l)) for f, r, l in self.terms]
+            while len(mats) > 1:
+                mats = [sum(mats[i:i + 2]) for i in range(0, len(mats), 2)]
+            self._csr = hermitize(mats[0])
+        return self._csr
 
 
-@dataclass(frozen=True)
-class LiouvillianOps:
-    basis: CompositeBasis
-    l0_diag: np.ndarray
-    interaction: sp.csr_matrix
-    liouvillian: sp.csr_matrix
-    number_comm: sp.csr_matrix  # the D operator: i[L, N] in closed form
-    number: np.ndarray          # diag of 1 x 1 x N
-    vacuum_proj: np.ndarray     # diag of 1 x 1 x P_Omega
-    comparison: np.ndarray      # diag of the GJN comparison operator
-    coupling: np.ndarray        # the particle coupling matrix
-    vectors: CouplingVectors
+def interaction_like(basis: CompositeBasis, g: np.ndarray, sign: float,
+                     f_direct: np.ndarray, f_image: np.ndarray) -> list:
+    """Kronecker terms of phi(f_direct) x 1 x g - sign phi(f_image) x
+    conj(g) x 1: the interaction at sign 1, and each term of its iterated
+    commutators."""
+    return [(field_op(basis.fock, f_direct), None, g),
+            (field_op(basis.fock, f_image), -sign * np.conj(g), None)]
 
 
-def interaction_terms(params: ModelParams, basis: CompositeBasis):
-    """The two tensor-product pieces of the interaction.
+def pair_diag(basis: CompositeBasis, diag_p: np.ndarray,
+              sign: float = 1.0) -> np.ndarray:
+    """Diagonal of 1 x 1 x d + sign 1 x d x 1: a particle diagonal on the
+    left factor plus (or minus) it on the right."""
+    ones_f, ones_p = np.ones(basis.fock.dim), np.ones(basis.left.dim)
+    return (np.kron(ones_f, np.kron(ones_p, diag_p))
+            + sign * np.kron(ones_f, np.kron(diag_p, ones_p)))
 
-    The second piece is the modular image of the first, so the assembled
-    operator anticommutes with the modular conjugation; its smearing vector
-    is -exp(-beta u/2) tau_beta(g), i.e. the sign convention is fixed by
-    requiring J L J = -L exactly (checked in apply_j tests) rather than by
-    choosing signs per factor.
-    """
-    g = coupling_matrix(params, basis)
-    vecs = coupling_vectors(params, basis.fock.grid)
-    phi_direct = field_op(basis.fock, vecs.direct)
-    phi_image = field_op(basis.fock, vecs.image)
-    ident_p = sp.identity(basis.left.dim, format="csr", dtype=complex)
-    gs = sp.csr_matrix(g)
-    term1 = kron3(phi_direct, ident_p, gs)
-    term2 = kron3(phi_image, sp.csr_matrix(np.conj(g)), ident_p)
-    return g, vecs, term1, term2
+
+def diag_commutator(x, d: np.ndarray) -> sp.csr_matrix:
+    """i[X, diag(d)] entrywise: i X_ij (d_j - d_i)."""
+    xc = sp.coo_matrix(x)
+    return sp.coo_matrix(
+        (1j * xc.data * (d[xc.col] - d[xc.row]), (xc.row, xc.col)),
+        shape=x.shape).tocsr()
+
+
+class Truncation:
+    """The operators of one truncation that do not depend on the coupling:
+    each is built on first use and kept.  ``params`` fixes the grids, beta,
+    a, the form factor and the kernel; its lam, theta and epsilon play no
+    part here."""
+
+    def __init__(self, params: ModelParams):
+        self.params = params
+        self._commutators, self._compensation = {}, {}
+
+    def check(self, params: ModelParams):
+        """Refuse parameters that differ from the truncation's in anything
+        but lam, theta or epsilon."""
+        own = self.params
+        if replace(params, lam=own.lam, theta=own.theta,
+                   epsilon=own.epsilon) != own:
+            raise ValueError("parameters differ from the truncation's in "
+                             "more than lam, theta and epsilon")
+
+    @cached_property
+    def basis(self) -> CompositeBasis:
+        return build_bases(self.params)
+
+    @cached_property
+    def particle(self) -> ParticleOps:
+        return assemble_particle_ops(self.params, self.basis)
+
+    @cached_property
+    def field(self) -> FieldOps:
+        return assemble_field_ops(self.basis.fock)
+
+    @cached_property
+    def l0_diag(self) -> np.ndarray:
+        e = self.particle.h
+        return (self.field.dgamma_u[:, None, None] + e[None, None, :]
+                - e[None, :, None]).ravel()
+
+    @cached_property
+    def coupling(self) -> np.ndarray:
+        return coupling_matrix(self.params, self.basis)
+
+    @cached_property
+    def vectors(self) -> CouplingVectors:
+        grid = self.basis.fock.grid
+        f1 = glue_tau_beta(self.params.form_factor, grid, self.params.beta)
+        return CouplingVectors(f1, reflect_conjugate(f1, grid))
+
+    @cached_property
+    def interaction(self) -> KronSum:
+        """I.  The second term is the modular image of the first, so I
+        anticommutes with the modular conjugation; its smearing vector is
+        -exp(-beta u/2) tau_beta(g), i.e. the sign convention is fixed by
+        requiring J L J = -L exactly (checked in apply_j tests) rather than
+        by choosing signs per factor."""
+        return KronSum(self.basis, interaction_like(
+            self.basis, self.coupling, 1.0, self.vectors.direct,
+            self.vectors.image))
+
+    def commutator(self, order: int) -> KronSum:
+        """I_n = ad_A^n(I), n >= 1, in closed form."""
+        from .commutators import interaction_commutator
+        if order not in self._commutators:
+            self._commutators[order] = interaction_commutator(self, order)
+        return self._commutators[order]
+
+    @cached_property
+    def number(self) -> np.ndarray:
+        """Diagonal of 1 x 1 x N."""
+        return np.kron(self.field.number, np.ones(self.basis.left.dim ** 2))
+
+    @cached_property
+    def vacuum_proj(self) -> np.ndarray:
+        """Diagonal of 1 x 1 x P_Omega."""
+        return np.kron((self.field.number == 0).astype(float),
+                       np.ones(self.basis.left.dim ** 2))
+
+    @cached_property
+    def comparison(self) -> np.ndarray:
+        """Diagonal of the GJN comparison operator."""
+        return (pair_diag(self.basis, self.particle.comparison)
+                + np.kron(self.field.comparison,
+                          np.ones(self.basis.left.dim ** 2)))
+
+    @cached_property
+    def conj_full(self) -> sp.csr_matrix:
+        """The conjugate operator without its correction: the particle
+        flow generator on the left factor minus on the right, plus the
+        field translation."""
+        ap = sp.csr_matrix(self.particle.flow_gen)
+        ident_p = sp.identity(self.basis.left.dim, format="csr",
+                              dtype=complex)
+        ident_f = sp.identity(self.basis.fock.dim, format="csr",
+                              dtype=complex)
+        return hermitize(kron3(ident_f, ident_p, ap)
+                         - kron3(ident_f, ap, ident_p)
+                         + kron3(self.field.translation_gen, ident_p,
+                                 ident_p))
+
+    def compensation(self, lam: float) -> float:
+        """The small-coupling compensation constant at coupling lam
+        (``estimate_small_coupling_bound`` with I_1), once per lam."""
+        from .commutators import estimate_small_coupling_bound
+        if lam not in self._compensation:
+            self._compensation[lam] = estimate_small_coupling_bound(
+                self.params.with_(lam=lam), self,
+                self.commutator(1).tosparse())
+        return self._compensation[lam]
+
+    @property
+    def k49(self) -> float:
+        """The compensation constant at the probe coupling lam = 1e-4 (it
+        only shrinks with the coupling)."""
+        return self.compensation(1e-4)
+
+
+class LiouvillianAction:
+    """L = L0 + lam I at the coupling of ``params`` over a truncation,
+    applied by tensor contraction; the CSR ``liouvillian`` and
+    ``number_comm`` are assembled on first use.  Every other attribute
+    (basis, l0_diag, interaction, number, ...) is the truncation's."""
+
+    def __init__(self, trunc: Truncation, params: ModelParams):
+        trunc.check(params)
+        self.trunc, self.params = trunc, params
+
+    def __getattr__(self, name):
+        return getattr(self.trunc, name)
+
+    def matvec(self, psi: np.ndarray) -> np.ndarray:
+        return (self.trunc.l0_diag * psi
+                + self.params.lam * self.trunc.interaction.matvec(psi))
+
+    @cached_property
+    def liouvillian(self) -> sp.csr_matrix:
+        return hermitize(sp.diags(self.trunc.l0_diag.astype(complex))
+                         + self.params.lam * self.trunc.interaction.tosparse())
+
+    @cached_property
+    def number_comm(self) -> sp.csr_matrix:
+        """The D operator i[L, N]."""
+        return diag_commutator(self.liouvillian, self.trunc.number)
 
 
 def assemble_liouvillian(params: ModelParams,
-                         basis: CompositeBasis | None = None) -> LiouvillianOps:
-    basis = basis or build_bases(params)
-    part = assemble_particle_ops(params, basis)
-    fops = assemble_field_ops(basis.fock)
-
-    e = part.h
-    occ_en = fops.dgamma_u
-    l0 = (occ_en[:, None, None] + e[None, None, :] - e[None, :, None]).ravel()
-
-    g, vecs, term1, term2 = interaction_terms(params, basis)
-    interaction = hermitize(term1 - term2)
-    if hermiticity_defect(interaction) != 0.0:
-        raise ValueError("assembled interaction is not Hermitian")
-
-    liou = hermitize(sp.diags(l0.astype(complex)) + params.lam * interaction)
-
-    pi_d = momentum_op(basis.fock, vecs.direct)
-    pi_i = momentum_op(basis.fock, vecs.image)
-    ident_p = sp.identity(basis.left.dim, format="csr", dtype=complex)
-    gs = sp.csr_matrix(g)
-    number_comm = hermitize(params.lam * (
-        kron3(pi_d, ident_p, gs) - kron3(pi_i, sp.csr_matrix(np.conj(g)),
-                                         ident_p)))
-
-    dp = basis.left.dim
-    ones_p = np.ones(dp)
-    number = np.kron(fops.number, np.ones(dp * dp))
-    vac = np.kron((fops.number == 0).astype(float), np.ones(dp * dp))
-    comparison = (
-        np.kron(np.ones(basis.fock.dim), np.kron(ones_p, part.comparison))
-        + np.kron(np.ones(basis.fock.dim), np.kron(part.comparison, ones_p))
-        + np.kron(fops.comparison, np.ones(dp * dp)))
-
-    return LiouvillianOps(basis, l0, interaction, liou, number_comm, number,
-                          vac, comparison, g, vecs)
+                         trunc: Truncation | None = None) -> LiouvillianAction:
+    """The Liouvillian at the coupling of ``params`` over ``trunc`` (a new
+    truncation of ``params`` when none is given)."""
+    return LiouvillianAction(trunc or Truncation(params), params)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +520,6 @@ class LowRank:
 
 @dataclass(frozen=True)
 class ConjugateOps:
-    particle_gen: np.ndarray          # Hermitian flow generator on H_p
     full: sp.csr_matrix               # left - right + field translation
     resolvent2: np.ndarray            # diag of (L0^2 + eps^2)^{-1}, 0 at Pi
     correction: LowRank               # the finite-rank Hermitian correction
@@ -400,28 +527,15 @@ class ConjugateOps:
     pi_index: int
 
 
-def assemble_conjugates(params: ModelParams, liou: LiouvillianOps,
-                        profile: VectorField | None = None) -> ConjugateOps:
-    if params.epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    basis = liou.basis
-    part = assemble_particle_ops(params, basis, profile)
-    fops = assemble_field_ops(basis.fock)
-
-    ap = sp.csr_matrix(part.flow_gen)
-    ident_p = sp.identity(basis.left.dim, format="csr", dtype=complex)
-    ident_f = sp.identity(basis.fock.dim, format="csr", dtype=complex)
-    full = hermitize(kron3(ident_f, ident_p, ap) - kron3(ident_f, ap, ident_p)
-                     + kron3(fops.translation_gen, ident_p, ident_p))
-
-    k_pi = basis.vacuum_bound_index()
-    r2 = 1.0 / (liou.l0_diag ** 2 + params.epsilon ** 2)
-    r2bar = r2.copy()
+def assemble_conjugates(liou: LiouvillianAction) -> ConjugateOps:
+    params, trunc = liou.params, liou.trunc
+    k_pi = trunc.basis.vacuum_bound_index()
+    r2bar = 1.0 / (trunc.l0_diag ** 2 + params.epsilon ** 2)
     r2bar[k_pi] = 0.0
 
-    e_pi = np.zeros(basis.dim, dtype=complex)
+    e_pi = np.zeros(trunc.basis.dim, dtype=complex)
     e_pi[k_pi] = 1.0
-    i_epi = liou.interaction @ e_pi
+    i_epi = trunc.interaction @ e_pi
     x = r2bar * i_epi
 
     th_lam = params.theta * params.lam
@@ -430,15 +544,15 @@ def assemble_conjugates(params: ModelParams, liou: LiouvillianOps,
                          th_lam * np.array([[0, 1j], [-1j, 0]]))
 
     l_epi = params.lam * i_epi      # L0 annihilates the reference vector
-    l_x = liou.l0_diag * x + params.lam * (liou.interaction @ x)
+    l_x = trunc.l0_diag * x + params.lam * (trunc.interaction @ x)
     # -th_lam (|L e_pi><x| + |x><L e_pi| - |L x><e_pi| - |e_pi><L x|)
     correction_comm = LowRank(
         np.column_stack([l_epi, x, l_x, e_pi]),
         -th_lam * np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1],
                             [0, 0, -1, 0]], dtype=complex))
 
-    return ConjugateOps(part.flow_gen, full, r2bar, correction,
-                        correction_comm, k_pi)
+    return ConjugateOps(trunc.conj_full, r2bar, correction, correction_comm,
+                        k_pi)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +595,7 @@ def apply_j(basis: CompositeBasis) -> ModularConjugation:
     return ModularConjugation(basis, perm)
 
 
-def check_j(liou: LiouvillianOps, n_vectors: int = 20, seed: int = 7,
+def check_j(liou: LiouvillianAction, n_vectors: int = 20, seed: int = 7,
             tol: float = 1e-10) -> BoundReport:
     """J L J = -L on random vectors (relative to ||L|| ||psi||)."""
     conj = apply_j(liou.basis)
@@ -498,43 +612,3 @@ def check_j(liou: LiouvillianOps, n_vectors: int = 20, seed: int = 7,
         check="modular conjugation anticommutes with the Liouvillian",
         value=worst, bound=tol, slack=tol - worst, passed=bool(worst <= tol),
         detail={"vectors": n_vectors, "norm_bound": op_norm})
-
-
-# ---------------------------------------------------------------------------
-# matrix-free application (for time evolution at large dimension)
-# ---------------------------------------------------------------------------
-
-class LiouvillianAction:
-    """Matrix-free L psi via tensor contractions; avoids materializing the
-    interaction when dim_p^2 * dim_F is large."""
-
-    def __init__(self, params: ModelParams, basis: CompositeBasis | None = None):
-        self.basis = basis or build_bases(params)
-        self.params = params
-        part = assemble_particle_ops(params, self.basis)
-        fops = assemble_field_ops(self.basis.fock)
-        e = part.h
-        self.l0 = (fops.dgamma_u[:, None, None] + e[None, None, :]
-                   - e[None, :, None]).ravel()
-        self.g = coupling_matrix(params, self.basis)
-        self.g_bar = np.conj(self.g)
-        vecs = coupling_vectors(params, self.basis.fock.grid)
-        self.vectors = vecs
-        self.phi_direct = field_op(self.basis.fock, vecs.direct)
-        self.phi_image = field_op(self.basis.fock, vecs.image)
-        self.dim = self.basis.dim
-
-    def interaction_matvec(self, psi: np.ndarray) -> np.ndarray:
-        b = self.basis
-        t = psi.reshape(b.fock.dim, b.right.dim, b.left.dim)
-        t1 = t @ self.g.T                       # coupling on the left factor
-        t1 = (self.phi_direct @ t1.reshape(b.fock.dim, -1)).reshape(t.shape)
-        t2 = np.matmul(self.g_bar, t)           # on the right factor
-        t2 = (self.phi_image @ t2.reshape(b.fock.dim, -1)).reshape(t.shape)
-        return (t1 - t2).ravel()
-
-    def matvec(self, psi: np.ndarray) -> np.ndarray:
-        return self.l0 * psi + self.params.lam * self.interaction_matvec(psi)
-
-    def __matmul__(self, psi):
-        return self.matvec(psi)

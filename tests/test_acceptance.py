@@ -56,7 +56,7 @@ def test_criterion_01_commutator_identity_order():
         b = build_bases(p)
         fops = assemble_field_ops(b.fock)
         ident_p = sp.identity(b.left.dim, format="csr", dtype=complex)
-        liou = assemble_liouvillian(p, b)
+        liou = assemble_liouvillian(p)
         l0 = sp.diags(liou.l0_diag.astype(complex))
         a_f = kron3(fops.translation_gen, ident_p, ident_p)
         comm = (1j * (l0 @ a_f - a_f @ l0)).tocsr()
@@ -167,7 +167,7 @@ def test_criterion_06_scaled_operator_converges():
 def test_criterion_07_virial():
     p = ModelParams(n_e=6, n_u=8, n_max=1, e_max=4.0, u_max=4.0, lam=0.1)
     liou = assemble_liouvillian(p)
-    conj = assemble_conjugates(p, liou)
+    conj = assemble_conjugates(liou)
     a_full = (conj.full + conj.correction.tosparse()).tocsr()
     evals, vecs = eig_pairs_smallest(liou.liouvillian, 10)
     worst = -np.inf
@@ -269,7 +269,7 @@ def test_criterion_11_modular_structure():
                        np.linalg.norm(conj.apply(conj.apply(v)) - v))
     reps = {}
     for lam in (0.0, 0.1):
-        liou = assemble_liouvillian(p.with_(lam=lam), b)
+        liou = assemble_liouvillian(p.with_(lam=lam))
         reps[lam] = check_j(liou, n_vectors=20, tol=1e-10)
     ok = worst_sq < 1e-14 and all(r.passed for r in reps.values())
     _line(11, ok, f"involution defect {worst_sq:.2e}, anticommutation "

@@ -10,8 +10,8 @@ from thermion.commutators import (assemble_commutator_set, commutator,
                                   smooth_test_states)
 from thermion.lattice import build_bases
 from thermion.linalg import min_eig_hermitian, operator_norm
-from thermion.operators import (assemble_conjugates, assemble_liouvillian,
-                                hermiticity_defect)
+from thermion.operators import (Truncation, assemble_conjugates,
+                                assemble_liouvillian, hermiticity_defect)
 from thermion.params import ModelParams
 
 
@@ -19,7 +19,7 @@ from thermion.params import ModelParams
 def setup():
     p = ModelParams(n_e=8, n_u=16, n_max=1, e_max=4.0, u_max=4.0, lam=0.1)
     liou = assemble_liouvillian(p)
-    conj = assemble_conjugates(p, liou)
+    conj = assemble_conjugates(liou)
     return p, liou, conj
 
 
@@ -48,15 +48,14 @@ def test_commutator_rejects_shape_mismatch(setup):
 
 def test_commutator_set_hermitian_and_converging(setup):
     p, liou, conj = setup
-    cs = assemble_commutator_set(p, liou, conj)
+    cs = assemble_commutator_set(liou)
     for op in (cs.c1, cs.c2, cs.c3, cs.c1_direct, cs.c2_direct,
                cs.c3_direct):
         assert hermiticity_defect(op) == 0.0
     prev = np.array(cs.discrepancies)
     p2 = p.with_(n_e=16, n_u=32)
     liou2 = assemble_liouvillian(p2)
-    conj2 = assemble_conjugates(p2, liou2)
-    cs2 = assemble_commutator_set(p2, liou2, conj2)
+    cs2 = assemble_commutator_set(liou2)
     orders = np.log2(prev / np.array(cs2.discrepancies))
     assert np.all(orders >= 1.5), orders
 
@@ -64,9 +63,8 @@ def test_commutator_set_hermitian_and_converging(setup):
 def test_c1_at_zero_coupling_matches_free_commutator(setup):
     p, liou, conj = setup
     p0 = p.with_(lam=0.0)
-    liou0 = assemble_liouvillian(p0)
-    conj0 = assemble_conjugates(p0, liou0)
-    cs = assemble_commutator_set(p0, liou0, conj0)
+    liou0 = assemble_liouvillian(p0, liou.trunc)
+    cs = assemble_commutator_set(liou0)
     # closed form: profile on both factors plus the number operator
     xi = np.concatenate(([0.0],
                          liou0.basis.left.grid.nodes
@@ -86,10 +84,9 @@ def test_large_scale_limit_kills_particle_profile(setup):
     p, liou, conj = setup
     pa = p.with_(a=1e6)
     lioua = assemble_liouvillian(pa)
-    conja = assemble_conjugates(pa, lioua)
-    cs = assemble_commutator_set(pa, lioua, conja)
+    cs = assemble_commutator_set(lioua)
     # xi(e/a) -> e/a -> 0: c1 reduces to N + lam I1 up to O(1/a)
-    i1 = interaction_commutator(pa, lioua, conja.particle_gen, 1)
+    i1 = interaction_commutator(lioua.trunc, 1).tosparse()
     rest = cs.c1 - sp.diags(lioua.number.astype(complex)) - pa.lam * i1
     assert operator_norm(rest) < 1e-5
 
@@ -187,15 +184,14 @@ def test_c3_kato_bound_stable_under_refinement():
     p = ModelParams(n_e=12, n_u=24, n_max=1, e_max=12.0, u_max=12.0,
                     lam=0.1)
     liou = assemble_liouvillian(p)
-    conj = assemble_conjugates(p, liou)
-    cs = assemble_commutator_set(p, liou, conj, with_direct=False)
+    cs = assemble_commutator_set(liou, with_direct=False)
     k = kato_half_power_bound(cs.c3, liou.number, liou.vacuum_proj)
     assert np.isfinite(k)
 
 
 def test_small_coupling_bound_zero_cases(setup):
     p, liou, conj = setup
-    i1 = interaction_commutator(p, liou, conj.particle_gen, 1)
+    i1 = liou.trunc.commutator(1).tosparse()
     assert estimate_small_coupling_bound(p.with_(lam=0.0), liou, i1) == 0.0
     zero = sp.csr_matrix(liou.liouvillian.shape, dtype=complex)
     assert estimate_small_coupling_bound(p, liou, zero) == 0.0
@@ -203,7 +199,7 @@ def test_small_coupling_bound_zero_cases(setup):
 
 def test_small_coupling_bound_is_valid(setup):
     p, liou, conj = setup
-    i1 = interaction_commutator(p, liou, conj.particle_gen, 1)
+    i1 = liou.trunc.commutator(1).tosparse()
     k = estimate_small_coupling_bound(p, liou, i1)
     comp = sp.diags((0.1 * liou.number * (1 - liou.vacuum_proj)
                      + k * p.lam ** 2).astype(complex))
@@ -220,18 +216,13 @@ def test_small_coupling_bound_grid_stability():
     for nu in (32, 64):
         p = ModelParams(n_e=8, n_u=nu, n_max=1, e_max=4.0, u_max=10.0,
                         lam=0.1, a=0.2)
-        liou = assemble_liouvillian(p)
-        conj = assemble_conjugates(p, liou)
-        i1 = interaction_commutator(p, liou, conj.particle_gen, 1)
-        ks[nu] = estimate_small_coupling_bound(p, liou, i1)
+        trunc = Truncation(p)
+        i1 = trunc.commutator(1).tosparse()
+        ks[nu] = estimate_small_coupling_bound(p, trunc, i1)
     assert abs(ks[64] - ks[32]) / ks[32] < 0.1
 
 
 def test_small_coupling_stability_across_scales(setup):
     p, liou, conj = setup
-
-    def builder(pa):
-        return assemble_conjugates(pa, liou)
-
-    rep = small_coupling_stability(p, liou, builder)
+    rep = small_coupling_stability(p)
     assert rep.passed, rep

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from thermion import commutators
 from thermion.feshbach import (assemble_bound_operators, chain_recipe,
                                feshbach_map, feshbach_woodbury,
                                find_reduction_roots,
                                isospectrality_defect,
-                               scaled_to_limit_convergence,
+                               scaled_to_limit_convergence, scan_lambda0,
                                verify_bound_chain)
 from thermion.operators import (LowRank, assemble_conjugates,
                                 assemble_liouvillian)
@@ -90,13 +91,13 @@ def test_loewner_monotonicity_in_parameter():
 def chain_setup():
     p = ModelParams(n_e=8, n_u=8, n_max=1, e_max=4.0, u_max=4.0, lam=1e-3)
     liou = assemble_liouvillian(p)
-    conj = assemble_conjugates(p, liou)
+    conj = assemble_conjugates(liou)
     return p, liou, conj
 
 
 def test_bound_operators_reference_block(chain_setup):
     p, liou, conj = chain_setup
-    ops = assemble_bound_operators(p, liou, conj)
+    ops = assemble_bound_operators(liou, conj)
     k = conj.pi_index
     # limit operator on the reference: -k49 lam^2 + correction block
     corr = conj.correction_comm.diagonal()[k]
@@ -104,15 +105,15 @@ def test_bound_operators_reference_block(chain_setup):
                       -ops.k49 * p.lam ** 2 + corr)
     # at zero coupling the reference block vanishes: dressing is necessary
     p0 = p.with_(lam=0.0)
-    liou0 = assemble_liouvillian(p0)
-    conj0 = assemble_conjugates(p0, liou0)
-    ops0 = assemble_bound_operators(p0, liou0, conj0)
+    liou0 = assemble_liouvillian(p0, liou.trunc)
+    conj0 = assemble_conjugates(liou0)
+    ops0 = assemble_bound_operators(liou0, conj0)
     assert ops0.d_limit[k] + ops0.correction.diagonal()[k] == 0.0
 
 
 def test_woodbury_reduction_matches_dense(chain_setup):
     p, liou, conj = chain_setup
-    ops = assemble_bound_operators(p, liou, conj)
+    ops = assemble_bound_operators(liou, conj)
     k, corr = conj.pi_index, ops.correction
     dense = np.diag(ops.d_limit) + corr.u @ corr.c @ corr.u.conj().T
     keep = np.arange(len(dense)) != k
@@ -169,6 +170,32 @@ def test_chain_degenerate_at_zero_coupling():
     # target is zero; the reference block sits exactly at zero
     assert rep.measured["target"] == 0.0
     assert abs(rep.measured["m_min_eig"]) < 1e-12
+
+
+def test_probe_and_first_commutator_built_once_per_truncation(monkeypatch):
+    # the k49 probe is the compensation constant at lam = 1e-4 (off the
+    # lam grid here), I_1 the order-1 interaction commutator
+    calls = {"probe": 0, "i1": 0}
+    bound = commutators.estimate_small_coupling_bound
+    build = commutators.interaction_commutator
+
+    def counted_bound(params, trunc, i1):
+        calls["probe"] += params.lam == 1e-4
+        return bound(params, trunc, i1)
+
+    def counted_build(trunc, order):
+        calls["i1"] += order == 1
+        return build(trunc, order)
+
+    monkeypatch.setattr(commutators, "estimate_small_coupling_bound",
+                        counted_bound)
+    monkeypatch.setattr(commutators, "interaction_commutator", counted_build)
+    p = ModelParams(n_e=4, n_u=4, n_max=1, e_max=4.0, u_max=4.0)
+    scan_lambda0(p, (1e-3, 1e-2, 1e-1), betas=(0.5, 1.0, 2.0))
+    assert calls == {"probe": 3, "i1": 3}
+    calls.update(probe=0, i1=0)
+    verify_bound_chain(p, lam=1e-2)
+    assert calls == {"probe": 1, "i1": 1}
 
 
 from hypothesis import given, settings, strategies as st

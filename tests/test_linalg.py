@@ -3,8 +3,7 @@ import pytest
 from scipy.linalg import eigh, expm
 
 from thermion.linalg import lanczos_functions, min_eig_diag_plus_lowrank
-from thermion.operators import (LiouvillianAction, LowRank,
-                                assemble_liouvillian)
+from thermion.operators import LowRank, assemble_liouvillian
 from thermion.params import ModelParams
 
 
@@ -59,8 +58,8 @@ def test_vector_form_matches_dense_spectral_calculus(dense_liouvillian):
 def test_eigenvector_start_gives_survival_exactly_one(small):
     # the reference state is an eigenvector of the uncoupled Liouvillian:
     # the first step breaks down and the tridiagonal matrix is exact
-    act = LiouvillianAction(small.with_(lam=0.0))
-    ref = np.zeros(act.dim, dtype=complex)
+    act = assemble_liouvillian(small.with_(lam=0.0))
+    ref = np.zeros(act.basis.dim, dtype=complex)
     ref[act.basis.vacuum_bound_index()] = 1.0
     times = np.linspace(0.0, 40.0, 9)
     res = lanczos_functions(
@@ -72,8 +71,8 @@ def test_eigenvector_start_gives_survival_exactly_one(small):
 
 
 def test_too_small_budget_raises(small):
-    act = LiouvillianAction(small)
-    v = _random_unit(act.dim, 2)
+    act = assemble_liouvillian(small)
+    v = _random_unit(act.basis.dim, 2)
     times = np.linspace(0.0, 20.0, 5)
     with pytest.raises(RuntimeError, match="unconverged"):
         lanczos_functions(act.matvec, v,

@@ -4,15 +4,15 @@ import scipy.sparse as sp
 
 from thermion.lattice import FieldGrid, FockBasis, build_bases
 from thermion.linalg import operator_norm
-from thermion.operators import (LiouvillianAction, LowRank, apply_j,
-                                assemble_conjugates, assemble_field_ops,
-                                assemble_liouvillian, assemble_particle_ops,
-                                check_j, coupling_matrix, field_op,
-                                glue_tau_beta, hermiticity_defect, hermitize,
-                                kron3,
-                                lowering_op, raising_op, reflect_conjugate,
+from thermion.operators import (LiouvillianAction, LowRank, Truncation,
+                                apply_j, assemble_conjugates,
+                                assemble_field_ops, assemble_liouvillian,
+                                assemble_particle_ops, check_j,
+                                coupling_matrix, field_op, glue_tau_beta,
+                                hermiticity_defect, hermitize, lowering_op,
+                                raising_op, reflect_conjugate,
                                 tau_beta_values, thermal_weight)
-from thermion.params import Kernel, ModelParams, PowerExpProfile
+from thermion.params import FormFactor, Kernel, ModelParams, PowerExpProfile
 
 
 @pytest.fixture(scope="module")
@@ -165,7 +165,7 @@ def test_coupling_matrix_rejects_asymmetric_kernel(small):
 
 def test_liouvillian_annihilates_reference(small):
     p, b = small
-    liou = assemble_liouvillian(p, b)
+    liou = assemble_liouvillian(p)
     k = b.vacuum_bound_index()
     assert liou.l0_diag[k] == 0.0
     e = np.zeros(b.dim)
@@ -177,7 +177,7 @@ def test_liouvillian_annihilates_reference(small):
 
 def test_zero_coupling_reduces_to_free(small):
     p, b = small
-    liou = assemble_liouvillian(p.with_(lam=0.0), b)
+    liou = assemble_liouvillian(p.with_(lam=0.0))
     diff = liou.liouvillian - sp.diags(liou.l0_diag.astype(complex))
     assert abs(diff).max() == 0.0
 
@@ -186,21 +186,22 @@ def test_interaction_against_dense_oracle():
     # brute-force dense assembly on a tiny grid
     p = ModelParams(n_e=2, n_u=4, n_max=1, e_max=2.0, u_max=2.0, lam=0.3)
     b = build_bases(p)
-    liou = assemble_liouvillian(p, b)
+    liou = assemble_liouvillian(p)
     g = coupling_matrix(p, b)
     phi_d = field_op(b.fock, liou.vectors.direct).toarray()
     phi_i = field_op(b.fock, liou.vectors.image).toarray()
     dp = b.left.dim
     dense = (np.kron(phi_d, np.kron(np.eye(dp), g))
              - np.kron(phi_i, np.kron(np.conj(g), np.eye(dp))))
-    assert np.allclose(liou.interaction.toarray(), dense, atol=1e-13)
+    assert np.allclose(liou.interaction.tosparse().toarray(), dense,
+                       atol=1e-13)
 
 
 def test_interaction_reference_matrix_elements():
     # <(e_i, bound, 1_k)| I |reference> = Gamma(e_i) sqrt(de) f1(k)/sqrt(2)
     p = ModelParams(n_e=2, n_u=4, n_max=1, e_max=2.0, u_max=2.0)
     b = build_bases(p)
-    liou = assemble_liouvillian(p, b)
+    liou = assemble_liouvillian(p)
     e = np.zeros(b.dim)
     e[b.vacuum_bound_index()] = 1.0
     iv = liou.interaction @ e
@@ -217,9 +218,9 @@ def test_interaction_reference_matrix_elements():
 
 def test_hermitian_flags_bit_exact(small):
     p, b = small
-    liou = assemble_liouvillian(p, b)
-    conj = assemble_conjugates(p, liou)
-    for op in (liou.interaction, liou.liouvillian, liou.number_comm,
+    liou = assemble_liouvillian(p)
+    conj = assemble_conjugates(liou)
+    for op in (liou.interaction.tosparse(), liou.liouvillian, liou.number_comm,
                conj.full, conj.correction.tosparse(),
                conj.correction_comm.tosparse()):
         assert hermiticity_defect(op) == 0.0
@@ -227,16 +228,16 @@ def test_hermitian_flags_bit_exact(small):
 
 def test_correction_vanishes_at_zero_coupling(small):
     p, b = small
-    liou = assemble_liouvillian(p.with_(lam=0.0), b)
-    conj = assemble_conjugates(p.with_(lam=0.0), liou)
+    liou = assemble_liouvillian(p.with_(lam=0.0))
+    conj = assemble_conjugates(liou)
     corr = conj.correction.tosparse()
     assert corr.nnz == 0 or abs(corr).max() == 0.0
 
 
 def test_correction_range_inside_one_boson(small):
     p, b = small
-    liou = assemble_liouvillian(p, b)
-    conj = assemble_conjugates(p, liou)
+    liou = assemble_liouvillian(p)
+    conj = assemble_conjugates(liou)
     rng = np.random.default_rng(2)
     v = rng.standard_normal(b.dim) + 1j * rng.standard_normal(b.dim)
     out = conj.correction @ v
@@ -246,8 +247,8 @@ def test_correction_range_inside_one_boson(small):
 
 def test_correction_pi_block_nonnegative(small):
     p, b = small
-    liou = assemble_liouvillian(p, b)
-    conj = assemble_conjugates(p, liou)
+    liou = assemble_liouvillian(p)
+    conj = assemble_conjugates(liou)
     k = conj.pi_index
     val = conj.correction_comm.diagonal()[k]
     assert np.imag(val) == 0.0
@@ -273,8 +274,8 @@ def _sparse_outer(u, v):
 
 def test_lowrank_corrections_match_outer_product_form(small):
     p, b = small
-    liou = assemble_liouvillian(p, b)
-    conj = assemble_conjugates(p, liou)
+    liou = assemble_liouvillian(p)
+    conj = assemble_conjugates(liou)
     k = conj.pi_index
     e = np.zeros(b.dim, dtype=complex)
     e[k] = 1.0
@@ -323,15 +324,16 @@ def test_j_fixes_reference_and_squares_to_identity(small):
 
 def test_j_anticommutes_with_liouvillian(small):
     p, b = small
+    trunc = Truncation(p)
     for lam in (0.0, 0.1):
-        liou = assemble_liouvillian(p.with_(lam=lam), b)
+        liou = assemble_liouvillian(p.with_(lam=lam), trunc)
         rep = check_j(liou, n_vectors=10)
         assert rep.passed, rep
 
 
 def test_number_commutator_structure(small):
     p, b = small
-    liou = assemble_liouvillian(p, b)
+    liou = assemble_liouvillian(p)
     n_op = sp.diags(liou.number.astype(complex))
     direct = 1j * (liou.liouvillian @ n_op - n_op @ liou.liouvillian)
     assert abs(direct - liou.number_comm).max() < 1e-12
@@ -339,25 +341,45 @@ def test_number_commutator_structure(small):
 
 def test_matrix_free_action_matches_assembly(small):
     p, b = small
-    liou = assemble_liouvillian(p, b)
-    act = LiouvillianAction(p, b)
+    liou = assemble_liouvillian(p)
+    act = LiouvillianAction(liou.trunc, p)
     rng = np.random.default_rng(4)
     v = rng.standard_normal(b.dim) + 1j * rng.standard_normal(b.dim)
     assert np.linalg.norm(act.matvec(v) - liou.liouvillian @ v) < 1e-11
+    # the factored commutators I_1..I_3 against their assembled CSR
+    for order in (1, 2, 3):
+        i_n = liou.trunc.commutator(order)
+        want = i_n.tosparse() @ v
+        assert np.linalg.norm(i_n.matvec(v) - want) <= 1e-12 * np.linalg.norm(
+            want)
+
+
+def test_truncation_refuses_parameters_beyond_the_coupling(small):
+    p, b = small
+    trunc = Truncation(p)
+    liou = assemble_liouvillian(p.with_(lam=0.3, theta=0.2, epsilon=0.7),
+                                trunc)
+    assert liou.trunc is trunc
+    for change in ({"beta": 2.0}, {"a": 0.25}, {"n_u": 10}, {"n_max": 1},
+                   {"e_max": 5.0}, {"bound_energy": -0.5},
+                   {"form_factor": FormFactor(g=PowerExpProfile(3.0))},
+                   {"kernel": Kernel(g_ee=0.5)}):
+        with pytest.raises(ValueError, match="truncation"):
+            assemble_liouvillian(p.with_(**change), trunc)
 
 
 def test_correction_commutator_norm_bound():
     # ||[L, A0]|| <= k (theta lam / eps + theta lam^2 / eps^2): measure the
     # ratio over a parameter sweep; k is its (finite, stable) supremum
     base = ModelParams(n_e=4, n_u=8, n_max=1, e_max=3.0, u_max=3.0)
-    b = build_bases(base)
+    trunc = Truncation(base)
     ratios = []
     for theta in (0.05, 0.2):
         for lam in (0.05, 0.2):
             for eps in (0.3, 1.0):
                 p = base.with_(theta=theta, lam=lam, epsilon=eps)
-                liou = assemble_liouvillian(p, b)
-                conj = assemble_conjugates(p, liou)
+                liou = assemble_liouvillian(p, trunc)
+                conj = assemble_conjugates(liou)
                 envelope = theta * lam / eps + theta * lam ** 2 / eps ** 2
                 ratios.append(operator_norm(conj.correction_comm.tosparse())
                               / envelope)
@@ -388,31 +410,12 @@ def test_number_field_commutator_adjacent_sectors(small):
 
 
 def test_hermiticity_defect_format_independent():
-    from thermion.operators import AssembledOperator
     real = np.array([1.0, -2.0, 0.5], dtype=complex)
     skew = np.array([1.0, -2.0 + 0.25j, 0.5 - 3.0j])
     for diag, expected in ((real, 0.0), (skew, 6.0)):
         dia = sp.diags(diag)
         forms = (dia, sp.dia_array(dia), dia.tocsr(), dia.toarray())
         assert [hermiticity_defect(m) for m in forms] == [expected] * 4
-    AssembledOperator(sp.diags(real), hermitian=True, provenance="real")
-    with pytest.raises(ValueError, match="hermitian"):
-        AssembledOperator(sp.diags(skew), hermitian=True,
-                          provenance="skew")
-
-
-def test_assembled_operator_wrapper_enforces_flag(small):
-    from thermion.operators import AssembledOperator
-    p, b = small
-    liou = assemble_liouvillian(p, b)
-    wrapped = AssembledOperator(liou.interaction, hermitian=True,
-                                provenance="interaction")
-    assert wrapped.provenance == "interaction"
-    bump_mat = sp.csr_matrix(([1.0 + 0j], ([0], [1])),
-                             shape=liou.interaction.shape)
-    skew = (liou.interaction + bump_mat).tocsr()   # break the symmetry
-    with pytest.raises(ValueError, match="hermitian"):
-        AssembledOperator(skew, hermitian=True, provenance="broken")
 
 
 from hypothesis import given, settings, strategies as st

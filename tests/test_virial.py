@@ -16,7 +16,7 @@ from thermion.virial import (bandlimited_mollifier, bump,
 def setup():
     p = ModelParams(n_e=6, n_u=8, n_max=1, e_max=4.0, u_max=4.0, lam=0.1)
     liou = assemble_liouvillian(p)
-    conj = assemble_conjugates(p, liou)
+    conj = assemble_conjugates(liou)
     return p, liou, conj
 
 
