@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .lattice import CompositeBasis
-from .linalg import min_eig_hermitian, operator_norm
+from .linalg import diag_plus, min_eig_hermitian, operator_norm
 from .operators import (KronSum, LiouvillianAction, Truncation,
                         diag_commutator, hermitize, interaction_like,
                         pair_diag)
@@ -145,22 +145,24 @@ def smooth_test_states(basis: CompositeBasis, n_states: int = 4,
     return out
 
 
+def closed_form_commutator(liou: LiouvillianAction,
+                           order: int) -> sp.csr_matrix:
+    """c_n = the profile terms + lam I_n (c_1 adds N), n = 1, 2, 3."""
+    trunc = liou.trunc
+    prof = _profile_diag(trunc.basis.left.grid.nodes, trunc.params.a,
+                         saturating_profile(), order)
+    diag = pair_diag(trunc.basis, prof, (-1.0) ** (order + 1))
+    diag = diag + trunc.number if order == 1 else diag
+    return hermitize(sp.diags(diag.astype(complex))
+                     + liou.params.lam * trunc.commutator(order).tosparse())
+
+
 def assemble_commutator_set(liou: LiouvillianAction,
                             with_direct: bool = True) -> CommutatorSet:
-    """c_n = the profile terms + lam I_n, n = 1, 2, 3 (c_1 adds N)."""
-    profile = saturating_profile()
-    trunc, lam = liou.trunc, liou.params.lam
-    nodes = trunc.basis.left.grid.nodes
-
-    def closed_form(order, extra):
-        prof = _profile_diag(nodes, trunc.params.a, profile, order)
-        diag = pair_diag(trunc.basis, prof, (-1.0) ** (order + 1)) + extra
-        return hermitize(sp.diags(diag.astype(complex))
-                         + lam * trunc.commutator(order).tosparse())
-
-    c1 = closed_form(1, trunc.number)
-    c2 = closed_form(2, 0.0)
-    c3 = closed_form(3, 0.0)
+    """c_1, c_2, c_3 in closed form, with each checked against the direct
+    commutator when ``with_direct``."""
+    trunc = liou.trunc
+    c1, c2, c3 = (closed_form_commutator(liou, n) for n in (1, 2, 3))
 
     if with_direct:
         # each closed form is tested against the commutator of the
@@ -215,17 +217,17 @@ def kato_half_power_bound(x: sp.spmatrix, number_diag: np.ndarray,
 
 
 def estimate_small_coupling_bound(params: ModelParams, trunc: Truncation,
-                                  i1: sp.spmatrix) -> float:
+                                  i1) -> float:
     """Smallest k with +-lam * I_1 <= (1/10) N P_vac-bar + k lam^2 on the
-    truncation (by extremal eigenvalue of the compensated forms)."""
+    truncation (I_1 any Hermitian operator with @, e.g. a ``KronSum``).
+    One solve covers both signs: P = (-1)^N commutes with N P_vac-bar, and
+    each Fock factor of I_1 is a field operator phi(f), moving N by exactly
+    +-1, so P I_1 P = -I_1 and the two forms are unitarily equivalent."""
     if params.lam == 0.0:
         return 0.0
-    n_comp = sp.diags(0.1 * trunc.number * (1.0 - trunc.vacuum_proj))
-    worst = 0.0
-    for sign in (+1.0, -1.0):
-        low = min_eig_hermitian(hermitize(n_comp + sign * params.lam * i1))
-        worst = max(worst, max(0.0, -low) / params.lam ** 2)
-    return worst
+    n_comp = 0.1 * trunc.number * (1.0 - trunc.vacuum_proj)
+    low = min_eig_hermitian(diag_plus(n_comp, params.lam, i1))
+    return max(0.0, -low) / params.lam ** 2
 
 
 def small_coupling_stability(params: ModelParams,

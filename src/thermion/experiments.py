@@ -250,7 +250,6 @@ def run_virial_scan(cfg: ExperimentConfig) -> Report:
         psi, conj.full, trunc.number, alphas, eigenvalue=float(evals[0]))
     checks.extend(virial.family_checks(family))
 
-    cset = comm.assemble_commutator_set(liou, with_direct=False)
     c1_direct = comm.commutator(liou.liouvillian, conj.full)
     scan = virial.commutator_expectation_scan(family, c1_direct)
     final = abs(scan[-1][1])
@@ -266,7 +265,7 @@ def run_virial_scan(cfg: ExperimentConfig) -> Report:
                 "krylov_error": family.krylov_error}))
 
     k49 = trunc.compensation(p.lam)
-    c_op = (cset.c1 + corr_comm).tocsr()
+    c_op = (comm.closed_form_commutator(liou, 1) + corr_comm).tocsr()
     b_op = sp.diags((0.1 * trunc.number + k49 * p.lam ** 2
                      * np.ones(trunc.basis.dim)).astype(complex)) - corr_comm
     checks.append(virial.regularity_check(c_op, trunc.number, b_op, family))

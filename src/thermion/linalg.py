@@ -2,6 +2,8 @@
 
 Small problems go dense; large ones go through ARPACK / Lanczos with
 deterministic start vectors so repeated runs give identical output.
+The solvers also take a ``LinearOperator``: ``diag_plus`` makes one of
+diag(d) + lam X for a factored X (a ``KronSum``), so nothing is assembled.
 ``lanczos_functions`` is the one matrix-function primitive: a family of
 f(A)v (or the quadratic forms <v, f(A) v>) from one tridiagonalisation,
 with convergence checked by doubling the Krylov dimension; it also
@@ -21,7 +23,17 @@ DENSE_CUTOFF = 1500
 
 
 def _as_matrix(m):
+    if isinstance(m, spla.LinearOperator):
+        return m.matmat(np.eye(m.shape[1], dtype=m.dtype))
     return m.toarray() if sp.issparse(m) else np.asarray(m)
+
+
+def diag_plus(d: np.ndarray, lam: float, x) -> spla.LinearOperator:
+    """diag(d) + lam X as a Hermitian LinearOperator (d real, X with @)."""
+    def apply(v):
+        return d * v.ravel() + lam * (x @ v.ravel())
+    return spla.LinearOperator((len(d),) * 2, matvec=apply, rmatvec=apply,
+                               dtype=complex)
 
 
 def _start_vector(n: int, seed: int = 12345) -> np.ndarray:
@@ -31,11 +43,12 @@ def _start_vector(n: int, seed: int = 12345) -> np.ndarray:
 def _power_norm(m, tol: float = 1e-10, max_iter: int = 500) -> float:
     """Deterministic power iteration on M* M (fallback when ARPACK balks,
     e.g. on diagonal operators with large kernels)."""
+    op = spla.aslinearoperator(m)
     v = _start_vector(m.shape[1]).astype(complex)
     v /= np.linalg.norm(v)
     est = 0.0
     for _ in range(max_iter):
-        w = m.conj().T @ (m @ v)
+        w = op.rmatvec(op.matvec(v))
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
@@ -61,21 +74,24 @@ def operator_norm(m, tol: float = 1e-9) -> float:
 
 
 def min_eig_hermitian(m, tol: float = 1e-10, with_vector: bool = False):
-    """Smallest eigenvalue of a Hermitian matrix (dense below the cutoff,
-    ARPACK above, with a shifted retry on non-convergence)."""
+    """Smallest eigenvalue of a Hermitian matrix or LinearOperator: below
+    the cutoff densified (through the matvec), hermitized and solved dense,
+    above it by ARPACK, with a shifted retry on non-convergence."""
     n = m.shape[0]
     if n <= DENSE_CUTOFF:
+        a = _as_matrix(m)
+        a = (a + a.conj().T) * 0.5
         if with_vector:
-            w, v = eigh(_as_matrix(m), subset_by_index=[0, 0])
+            w, v = eigh(a, subset_by_index=[0, 0])
             return float(w[0]), v[:, 0]
-        w = eigh(_as_matrix(m), eigvals_only=True, subset_by_index=[0, 0])
+        w = eigh(a, eigvals_only=True, subset_by_index=[0, 0])
         return float(w[0])
-    v0 = _start_vector(n)
+    v0, op = _start_vector(n), spla.aslinearoperator(m)
     try:
-        w, v = spla.eigsh(m, k=1, which="SA", tol=tol, v0=v0, maxiter=60 * n)
+        w, v = spla.eigsh(op, k=1, which="SA", tol=tol, v0=v0, maxiter=60 * n)
     except spla.ArpackNoConvergence:
         shift = operator_norm(m) + 1.0
-        w, v = spla.eigsh(m - shift * sp.identity(n, dtype=m.dtype),
+        w, v = spla.eigsh(op - shift * spla.aslinearoperator(sp.identity(n)),
                           k=1, which="LM", tol=tol, v0=v0, maxiter=60 * n)
         w = w + shift
     return (float(w[0]), v[:, 0]) if with_vector else float(w[0])

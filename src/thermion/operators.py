@@ -436,12 +436,12 @@ class Truncation:
 
     def compensation(self, lam: float) -> float:
         """The small-coupling compensation constant at coupling lam
-        (``estimate_small_coupling_bound`` with I_1), once per lam."""
+        (``estimate_small_coupling_bound`` with the factored I_1, solved
+        matrix-free: no CSR of I_1 is built), once per lam."""
         from .commutators import estimate_small_coupling_bound
         if lam not in self._compensation:
             self._compensation[lam] = estimate_small_coupling_bound(
-                self.params.with_(lam=lam), self,
-                self.commutator(1).tosparse())
+                self.params.with_(lam=lam), self, self.commutator(1))
         return self._compensation[lam]
 
     @property

@@ -189,6 +189,24 @@ def test_c3_kato_bound_stable_under_refinement():
     assert np.isfinite(k)
 
 
+@pytest.mark.parametrize("order", [0, 1])
+def test_boson_parity_anticommutes_with_interaction_terms(order):
+    # every Fock factor is a field operator, which moves N by exactly one,
+    # so P X P = -X bit for bit with P = (-1)^N: the +lam and -lam forms of
+    # the compensation bound have one spectrum, and one solve suffices
+    trunc = Truncation(ModelParams(n_e=4, n_u=6, n_max=2, e_max=3.0,
+                                   u_max=3.0))
+    x = trunc.interaction if order == 0 else trunc.commutator(1)
+    parity = (-1.0) ** trunc.number
+    csr = x.tosparse()
+    assert abs(sp.diags(parity) @ csr @ sp.diags(parity) + csr).max() == 0.0
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        v = rng.standard_normal(trunc.basis.dim) \
+            + 1j * rng.standard_normal(trunc.basis.dim)
+        assert np.array_equal(parity * (x @ (parity * v)), -(x @ v))
+
+
 def test_small_coupling_bound_zero_cases(setup):
     p, liou, conj = setup
     i1 = liou.trunc.commutator(1).tosparse()

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.linalg import eigh, expm
 
-from thermion.linalg import lanczos_functions, min_eig_diag_plus_lowrank
-from thermion.operators import LowRank, assemble_liouvillian
+from thermion.linalg import (DENSE_CUTOFF, diag_plus, lanczos_functions,
+                             min_eig_diag_plus_lowrank, min_eig_hermitian)
+from thermion.operators import (LowRank, Truncation, assemble_liouvillian,
+                                hermitize)
 from thermion.params import ModelParams
 
 
@@ -141,3 +145,51 @@ def test_diag_plus_lowrank_min_eig_lifted_by_indefinite_correction():
     assert val > d.min() + 0.5
     assert abs(val - exact) <= 1e-12 * 12.0
     assert width <= 1e-15 * 12.0
+
+
+def _chain_form(n_e, n_u, lam=0.1):
+    """The domination-step shape N - 0.5 Pbar + lam I_1 on a truncation, as
+    a matrix-free operator and as its dense matrix."""
+    trunc = Truncation(ModelParams(n_e=n_e, n_u=n_u, n_max=1, e_max=4.0,
+                                   u_max=4.0))
+    d = trunc.number - 0.5 * (1.0 - trunc.vacuum_proj)
+    dense = hermitize(sp.diags(d.astype(complex))
+                      + lam * trunc.commutator(1).tosparse()).toarray()
+    return diag_plus(d, lam, trunc.commutator(1)), dense
+
+
+@pytest.fixture(scope="module")
+def arpack_sized():
+    op, dense = _chain_form(10, 12)
+    assert op.shape[0] > DENSE_CUTOFF
+    return op, np.linalg.eigvalsh(dense)[0]
+
+
+def test_min_eig_of_operator_dense_branch():
+    op, dense = _chain_form(6, 8)
+    assert op.shape[0] <= DENSE_CUTOFF
+    exact = np.linalg.eigvalsh(dense)[0]
+    low, vec = min_eig_hermitian(op, with_vector=True)
+    assert abs(low - exact) <= 1e-12 * abs(exact)
+    assert np.linalg.norm(op @ vec - low * vec) <= 1e-12 * abs(exact)
+
+
+def test_min_eig_of_operator_arpack_branch(arpack_sized):
+    op, exact = arpack_sized
+    assert abs(min_eig_hermitian(op) - exact) <= 1e-10 * abs(exact)
+
+
+def test_min_eig_of_operator_shifted_retry(arpack_sized, monkeypatch):
+    op, exact = arpack_sized
+    real, calls = spla.eigsh, []
+
+    def unconverged_once(*args, **kwargs):
+        calls.append(kwargs["which"])
+        if len(calls) == 1:
+            raise spla.ArpackNoConvergence("forced", np.empty(0),
+                                           np.empty((op.shape[0], 0)))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", unconverged_once)
+    assert abs(min_eig_hermitian(op) - exact) <= 1e-10 * abs(exact)
+    assert calls == ["SA", "LM"]

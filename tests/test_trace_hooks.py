@@ -3,7 +3,8 @@
 ``perfbench/layer_trace.py`` wraps program functions by name, so a rename
 would silently zero its metrics.  This installs the tracer in a fresh
 process, runs a tiny ``dynamics`` and ``bound-chain`` through the CLI and
-checks that the matvec and commutator-build counters see calls.
+checks that the matvec, commutator-build and eigensolve counters see
+calls.
 """
 import json
 import os
@@ -41,3 +42,5 @@ def test_layer_tracer_counts_matvecs_and_commutator_builds(tmp_path):
     assert calls["operators.LiouvillianAction.matvec"] > 0
     # the chain's probe and run share one truncation: I_1 is built once
     assert calls["commutators.interaction_commutator"] == 1
+    # the k49 probe, k at the run coupling and the domination step
+    assert calls["linalg.min_eig_hermitian"] == 3
