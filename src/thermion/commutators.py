@@ -91,9 +91,9 @@ class CommutatorSet:
     c1: sp.csr_matrix
     c2: sp.csr_matrix
     c3: sp.csr_matrix
-    c1_direct: sp.csr_matrix | None     # None unless built with_direct
-    c2_direct: sp.csr_matrix | None
-    c3_direct: sp.csr_matrix | None
+    c1_direct: sp.csr_matrix
+    c2_direct: sp.csr_matrix
+    c3_direct: sp.csr_matrix
     discrepancies: tuple   # test-state norms of (closed form - direct)
 
 
@@ -145,40 +145,34 @@ def smooth_test_states(basis: CompositeBasis, n_states: int = 4,
     return out
 
 
-def closed_form_commutator(liou: LiouvillianAction,
-                           order: int) -> sp.csr_matrix:
-    """c_n = the profile terms + lam I_n (c_1 adds N), n = 1, 2, 3."""
+def closed_form_commutator(liou: LiouvillianAction, order: int):
+    """c_n = the profile terms + lam I_n (c_1 adds N), n = 1, 2, 3, as
+    diag + lam I_n on the factored I_n (``.tosparse()`` for its CSR)."""
     trunc = liou.trunc
     prof = _profile_diag(trunc.basis.left.grid.nodes, trunc.params.a,
                          saturating_profile(), order)
     diag = pair_diag(trunc.basis, prof, (-1.0) ** (order + 1))
     diag = diag + trunc.number if order == 1 else diag
-    return hermitize(sp.diags(diag.astype(complex))
-                     + liou.params.lam * trunc.commutator(order).tosparse())
+    return diag_plus(diag, liou.params.lam, trunc.commutator(order))
 
 
-def assemble_commutator_set(liou: LiouvillianAction,
-                            with_direct: bool = True) -> CommutatorSet:
-    """c_1, c_2, c_3 in closed form, with each checked against the direct
-    commutator when ``with_direct``."""
+def assemble_commutator_set(liou: LiouvillianAction) -> CommutatorSet:
+    """c_1, c_2, c_3 in closed form, each checked against the direct
+    commutator."""
     trunc = liou.trunc
-    c1, c2, c3 = (closed_form_commutator(liou, n) for n in (1, 2, 3))
-
-    if with_direct:
-        # each closed form is tested against the commutator of the
-        # previous *assembled* level: iterating the raw matrix commutator
-        # instead would re-amplify the previous level's grid-scale
-        # residual through the derivative and mask the convergence
-        c1_d = commutator(liou.liouvillian, trunc.conj_full)
-        c2_d = commutator(c1, trunc.conj_full)
-        c3_d = commutator(c2, trunc.conj_full)
-        tests = smooth_test_states(trunc.basis)
-        disc = tuple(
-            max(np.linalg.norm((ca - cd) @ psi) for psi in tests)
-            for ca, cd in ((c1, c1_d), (c2, c2_d), (c3, c3_d)))
-    else:
-        c1_d = c2_d = c3_d = None
-        disc = (np.nan, np.nan, np.nan)
+    c1, c2, c3 = (closed_form_commutator(liou, n).tosparse()
+                  for n in (1, 2, 3))
+    # each closed form is tested against the commutator of the previous
+    # *assembled* level: iterating the raw matrix commutator instead would
+    # re-amplify the previous level's grid-scale residual through the
+    # derivative and mask the convergence
+    c1_d = commutator(liou.liouvillian, trunc.conj_full)
+    c2_d = commutator(c1, trunc.conj_full)
+    c3_d = commutator(c2, trunc.conj_full)
+    tests = smooth_test_states(trunc.basis)
+    disc = tuple(
+        max(np.linalg.norm((ca - cd) @ psi) for psi in tests)
+        for ca, cd in ((c1, c1_d), (c2, c2_d), (c3, c3_d)))
     return CommutatorSet(c1, c2, c3, c1_d, c2_d, c3_d, disc)
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import aslinearoperator
 
 from . import commutators as comm
 from . import dynamics as dyn
@@ -19,7 +20,7 @@ from . import feshbach as fesh
 from . import fgr
 from . import flows
 from . import virial
-from .linalg import eig_pairs_smallest
+from .linalg import diag_plus, eig_pairs_smallest
 from .operators import (Truncation, assemble_conjugates, assemble_liouvillian,
                         check_j)
 from .params import ModelParams
@@ -234,15 +235,16 @@ def run_flow_check(cfg: ExperimentConfig) -> Report:
 
 def run_virial_scan(cfg: ExperimentConfig) -> Report:
     p = cfg.params
+    n_pairs = int(cfg.opt("n_pairs", 10))
+    if n_pairs < 1:
+        raise ValueError(f"virial-scan.n_pairs must be >= 1, got {n_pairs}")
     liou = assemble_liouvillian(p)
-    trunc = liou.trunc
+    trunc, l_op = liou.trunc, liou.operator
     conj = assemble_conjugates(liou)
-    corr_comm = conj.correction_comm.tosparse()
-    a_full = (conj.full + conj.correction.tosparse()).tocsr()
-    checks = [virial.eigenpair_residual_check(
-        liou.liouvillian, a_full, n_pairs=int(cfg.opt("n_pairs", 10)))]
+    a_full = aslinearoperator(conj.full) + aslinearoperator(conj.correction)
+    evals, vecs = eig_pairs_smallest(l_op, n_pairs)
+    checks = [virial.eigenpair_residual_check(l_op, a_full, vecs)]
 
-    evals, vecs = eig_pairs_smallest(liou.liouvillian, 1)
     psi = vecs[:, 0]
     alphas = tuple(cfg.opt("alphas",
                              (0.4, 0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625)))
@@ -250,8 +252,7 @@ def run_virial_scan(cfg: ExperimentConfig) -> Report:
         psi, conj.full, trunc.number, alphas, eigenvalue=float(evals[0]))
     checks.extend(virial.family_checks(family))
 
-    c1_direct = comm.commutator(liou.liouvillian, conj.full)
-    scan = virial.commutator_expectation_scan(family, c1_direct)
+    scan = virial.commutator_expectation_scan(family, l_op, conj.full)
     final = abs(scan[-1][1])
     orders = (np.diff(np.log(np.abs([v for _, v in scan])))
               / np.diff(np.log([a for a, _ in scan])))
@@ -265,9 +266,10 @@ def run_virial_scan(cfg: ExperimentConfig) -> Report:
                 "krylov_error": family.krylov_error}))
 
     k49 = trunc.compensation(p.lam)
-    c_op = (comm.closed_form_commutator(liou, 1) + corr_comm).tocsr()
-    b_op = sp.diags((0.1 * trunc.number + k49 * p.lam ** 2
-                     * np.ones(trunc.basis.dim)).astype(complex)) - corr_comm
+    c_op = (comm.closed_form_commutator(liou, 1)
+            + aslinearoperator(conj.correction_comm))
+    b_op = diag_plus(0.1 * trunc.number + k49 * p.lam ** 2, -1.0,
+                     conj.correction_comm)
     checks.append(virial.regularity_check(c_op, trunc.number, b_op, family))
 
     tables = {"family_scan": {"columns": ["alpha", "residual"],
@@ -357,13 +359,13 @@ def run_dynamics(cfg: ExperimentConfig) -> Report:
 def run_gjn(cfg: ExperimentConfig) -> Report:
     liou = assemble_liouvillian(cfg.params)
     trunc = liou.trunc
-    cset = comm.assemble_commutator_set(liou, with_direct=False)
-
+    c1, c2, c3 = (comm.closed_form_commutator(liou, n).tosparse()
+                  for n in (1, 2, 3))
     targets = {
         "liouvillian": liou.liouvillian,
         "number": sp.diags(trunc.number.astype(complex)).tocsr(),
         "number_commutator": liou.number_comm,
-        "c1": cset.c1, "c2": cset.c2, "c3": cset.c3,
+        "c1": c1, "c2": c2, "c3": c3,
     }
     checks = []
     rows = []
@@ -378,7 +380,7 @@ def run_gjn(cfg: ExperimentConfig) -> Report:
             detail={"k_norm": rep.k_norm, "k_form": rep.k_form}))
 
     for name, op in (("number_commutator", liou.number_comm),
-                     ("c3", cset.c3)):
+                     ("c3", c3)):
         k = comm.kato_half_power_bound(op, trunc.number, trunc.vacuum_proj)
         rows.append([f"{name}_vs_sqrt_number", k, np.nan])
         checks.append(BoundReport(

@@ -29,11 +29,20 @@ def _as_matrix(m):
 
 
 def diag_plus(d: np.ndarray, lam: float, x) -> spla.LinearOperator:
-    """diag(d) + lam X as a Hermitian LinearOperator (d real, X with @)."""
+    """diag(d) + lam X as a Hermitian LinearOperator, for d real and X with
+    @ on vectors and (dim, k) blocks (a block is applied at once); its
+    ``tosparse()`` is the CSR hermitize(diags(d) + lam X.tosparse())."""
     def apply(v):
-        return d * v.ravel() + lam * (x @ v.ravel())
-    return spla.LinearOperator((len(d),) * 2, matvec=apply, rmatvec=apply,
-                               dtype=complex)
+        return (d * v.T).T + lam * (x @ v)
+
+    def tosparse():
+        from .operators import hermitize
+        return hermitize(sp.diags(d.astype(complex)) + lam * x.tosparse())
+
+    op = spla.LinearOperator((len(d),) * 2, matvec=apply, rmatvec=apply,
+                             matmat=apply, rmatmat=apply, dtype=complex)
+    op.tosparse = tosparse
+    return op
 
 
 def _start_vector(n: int, seed: int = 12345) -> np.ndarray:
@@ -97,13 +106,13 @@ def min_eig_hermitian(m, tol: float = 1e-10, with_vector: bool = False):
     return (float(w[0]), v[:, 0]) if with_vector else float(w[0])
 
 
-def eig_pairs_smallest(m, k: int, tol: float = 1e-10):
-    """k smallest eigenpairs of a Hermitian matrix."""
+def eig_pairs_smallest(m, k: int):
+    """k smallest eigenpairs of a Hermitian matrix or LinearOperator."""
     n = m.shape[0]
     if n <= DENSE_CUTOFF or k >= n - 2:
         w, v = eigh(_as_matrix(m))
         return w[:k], v[:, :k]
-    w, v = spla.eigsh(m, k=k, which="SA", tol=tol,
+    w, v = spla.eigsh(m, k=k, which="SA", tol=1e-10,
                       v0=_start_vector(n), maxiter=80 * n)
     order = np.argsort(w)
     return w[order], v[:, order]

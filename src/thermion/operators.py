@@ -26,6 +26,7 @@ import scipy.sparse as sp
 
 from .lattice import CompositeBasis, FieldGrid, FockBasis, build_bases
 from .flows import saturating_profile
+from .linalg import diag_plus
 from .params import ModelParams
 from .reports import BoundReport
 
@@ -279,15 +280,19 @@ class KronSum:
         self.basis, self.terms, self._csr = basis, tuple(terms), None
 
     def matvec(self, psi: np.ndarray) -> np.ndarray:
-        """Tensor contraction; no composite matrix is formed."""
-        t = self.basis.as_tensor(psi)
+        """Tensor contraction; no composite matrix is formed.  A (dim, k)
+        block is contracted at once, its columns a batch axis."""
+        nf, dp, cols = self.basis.fock.dim, self.basis.left.dim, psi.shape[1:]
+        t = np.ascontiguousarray(psi.reshape(nf, dp * dp, *cols).swapaxes(
+            1, -1)).reshape(nf, *cols, dp, dp)
         out = None
         for fock, right, left in self.terms:
             s = t if left is None else t @ left.T
             s = s if right is None else np.matmul(right, s)
-            s = fock @ s.reshape(len(t), -1)
+            s = fock @ s.reshape(nf, -1)
             out = s if out is None else np.add(out, s, out=out)
-        return out.ravel()
+        return out.reshape(nf, *cols, dp * dp).swapaxes(1, -1).reshape(
+            psi.shape)
 
     __matmul__ = matvec
 
@@ -452,10 +457,10 @@ class Truncation:
 
 
 class LiouvillianAction:
-    """L = L0 + lam I at the coupling of ``params`` over a truncation,
-    applied by tensor contraction; the CSR ``liouvillian`` and
-    ``number_comm`` are assembled on first use.  Every other attribute
-    (basis, l0_diag, interaction, number, ...) is the truncation's."""
+    """L = L0 + lam I at the coupling of ``params`` over a truncation:
+    ``operator`` is diag(L0) + lam I on the factored interaction, and its
+    CSR ``liouvillian`` and ``number_comm`` are assembled on first use.
+    Every other attribute (basis, interaction, ...) is the truncation's."""
 
     def __init__(self, trunc: Truncation, params: ModelParams):
         trunc.check(params)
@@ -464,14 +469,17 @@ class LiouvillianAction:
     def __getattr__(self, name):
         return getattr(self.trunc, name)
 
+    @cached_property
+    def operator(self):
+        return diag_plus(self.trunc.l0_diag, self.params.lam,
+                         self.trunc.interaction)
+
     def matvec(self, psi: np.ndarray) -> np.ndarray:
-        return (self.trunc.l0_diag * psi
-                + self.params.lam * self.trunc.interaction.matvec(psi))
+        return self.operator.matvec(psi)
 
     @cached_property
     def liouvillian(self) -> sp.csr_matrix:
-        return hermitize(sp.diags(self.trunc.l0_diag.astype(complex))
-                         + self.params.lam * self.trunc.interaction.tosparse())
+        return self.operator.tosparse()
 
     @cached_property
     def number_comm(self) -> sp.csr_matrix:
@@ -497,6 +505,10 @@ class LowRank:
 
     u: np.ndarray
     c: np.ndarray
+
+    @property
+    def shape(self) -> tuple:    # for aslinearoperator
+        return (len(self.u),) * 2
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self.u @ (self.c @ (self.u.conj().T @ v))

@@ -135,9 +135,15 @@ class ModelParams:
             raise ValueError("conjugate-operator scale a must be positive")
         if self.bound_energy >= 0:
             raise ValueError("bound state energy must be negative")
-        if self.n_u % 2 != 0 or self.n_u < 2:
-            raise ValueError("n_u must be even and >= 2 (frequency grid must "
-                             "be symmetric under u -> -u)")
+        if not (self.e_max > 0 and self.u_max > 0):
+            raise ValueError("grid cutoffs e_max and u_max must be positive")
+        for name, low in (("n_e", 1), ("n_max", 0), ("n_u", 2)):
+            n = getattr(self, name)
+            if not (isinstance(n, (int, np.integer)) and n >= low):
+                raise ValueError(f"{name} must be an integer >= {low}")
+        if self.n_u % 2 != 0:
+            raise ValueError("n_u must be even (frequency grid must be "
+                             "symmetric under u -> -u)")
 
     def with_(self, **kw) -> "ModelParams":
         return replace(self, **kw)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import eig_pairs_smallest, lanczos_functions
+from .linalg import lanczos_functions
 from .reports import BoundReport
 
 _BUMP_GRID = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, 2001)
@@ -50,15 +50,12 @@ def virial_residual(l_op, a_op, psi: np.ndarray) -> float:
     return float(-2.0 * np.imag(np.vdot(lp, ap)))
 
 
-def eigenpair_residual_check(l_op, a_op, n_pairs: int = 10,
-                             tol: float = 1e-10) -> BoundReport:
-    """For approximate eigenpairs, |<i[L,A]>| <= 2 ||(L-e)psi|| ||A psi||
-    (an algebraic identity up to the eigenresidual)."""
-    evals, vecs = eig_pairs_smallest(l_op, n_pairs, tol=tol)
+def eigenpair_residual_check(l_op, a_op, vecs: np.ndarray) -> BoundReport:
+    """For the approximate eigenvectors psi in the columns of ``vecs``,
+    |<i[L,A]>| <= 2 ||(L-e)psi|| ||A psi|| (algebra up to the residual)."""
     worst = -np.inf
     rows = []
-    for k in range(vecs.shape[1]):
-        psi = vecs[:, k]
+    for psi in vecs.T:
         e = float(np.real(np.vdot(psi, l_op @ psi)))
         r = float(np.linalg.norm(l_op @ psi - e * psi))
         lhs = abs(virial_residual(l_op, a_op, psi))
@@ -129,13 +126,14 @@ def family_checks(family: RegularizedFamily) -> list:
     return out
 
 
-def commutator_expectation_scan(family: RegularizedFamily, c_op) -> list:
-    """<C>_psi_alpha along the family (should tend to the exact value 0
-    for an exact finite-dimensional eigenpair)."""
+def commutator_expectation_scan(family: RegularizedFamily, l_op,
+                                a_op) -> list:
+    """<i[L, A]>_psi_alpha along the family by ``virial_residual`` (should
+    tend to the exact value 0 for an exact finite-dimensional eigenpair)."""
     out = []
     for alpha, vc in zip(family.alphas, family.vectors):
         n = np.linalg.norm(vc)
-        val = float(np.real(np.vdot(vc, c_op @ vc))) / max(n * n, 1e-300)
+        val = virial_residual(l_op, a_op, vc) / max(n * n, 1e-300)
         out.append((alpha, val))
     return out
 

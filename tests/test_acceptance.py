@@ -179,11 +179,9 @@ def test_criterion_07_virial():
         rhs = 2 * r * np.linalg.norm(a_full @ psi) + 1e-14
         worst = max(worst, lhs - rhs)
 
-    from thermion.commutators import commutator
     family = build_regularized_family(vecs[:, 0], conj.full, liou.number,
                                       eigenvalue=float(evals[0]))
-    scan = commutator_expectation_scan(
-        family, commutator(liou.liouvillian, conj.full))
+    scan = commutator_expectation_scan(family, liou.liouvillian, conj.full)
     final = abs(scan[-1][1])
     ok = worst <= 0 and final < 1e-6
     _line(7, ok, f"10 eigenpair residual slack {-worst:.2e}, family scan "

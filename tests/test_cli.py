@@ -121,3 +121,14 @@ def test_main_byte_identical_reports(tmp_path):
     ja = Path(a, "feshbach-fuzz.json").read_bytes()
     jb = Path(b, "feshbach-fuzz.json").read_bytes()
     assert ja == jb
+
+
+@pytest.mark.parametrize("override", ["model.n_e=0", "model.n_e=2.5",
+                                      "model.n_max=-1", "model.e_max=0",
+                                      "model.u_max=-2.0"])
+def test_main_refuses_invalid_grid(tmp_path, capsys, override):
+    out = tmp_path / "bad"
+    assert main(["dynamics", "--out", str(out), override]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and override.split("=")[0][6:] in err
+    assert not out.exists()

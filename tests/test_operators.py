@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from thermion.lattice import FieldGrid, FockBasis, build_bases
-from thermion.linalg import operator_norm
+from thermion.linalg import diag_plus, operator_norm
 from thermion.operators import (LiouvillianAction, LowRank, Truncation,
                                 apply_j, assemble_conjugates,
                                 assemble_field_ops, assemble_liouvillian,
@@ -352,6 +352,25 @@ def test_matrix_free_action_matches_assembly(small):
         want = i_n.tosparse() @ v
         assert np.linalg.norm(i_n.matvec(v) - want) <= 1e-12 * np.linalg.norm(
             want)
+
+
+def test_block_action_matches_column_by_column(small):
+    # a (dim, k) block is contracted at once (the dense branch of the
+    # eigensolvers densifies diag + lam X this way); each column is the
+    # vector action on that column
+    p, b = small
+    trunc = Truncation(p)
+    rng = np.random.default_rng(6)
+    block = rng.standard_normal((b.dim, 5)) + 1j * rng.standard_normal(
+        (b.dim, 5))
+    op = diag_plus(trunc.number, 0.3, trunc.commutator(2))
+    for x in (trunc.interaction, trunc.commutator(1), op):
+        stack = np.column_stack([x @ col for col in block.T])
+        assert (x @ block).shape == block.shape
+        assert np.linalg.norm(x @ block - stack) <= 1e-15 * np.linalg.norm(
+            stack)
+    assert np.linalg.norm(op.matmat(block) - op.tosparse() @ block) \
+        <= 1e-13 * np.linalg.norm(block)
 
 
 def test_truncation_refuses_parameters_beyond_the_coupling(small):

@@ -46,7 +46,8 @@ def test_exact_eigenvector_residual_is_zero():
 def test_virial_residual_bound_on_eigenpairs(setup):
     p, liou, conj = setup
     a_full = (conj.full + conj.correction.tosparse()).tocsr()
-    rep = eigenpair_residual_check(liou.liouvillian, a_full, n_pairs=10)
+    _, vecs = eig_pairs_smallest(liou.liouvillian, 10)
+    rep = eigenpair_residual_check(liou.liouvillian, a_full, vecs)
     assert rep.passed, rep
 
 
@@ -114,14 +115,26 @@ def test_number_cutoff_commutes_with_conjugate_smoothing(setup):
 
 def test_commutator_expectation_scan_decreases(setup):
     p, liou, conj = setup
+    evals, vecs = eig_pairs_smallest(liou.liouvillian, 1)
+    family = build_regularized_family(vecs[:, 0], conj.full, liou.number,
+                                      eigenvalue=float(evals[0]))
+    scan = commutator_expectation_scan(family, liou.liouvillian, conj.full)
+    assert abs(scan[-1][1]) < 1e-6
+    assert abs(scan[-1][1]) <= abs(scan[0][1]) + 1e-12
+
+
+def test_commutator_free_scan_matches_assembled_commutator(setup):
+    # -2 Im <L v, A v> against <v, i[L, A] v> from the assembled product
+    p, liou, conj = setup
     from thermion.commutators import commutator
     evals, vecs = eig_pairs_smallest(liou.liouvillian, 1)
     family = build_regularized_family(vecs[:, 0], conj.full, liou.number,
                                       eigenvalue=float(evals[0]))
     c1_direct = commutator(liou.liouvillian, conj.full)
-    scan = commutator_expectation_scan(family, c1_direct)
-    assert abs(scan[-1][1]) < 1e-6
-    assert abs(scan[-1][1]) <= abs(scan[0][1]) + 1e-12
+    scan = commutator_expectation_scan(family, liou.operator, conj.full)
+    for (alpha, val), vc in zip(scan, family.vectors):
+        oracle = np.real(np.vdot(vc, c1_direct @ vc)) / np.vdot(vc, vc).real
+        assert abs(val - oracle) <= 1e-13, (alpha, val, oracle)
 
 
 def test_regularity_check_trivial_cases(setup):
@@ -142,3 +155,46 @@ def test_regularity_check_trivial_cases(setup):
         sp.diags(liou.number.astype(complex)), liou.number,
         sp.csr_matrix((dim, dim), dtype=complex), family)
     assert isinstance(rep2.passed, bool)
+
+
+def test_virial_scan_applies_factored_operators_and_solves_once(monkeypatch):
+    # L, c_1, I_1 and both corrections are applied in factored form; the
+    # family's base vector is the first of the residual check's pairs
+    from thermion import commutators, experiments, operators
+    calls = {"kron_tosparse": 0, "lowrank_tosparse": 0, "commutator": 0,
+             "eig_pairs": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(operators.KronSum, "tosparse", counted(
+        "kron_tosparse", operators.KronSum.tosparse))
+    monkeypatch.setattr(operators.LowRank, "tosparse", counted(
+        "lowrank_tosparse", operators.LowRank.tosparse))
+    monkeypatch.setattr(commutators, "commutator", counted(
+        "commutator", commutators.commutator))
+    monkeypatch.setattr(experiments, "eig_pairs_smallest", counted(
+        "eig_pairs", experiments.eig_pairs_smallest))
+    p = ModelParams(n_e=4, n_u=4, n_max=1, e_max=4.0, u_max=4.0)
+    rep = experiments.run(experiments.ExperimentConfig(
+        kind="virial-scan", params=p, options={"n_pairs": 3}))
+    assert len(rep.checks) == 5
+    assert calls == {"kron_tosparse": 0, "lowrank_tosparse": 0,
+                     "commutator": 0, "eig_pairs": 1}
+
+
+@pytest.mark.parametrize("n_pairs", [0, -2])
+def test_virial_scan_refuses_fewer_than_one_pair(monkeypatch, n_pairs):
+    from thermion import experiments
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before refusing n_pairs")
+
+    monkeypatch.setattr(experiments, "eig_pairs_smallest", no_solve)
+    monkeypatch.setattr(experiments, "assemble_liouvillian", no_solve)
+    with pytest.raises(ValueError, match="n_pairs"):
+        experiments.run(experiments.ExperimentConfig(
+            kind="virial-scan", options={"n_pairs": n_pairs}))
