@@ -151,12 +151,12 @@ def main(argv=None) -> int:
         if args.out is not None:
             entries["run.out"] = args.out
         cfg = build_config(args.kind, entries)
+        t0 = time.perf_counter()
+        report = run(cfg)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    t0 = time.perf_counter()
-    report = run(cfg)
     elapsed = time.perf_counter() - t0
     try:
         paths = emit(report, cfg.out_dir, cfg.fmt)

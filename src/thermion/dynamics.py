@@ -34,7 +34,7 @@ def survival(params: ModelParams, times: np.ndarray, tol: float = 1e-8,
     times = np.asarray(times, float)
     act = assemble_liouvillian(params, trunc)
     basis = act.trunc.basis
-    ref = np.zeros(basis.dim, dtype=complex)
+    ref = np.zeros(basis.dim)
     ref[basis.vacuum_bound_index()] = 1.0
     res = lanczos_functions(
         act.matvec, ref, lambda theta: np.exp(-1j * np.outer(times, theta)),

@@ -29,9 +29,9 @@ def _as_matrix(m):
 
 
 def diag_plus(d: np.ndarray, lam: float, x) -> spla.LinearOperator:
-    """diag(d) + lam X as a Hermitian LinearOperator, for d real and X with
-    @ on vectors and (dim, k) blocks (a block is applied at once); its
-    ``tosparse()`` is the CSR hermitize(diags(d) + lam X.tosparse())."""
+    """diag(d) + lam X as a Hermitian LinearOperator of X's dtype, for d
+    real and X with @ on vectors and (dim, k) blocks (a block is applied at
+    once); ``tosparse()`` is the CSR hermitize(diags(d) + lam X.tosparse())."""
     def apply(v):
         return (d * v.T).T + lam * (x @ v)
 
@@ -40,7 +40,8 @@ def diag_plus(d: np.ndarray, lam: float, x) -> spla.LinearOperator:
         return hermitize(sp.diags(d.astype(complex)) + lam * x.tosparse())
 
     op = spla.LinearOperator((len(d),) * 2, matvec=apply, rmatvec=apply,
-                             matmat=apply, rmatmat=apply, dtype=complex)
+                             matmat=apply, rmatmat=apply,
+                             dtype=np.result_type(d, x.dtype))
     op.tosparse = tosparse
     return op
 
@@ -191,7 +192,7 @@ def lanczos_functions(apply_op, v: np.ndarray, fns, tol: float,
         raise ValueError("tol must be positive")
     measure = measure or (lambda x: x)
     nrm = float(np.linalg.norm(v))
-    q_prev, q, b_prev = np.zeros_like(v, complex), v / nrm, 0.0
+    q_prev, q, b_prev = np.zeros_like(v), v / nrm, 0.0
     alpha, beta, basis, prev, m = [], [], [], None, min(8, m_max)
     while True:
         exact = False

@@ -274,17 +274,23 @@ class CouplingVectors:
 class KronSum:
     """A Hermitian sum of Kronecker products fock x right x left, kept
     factored: ``terms`` are (fock, right, left) with a sparse Fock-space
-    factor and dense particle factors, None standing for the identity."""
+    factor and dense particle factors, None standing for the identity;
+    a factor with zero imaginary part is stored real (see ``dtype``)."""
 
     def __init__(self, basis: CompositeBasis, terms):
-        self.basis, self.terms, self._csr = basis, tuple(terms), None
+        self.basis, self.shape, self._csr = basis, (basis.dim,) * 2, None
+        self.terms = tuple(tuple(
+            m if m is None or (m.data if sp.issparse(m) else m).imag.any()
+            else m.real for m in term) for term in terms)
+        self.dtype = np.result_type(*(m.dtype for term in self.terms
+                                      for m in term if m is not None))
 
     def matvec(self, psi: np.ndarray) -> np.ndarray:
         """Tensor contraction; no composite matrix is formed.  A (dim, k)
         block is contracted at once, its columns a batch axis."""
         nf, dp, cols = self.basis.fock.dim, self.basis.left.dim, psi.shape[1:]
         t = np.ascontiguousarray(psi.reshape(nf, dp * dp, *cols).swapaxes(
-            1, -1)).reshape(nf, *cols, dp, dp)
+            1, -1), np.result_type(psi, self.dtype)).reshape(nf, *cols, dp, dp)
         out = None
         for fock, right, left in self.terms:
             s = t if left is None else t @ left.T
@@ -297,18 +303,15 @@ class KronSum:
     __matmul__ = matvec
 
     def tosparse(self) -> sp.csr_matrix:
-        """Bit-level Hermitian CSR, assembled by kron3 on first use and
-        kept.  The terms are summed pairwise, neighbours first, so each
+        """Bit-level Hermitian complex CSR, assembled by kron3 on first use
+        and kept.  The terms are summed pairwise, neighbours first, so each
         direct term meets its modular image (``interaction_like``) before
         the pairs are added."""
         if self._csr is None:
-            ident = sp.identity(self.basis.left.dim, format="csr",
-                                dtype=complex)
-
-            def factor(m):
-                return ident if m is None else sp.csr_matrix(m)
-
-            mats = [kron3(f, factor(r), factor(l)) for f, r, l in self.terms]
+            eye = np.eye(self.basis.left.dim)
+            mats = [kron3(*(sp.csr_matrix(eye if m is None else m,
+                                          dtype=complex) for m in term))
+                    for term in self.terms]
             while len(mats) > 1:
                 mats = [sum(mats[i:i + 2]) for i in range(0, len(mats), 2)]
             self._csr = hermitize(mats[0])
@@ -507,11 +510,15 @@ class LowRank:
     c: np.ndarray
 
     @property
-    def shape(self) -> tuple:    # for aslinearoperator
+    def shape(self) -> tuple:    # shape and dtype, for aslinearoperator
         return (len(self.u),) * 2
 
+    dtype = property(lambda self: np.result_type(self.u, self.c))
+
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.u @ (self.c @ (self.u.conj().T @ v))
+        # einsum, no BLAS call: a threaded rank-4 gemv stalled up to 85 ms
+        w = self.c @ np.einsum("ir,i...->r...", self.u.conj(), v)
+        return np.einsum("ir,r...->i...", self.u, w)
 
     __matmul__ = matvec
 

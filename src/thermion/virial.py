@@ -45,8 +45,11 @@ def bandlimited_mollifier(x):
 def virial_residual(l_op, a_op, psi: np.ndarray) -> float:
     """<psi, i[L, A] psi> computed in commutator-free form
     -2 Im <L psi, A psi>; exactly zero for exact eigenpairs."""
-    lp = l_op @ psi
-    ap = a_op @ psi
+    return _im_form(l_op @ psi, a_op @ psi)
+
+
+def _im_form(lp: np.ndarray, ap: np.ndarray) -> float:
+    """-2 Im <L psi, A psi> from L psi and A psi."""
     return float(-2.0 * np.imag(np.vdot(lp, ap)))
 
 
@@ -56,10 +59,11 @@ def eigenpair_residual_check(l_op, a_op, vecs: np.ndarray) -> BoundReport:
     worst = -np.inf
     rows = []
     for psi in vecs.T:
-        e = float(np.real(np.vdot(psi, l_op @ psi)))
-        r = float(np.linalg.norm(l_op @ psi - e * psi))
-        lhs = abs(virial_residual(l_op, a_op, psi))
-        rhs = 2.0 * r * float(np.linalg.norm(a_op @ psi)) + 1e-14
+        lp, ap = l_op @ psi, a_op @ psi
+        e = float(np.real(np.vdot(psi, lp)))
+        r = float(np.linalg.norm(lp - e * psi))
+        lhs = abs(_im_form(lp, ap))
+        rhs = 2.0 * r * float(np.linalg.norm(ap)) + 1e-14
         rows.append((e, r, lhs, rhs))
         worst = max(worst, lhs - rhs)
     return BoundReport(

@@ -132,3 +132,13 @@ def test_main_refuses_invalid_grid(tmp_path, capsys, override):
     err = capsys.readouterr().err
     assert err.startswith("error:") and override.split("=")[0][6:] in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, override", [
+    ("virial-scan", "virial-scan.n_pairs=0"), ("dynamics", "dynamics.tol=0")])
+def test_main_refuses_pipeline_errors(tmp_path, capsys, kind, override):
+    # a ValueError from the pipeline itself is a usage error too
+    out = tmp_path / "bad"
+    assert main([kind, "--out", str(out), override]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()

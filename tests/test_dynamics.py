@@ -144,3 +144,17 @@ def test_survival_range_check_slack_and_minimum(small):
         assert c.detail["min"] == np.min(ser.values)
         assert c.detail["min_margin"] == c.detail["min"] + 1e-8
         assert c.detail["krylov_error"] == ser.meta["krylov_error"]
+
+
+def test_survival_applies_l_to_real_vectors(small, monkeypatch):
+    # L is real symmetric and e_pi real, so every Lanczos vector is float64
+    from thermion.operators import LiouvillianAction
+    matvec, dtypes = LiouvillianAction.matvec, []
+
+    def recorded(self, psi):
+        dtypes.append(psi.dtype)
+        return matvec(self, psi)
+
+    monkeypatch.setattr(LiouvillianAction, "matvec", recorded)
+    survival(small, np.linspace(0.0, 5.0, 6))
+    assert dtypes and set(dtypes) == {np.dtype(np.float64)}

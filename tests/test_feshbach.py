@@ -220,6 +220,25 @@ def test_chain_solves_matrix_free_three_times(monkeypatch):
     assert calls == {"tosparse": 0, "min_eig": 3}
 
 
+def test_chain_eigensolves_run_in_float64(monkeypatch):
+    # the k49 probe, k at the run coupling and the domination step hand
+    # ARPACK real symmetric operators (the cutoff is lowered so that a
+    # tiny truncation reaches ARPACK)
+    import scipy.sparse.linalg as spla
+    from thermion import linalg
+    real, dtypes = spla.eigsh, []
+
+    def recorded(op, *args, **kwargs):
+        dtypes.append(op.dtype)
+        return real(op, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "DENSE_CUTOFF", 0)
+    monkeypatch.setattr(spla, "eigsh", recorded)
+    p = ModelParams(n_e=4, n_u=4, n_max=1, e_max=4.0, u_max=4.0)
+    verify_bound_chain(p, lam=1e-2)
+    assert dtypes == [np.float64] * 3
+
+
 from hypothesis import given, settings, strategies as st
 
 _entry = st.floats(-3.0, 3.0, allow_nan=False)

@@ -193,3 +193,27 @@ def test_min_eig_of_operator_shifted_retry(arpack_sized, monkeypatch):
     monkeypatch.setattr(spla, "eigsh", unconverged_once)
     assert abs(min_eig_hermitian(op) - exact) <= 1e-10 * abs(exact)
     assert calls == ["SA", "LM"]
+
+
+@pytest.mark.parametrize("n_e, n_u", [(6, 8), (10, 12)])
+def test_complex_coupling_keeps_the_complex_path(n_e, n_u):
+    # a Hermitian coupling g + i S (S real antisymmetric) has a genuinely
+    # complex particle factor: it alone stays complex, and the sum,
+    # diag + lam I and the solve stay complex128 and match dense eigvalsh,
+    # in the dense and ARPACK branches
+    from thermion.operators import KronSum, interaction_like
+    trunc = Truncation(ModelParams(n_e=n_e, n_u=n_u, n_max=1, e_max=4.0,
+                                   u_max=4.0))
+    s = np.random.default_rng(2).standard_normal(trunc.coupling.shape)
+    g = trunc.coupling + 0.3j * (s - s.T)
+    x = KronSum(trunc.basis, interaction_like(
+        trunc.basis, g, 1.0, trunc.vectors.direct, trunc.vectors.image))
+    d = trunc.number - 0.5 * (1.0 - trunc.vacuum_proj)
+    op = diag_plus(d, 0.1, x)
+    assert [m.dtype for term in x.terms for m in term if m is not None] \
+        == [np.float64, np.complex128, np.float64, np.complex128]
+    assert x.dtype == op.dtype == np.complex128
+    assert (op @ np.ones(op.shape[0])).dtype == np.complex128
+    exact = np.linalg.eigvalsh(op.tosparse().toarray())[0]
+    assert (op.shape[0] > DENSE_CUTOFF) == (n_e == 10)
+    assert abs(min_eig_hermitian(op) - exact) <= 1e-12 * abs(exact)

@@ -373,6 +373,30 @@ def test_block_action_matches_column_by_column(small):
         <= 1e-13 * np.linalg.norm(block)
 
 
+def test_real_symmetric_operators_run_in_float64(small):
+    # with the real form factor and kernel, I, I_1..I_3, L and c_1..c_3 are
+    # real symmetric: every factor is stored as real and a real vector or
+    # block stays real; a complex input multiplies the same factors in
+    # complex arithmetic, the product the complex factors gave
+    from thermion.commutators import closed_form_commutator
+    p, b = small
+    liou = assemble_liouvillian(p)
+    trunc = liou.trunc
+    ops = ([trunc.interaction, liou.operator]
+           + [trunc.commutator(n) for n in (1, 2, 3)]
+           + [closed_form_commutator(liou, n) for n in (1, 2, 3)])
+    rng = np.random.default_rng(9)
+    for v in (rng.standard_normal(b.dim), rng.standard_normal((b.dim, 3))):
+        for x in ops:
+            assert x.dtype == np.float64
+            out, want = x @ v, x @ v.astype(complex)
+            assert out.dtype == np.float64 and want.dtype == np.complex128
+            assert np.linalg.norm(out - want) <= 1e-15 * np.linalg.norm(want)
+    # the CSR stays the complex matrix of the complex factors
+    assert trunc.interaction.tosparse().dtype == np.complex128
+    assert liou.operator.tosparse().dtype == np.complex128
+
+
 def test_truncation_refuses_parameters_beyond_the_coupling(small):
     p, b = small
     trunc = Truncation(p)

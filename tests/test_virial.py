@@ -51,6 +51,37 @@ def test_virial_residual_bound_on_eigenpairs(setup):
     assert rep.passed, rep
 
 
+def test_residual_check_applies_each_operator_once_per_pair(setup):
+    # one L psi and one A psi per pair, and bit for bit the report of the
+    # former check, which applied L three times and A twice per pair
+    p, liou, conj = setup
+    l_op = liou.operator
+    a_full = (conj.full + conj.correction.tosparse()).tocsr()
+    _, vecs = eig_pairs_smallest(l_op, 4)
+    counts = {"l": 0, "a": 0}
+
+    class Counted:
+        def __init__(self, key, op):
+            self.key, self.op = key, op
+
+        def __matmul__(self, v):
+            counts[self.key] += 1
+            return self.op @ v
+
+    rep = eigenpair_residual_check(Counted("l", l_op), Counted("a", a_full),
+                                   vecs)
+    assert counts == {"l": 4, "a": 4}
+    worst, rows = -np.inf, []
+    for psi in vecs.T:
+        e = float(np.real(np.vdot(psi, l_op @ psi)))
+        r = float(np.linalg.norm(l_op @ psi - e * psi))
+        lhs = abs(virial_residual(l_op, a_full, psi))
+        rhs = 2.0 * r * float(np.linalg.norm(a_full @ psi)) + 1e-14
+        rows.append({"eig": e, "residual": r, "lhs": lhs, "rhs": rhs})
+        worst = max(worst, lhs - rhs)
+    assert rep.value == worst and rep.detail["pairs"] == rows
+
+
 def test_random_hermitian_virial_expectation(setup):
     # for every exact eigenpair the commutator expectation vanishes for any
     # bounded observable
