@@ -228,12 +228,9 @@ def small_coupling_stability(params: ModelParams,
                              scales=(0.1, 0.2, 0.5)) -> BoundReport:
     """k from the coupling bound varies by at most 2x across dilation
     scales (the uniformity-in-a claim, measured)."""
-    ks = []
-    for a in scales:
-        ks.append(Truncation(params.with_(a=a)).compensation(params.lam))
-    ks = np.array(ks)
+    ks = np.array([Truncation(params.with_(a=a)).compensation(params.lam)
+                   for a in scales])
     ratio = float(ks.max() / max(ks.min(), 1e-300)) if ks.max() > 0 else 1.0
-    return BoundReport(
-        check="coupling bound stable across dilation scales",
-        value=ratio, bound=2.0, slack=2.0 - ratio, passed=bool(ratio <= 2.0),
+    return BoundReport.of(
+        "coupling bound stable across dilation scales", ratio, "<=", 2.0,
         detail={"scales": list(scales), "k_values": ks.tolist()})

@@ -107,8 +107,6 @@ def j_covariance_check(params: ModelParams, t: float = 2.0,
 
     lhs = evolved(conj.apply(psi))
     rhs = conj.apply(evolved(psi))
-    err = float(np.linalg.norm(lhs - rhs))
-    return BoundReport(
-        check="evolution commutes with the modular conjugation",
-        value=err, bound=10 * tol, slack=10 * tol - err,
-        passed=bool(err <= 10 * tol), detail={"t": t})
+    return BoundReport.of(
+        "evolution commutes with the modular conjugation",
+        np.linalg.norm(lhs - rhs), "<=", 10 * tol, detail={"t": t})

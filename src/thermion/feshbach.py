@@ -218,13 +218,11 @@ def scaled_to_limit_convergence(params: ModelParams, liou: LiouvillianAction,
         dd = pair_diag(basis, xi - cont)
         norms.append([float(np.linalg.norm(dd * v)) for v in vecs])
     norms = np.array(norms)     # (n_a, n_vectors)
-    monotone = bool(np.all(np.diff(norms, axis=0) < 0))
     worst_gap = float(np.max(np.diff(norms, axis=0)))
-    return BoundReport(
-        check="dilation-profile bound operator converges to its limit",
-        value=worst_gap, bound=0.0, slack=-worst_gap, passed=monotone,
-        detail={"a_values": list(a_values),
-                "max_norm_per_a": norms.max(axis=1).tolist()})
+    return BoundReport.of(
+        "dilation-profile bound operator converges to its limit", worst_gap,
+        "<", 0.0, detail={"a_values": list(a_values),
+                          "max_norm_per_a": norms.max(axis=1).tolist()})
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +324,9 @@ def verify_bound_chain(params: ModelParams,
     scale = max(1.0, _max_abs_row_sum(ops.d_scaled, corr))
     low, vec = min_eig_hermitian(combo, with_vector=True)
     residual = float(np.linalg.norm(combo @ vec - low * vec))
-    steps.append(BoundReport(
-        check="commutator dominates the dressed bound operator",
-        value=low, bound=-tol_scale * scale, slack=low + tol_scale * scale,
-        passed=bool(low >= -tol_scale * scale),
+    steps.append(BoundReport.of(
+        "commutator dominates the dressed bound operator", low, ">=",
+        -tol_scale * scale,
         detail={"norm_scale": scale, "residual": residual}))
 
     # complement block strictly above one half
@@ -337,10 +334,9 @@ def verify_bound_chain(params: ModelParams,
     keep = np.arange(trunc.basis.dim) != k_pi
     mbar_low, mbar_width = min_eig_diag_plus_lowrank(
         ops.d_limit[keep], LowRank(corr.u[keep], corr.c))
-    steps.append(BoundReport(
-        check="complement block exceeds one half",
-        value=mbar_low, bound=0.5, slack=mbar_low - 0.5,
-        passed=bool(mbar_low > 0.5), detail={"bracket": mbar_width}))
+    steps.append(BoundReport.of(
+        "complement block exceeds one half", mbar_low, ">", 0.5,
+        detail={"bracket": mbar_width}))
 
     # reduced scalar positive uniformly on the parameter grid
     f_vals = {}
@@ -358,36 +354,30 @@ def verify_bound_chain(params: ModelParams,
     # positivity is the content: a zero target with a zero minimum proves
     # nothing (the uncoupled generator keeps its kernel), so equality at
     # zero does not count as a pass
-    steps.append(BoundReport(
-        check="reduced block dominates the golden-rule target uniformly",
-        value=fmin, bound=target, slack=fmin - target,
-        passed=bool(fmin >= target and (fmin > 0.0 or target > 0.0)),
+    steps.append(BoundReport.of(
+        "reduced block dominates the golden-rule target uniformly", fmin,
+        ">=", target, also=fmin > 0.0 or target > 0.0,
         detail={"f_values": {str(k): v for k, v in f_vals.items()},
                 "spread": fspread, "target": target}))
 
     m_low, m_width = min_eig_diag_plus_lowrank(ops.d_limit, corr)
-    steps.append(BoundReport(
-        check="dressed operator strictly positive at the scaled target",
-        value=m_low, bound=0.9 * target, slack=m_low - 0.9 * target,
-        passed=bool(m_low >= 0.9 * target
-                    and (m_low > 0.0 or target > 0.0)),
+    steps.append(BoundReport.of(
+        "dressed operator strictly positive at the scaled target", m_low,
+        ">=", 0.9 * target, also=m_low > 0.0 or target > 0.0,
         detail={"bracket": m_width}))
 
     # parameter-regime flags with measured constants
     corr_norm = corr.norm()
     a66_lhs = k49 * lam ** 2 + corr_norm
-    steps.append(BoundReport(
-        check="smallness conditions for the complement bound",
-        value=a66_lhs, bound=0.4, slack=0.4 - a66_lhs,
-        passed=bool(a66_lhs < 0.4),
+    steps.append(BoundReport.of(
+        "smallness conditions for the complement bound", a66_lhs, "<", 0.4,
         detail={"lam": lam, "theta_lam2_over_eps2": theta * lam ** 2
                 / epsilon ** 2, "correction_comm_norm": corr_norm}))
     a74_lhs = theta * (1.0 + abs(lam) / epsilon) ** 2 \
         + (epsilon / (gamma * theta) if gamma > 0 else np.inf)
-    steps.append(BoundReport(
-        check="smallness condition for the reduction",
-        value=a74_lhs, bound=recipe.lambda2, slack=recipe.lambda2 - a74_lhs,
-        passed=bool(a74_lhs < recipe.lambda2), detail={}))
+    steps.append(BoundReport.of(
+        "smallness condition for the reduction", a74_lhs, "<",
+        recipe.lambda2))
 
     return ChainReport(
         params={"beta": params.beta, "lam": lam, "theta": theta,

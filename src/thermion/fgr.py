@@ -168,10 +168,9 @@ def eps_convergence(params: ModelParams,
     ratios = np.array([d / e for e, d in diffs.items()])
     big_c = float(ratios.max())
     spread = float(ratios.max() / max(ratios.min(), 1e-300))
-    return BoundReport(
-        check="regularized rate converges linearly in the width",
-        value=spread, bound=3.0, slack=3.0 - spread,
-        passed=bool(spread <= 3.0 and np.all(np.isfinite(ratios))),
+    return BoundReport.of(
+        "regularized rate converges linearly in the width", spread, "<=", 3.0,
+        also=np.all(np.isfinite(ratios)),
         detail={"gamma_limit": glim, "C": big_c,
                 "diffs": {str(e): d for e, d in diffs.items()}})
 
@@ -231,10 +230,8 @@ def operator_vs_quadrature(params: ModelParams, eps: float,
     ops = operator_side_rate(params, eps)
     quad_val = gamma_regularized(params, eps)
     rel = abs(ops - quad_val) / abs(quad_val)
-    return BoundReport(
-        check="assembled resolvent rate matches quadrature",
-        value=rel, bound=rel_tol, slack=rel_tol - rel,
-        passed=bool(rel <= rel_tol),
+    return BoundReport.of(
+        "assembled resolvent rate matches quadrature", rel, "<=", rel_tol,
         detail={"operator_side": ops, "quadrature": quad_val, "eps": eps,
                 "n_e": params.n_e, "n_u": params.n_u})
 
@@ -259,12 +256,10 @@ def check_ir_uv(params: ModelParams, n_samples: int = 200) -> BoundReport:
         margin = ff.big_k2 * high ** (-ff.uv_exponent - j) - np.abs(ff(high, j))
         worst = min(worst, float(margin.min()))
         detail[f"uv_d{j}"] = float(margin.min())
-    ok = worst >= 0 and ff.ir_exponent > 2 and ff.uv_exponent > 3.5
-    detail["ir_exponent"] = ff.ir_exponent
-    detail["uv_exponent"] = ff.uv_exponent
-    return BoundReport(
-        check="form factor infrared/ultraviolet envelopes",
-        value=-worst, bound=0.0, slack=worst, passed=bool(ok), detail=detail)
+    detail.update(ir_exponent=ff.ir_exponent, uv_exponent=ff.uv_exponent)
+    return BoundReport.of(
+        "form factor infrared/ultraviolet envelopes", -worst, "<=", 0.0,
+        also=ff.ir_exponent > 2 and ff.uv_exponent > 3.5, detail=detail)
 
 
 def check_kernel_integrals(params: ModelParams) -> BoundReport:
@@ -289,10 +284,9 @@ def check_kernel_integrals(params: ModelParams) -> BoundReport:
     worst_val = max(0.0, *(abs(v) for v in columns.values()))
     worst_finite = np.all(np.isfinite([*columns.values(), *blocks.values(),
                                        v_en]))
-    return BoundReport(
-        check="kernel weighted integrals finite (orders <= 3)",
-        value=worst_val, bound=np.inf, slack=np.inf if worst_finite else -1.0,
-        passed=bool(worst_finite), detail=detail)
+    return BoundReport.of(
+        "kernel weighted integrals finite (orders <= 3)", worst_val, "<",
+        np.inf, also=worst_finite, detail=detail)
 
 
 def check_hypotheses(params: ModelParams) -> list:

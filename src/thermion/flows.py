@@ -203,12 +203,9 @@ def generator_check(field: VectorField, mu: Callable, nodes: np.ndarray,
     errs = np.array(errs)
     ts = np.array(times)
     order = float(np.polyfit(np.log(ts), np.log(errs), 1)[0])
-    return BoundReport(
-        check="generator difference quotient, first order in t",
-        value=order, bound=0.9, slack=order - 0.9,
-        passed=bool(order >= 0.9),
-        detail={"times": list(times), "errors": errs.tolist()},
-    )
+    return BoundReport.of(
+        "generator difference quotient, first order in t", order, ">=", 0.9,
+        detail={"times": list(times), "errors": errs.tolist()})
 
 
 def verify_gronwall(field: VectorField, points: np.ndarray, times: np.ndarray,
@@ -241,9 +238,6 @@ def verify_gronwall(field: VectorField, points: np.ndarray, times: np.ndarray,
                 records = [float(x), float(t)] + [float(b) for b in bounds]
             if r.jacobian <= 0:
                 raise RuntimeError("Jacobian must stay positive")
-    return BoundReport(
-        check="flow growth bounds (endpoint, derivative, Jacobian)",
-        value=-worst, bound=0.0, slack=worst,
-        passed=bool(worst >= -tol),
-        detail={"worst_case": records, "sup_xi": sup_xi, "rate": rate},
-    )
+    return BoundReport.of(
+        "flow growth bounds (endpoint, derivative, Jacobian)", -worst, "<=",
+        tol, detail={"worst_case": records, "sup_xi": sup_xi, "rate": rate})

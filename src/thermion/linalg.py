@@ -86,25 +86,25 @@ def operator_norm(m, tol: float = 1e-9) -> float:
 def min_eig_hermitian(m, tol: float = 1e-10, with_vector: bool = False):
     """Smallest eigenvalue of a Hermitian matrix or LinearOperator: below
     the cutoff densified (through the matvec), hermitized and solved dense,
-    above it by ARPACK, with a shifted retry on non-convergence."""
-    n = m.shape[0]
+    above it by ARPACK, with a shifted retry on non-convergence.  Either
+    solver builds the eigenvector only when ``with_vector`` asks for it."""
+    n, shift = m.shape[0], 0.0
     if n <= DENSE_CUTOFF:
         a = _as_matrix(m)
-        a = (a + a.conj().T) * 0.5
-        if with_vector:
-            w, v = eigh(a, subset_by_index=[0, 0])
-            return float(w[0]), v[:, 0]
-        w = eigh(a, eigvals_only=True, subset_by_index=[0, 0])
-        return float(w[0])
-    v0, op = _start_vector(n), spla.aslinearoperator(m)
-    try:
-        w, v = spla.eigsh(op, k=1, which="SA", tol=tol, v0=v0, maxiter=60 * n)
-    except spla.ArpackNoConvergence:
-        shift = operator_norm(m) + 1.0
-        w, v = spla.eigsh(op - shift * spla.aslinearoperator(sp.identity(n)),
-                          k=1, which="LM", tol=tol, v0=v0, maxiter=60 * n)
-        w = w + shift
-    return (float(w[0]), v[:, 0]) if with_vector else float(w[0])
+        out = eigh((a + a.conj().T) * 0.5, eigvals_only=not with_vector,
+                   subset_by_index=[0, 0])
+    else:
+        op = spla.aslinearoperator(m)
+        arpack = dict(k=1, tol=tol, v0=_start_vector(n), maxiter=60 * n,
+                      return_eigenvectors=with_vector)
+        try:
+            out = spla.eigsh(op, which="SA", **arpack)
+        except spla.ArpackNoConvergence:
+            shift = operator_norm(m) + 1.0
+            op = op - shift * spla.aslinearoperator(sp.identity(n))
+            out = spla.eigsh(op, which="LM", **arpack)
+    low = float((out[0] if with_vector else out)[0] + shift)
+    return (low, out[1][:, 0]) if with_vector else low
 
 
 def eig_pairs_smallest(m, k: int):

@@ -539,7 +539,6 @@ class LowRank:
 
 @dataclass(frozen=True)
 class ConjugateOps:
-    full: sp.csr_matrix               # left - right + field translation
     resolvent2: np.ndarray            # diag of (L0^2 + eps^2)^{-1}, 0 at Pi
     correction: LowRank               # the finite-rank Hermitian correction
     correction_comm: LowRank          # i[L, correction], rank <= 4
@@ -570,8 +569,7 @@ def assemble_conjugates(liou: LiouvillianAction) -> ConjugateOps:
         -th_lam * np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1],
                             [0, 0, -1, 0]], dtype=complex))
 
-    return ConjugateOps(trunc.conj_full, r2bar, correction, correction_comm,
-                        k_pi)
+    return ConjugateOps(r2bar, correction, correction_comm, k_pi)
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +625,6 @@ def check_j(liou: LiouvillianAction, n_vectors: int = 20, seed: int = 7,
         lhs = conj.conjugate_operator(liou.liouvillian, psi)
         res = np.linalg.norm(lhs + liou.liouvillian @ psi)
         worst = max(worst, res / (op_norm * np.linalg.norm(psi)))
-    return BoundReport(
-        check="modular conjugation anticommutes with the Liouvillian",
-        value=worst, bound=tol, slack=tol - worst, passed=bool(worst <= tol),
-        detail={"vectors": n_vectors, "norm_bound": op_norm})
+    return BoundReport.of(
+        "modular conjugation anticommutes with the Liouvillian", worst, "<=",
+        tol, detail={"vectors": n_vectors, "norm_bound": op_norm})

@@ -1,25 +1,29 @@
 """Structured results: bound checks, time series, experiment reports.
 
-Every numeric check is recorded with its value, the bound it is tested
-against, the slack (bound margin, >= 0 means pass) and enough parameter
-context to reproduce it.  Reports serialize to JSON deterministically
-(sorted keys, no timestamps) so identical runs are byte-identical.
+Every numeric check records its value, the bound it is tested against,
+the slack (positive on the passing side) and enough parameter context
+to reproduce it.  Reports serialize to JSON deterministically (sorted
+keys, no timestamps) so identical runs are byte-identical.
 """
 from __future__ import annotations
 
 import csv
 import io
 import json
+import operator
 from dataclasses import dataclass, field, asdict, is_dataclass
 
 import numpy as np
 
 SCHEMA_VERSION = "thermion-report-1"
 
+_COMPARE = {"<": operator.lt, "<=": operator.le,
+            ">": operator.gt, ">=": operator.ge}
+
 
 @dataclass
 class BoundReport:
-    """One inequality or convergence check."""
+    """One inequality or convergence check; build it with `of`."""
 
     check: str
     value: float
@@ -27,6 +31,18 @@ class BoundReport:
     slack: float
     passed: bool
     detail: dict = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, check: str, value, op: str, bound, detail: dict | None = None,
+           also: bool = True) -> "BoundReport":
+        """The check `value op bound` (op one of <, <=, >, >=): slack is
+        bound - value for < and <=, value - bound for > and >=; it passes
+        iff `value op bound` and `also` (a side condition whose inputs are
+        in `detail`), so a strict check fails at slack 0 and nan fails."""
+        value, bound = float(value), float(bound)
+        slack = bound - value if op[0] == "<" else value - bound
+        return cls(check, value, bound, slack,
+                   bool(_COMPARE[op](value, bound) and also), detail or {})
 
 
 @dataclass

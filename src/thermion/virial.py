@@ -66,9 +66,8 @@ def eigenpair_residual_check(l_op, a_op, vecs: np.ndarray) -> BoundReport:
         rhs = 2.0 * r * float(np.linalg.norm(ap)) + 1e-14
         rows.append((e, r, lhs, rhs))
         worst = max(worst, lhs - rhs)
-    return BoundReport(
-        check="virial residual bounded by eigenresidual",
-        value=worst, bound=0.0, slack=-worst, passed=bool(worst <= 0.0),
+    return BoundReport.of(
+        "virial residual bounded by eigenresidual", worst, "<=", 0.0,
         detail={"pairs": [{"eig": e, "residual": r, "lhs": l, "rhs": rh}
                           for e, r, l, rh in rows]})
 
@@ -111,23 +110,18 @@ def family_checks(family: RegularizedFamily) -> list:
     base_norm = np.linalg.norm(family.base)
     norms = [np.linalg.norm(vc) for vc in family.vectors]
     gaps = [np.linalg.norm(vc - family.base) for vc in family.vectors]
-    out = [
-        BoundReport(
-            check="smoothed family stays norm bounded",
-            value=float(max(norms)), bound=float(base_norm * (1 + 1e-12)),
-            slack=float(base_norm * (1 + 1e-12) - max(norms)),
-            passed=bool(max(norms) <= base_norm * (1 + 1e-12)),
+    return [
+        BoundReport.of(
+            "smoothed family stays norm bounded", max(norms), "<=",
+            base_norm * (1 + 1e-12),
             detail={"norms": [float(n) for n in norms],
                     "krylov_error": family.krylov_error}),
-        BoundReport(
-            check="smoothed family converges to the eigenvector",
-            value=float(gaps[-1]), bound=float(gaps[0]),
-            slack=float(gaps[0] - gaps[-1]),
-            passed=bool(all(np.diff(gaps) < 1e-12)),
+        BoundReport.of(
+            "smoothed family converges to the eigenvector", gaps[-1], "<=",
+            gaps[0], also=all(np.diff(gaps) < 1e-12),
             detail={"gaps": [float(g) for g in gaps],
                     "krylov_error": family.krylov_error}),
     ]
-    return out
 
 
 def commutator_expectation_scan(family: RegularizedFamily, l_op,
@@ -159,10 +153,8 @@ def regularity_check(c_op, p_diag: np.ndarray, b_op,
         hyp_worst = min(hyp_worst, (lhs - rhs) / n2)
     b_exp = float(np.real(np.vdot(psi, b_op @ psi)))
     p_exp = float(np.real(np.vdot(psi, p_diag * psi)))
-    ok = hyp_worst >= -tol and b_exp >= -tol and p_exp <= b_exp + tol
-    return BoundReport(
-        check="eigenvector regularity bound from the form inequality",
-        value=p_exp, bound=b_exp + tol, slack=b_exp + tol - p_exp,
-        passed=bool(ok),
+    return BoundReport.of(
+        "eigenvector regularity bound from the form inequality", p_exp, "<=",
+        b_exp + tol, also=hyp_worst >= -tol and b_exp >= -tol,
         detail={"form_hypothesis_slack": hyp_worst, "b_expectation": b_exp,
                 "krylov_error": family.krylov_error})

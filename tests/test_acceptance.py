@@ -168,7 +168,7 @@ def test_criterion_07_virial():
     p = ModelParams(n_e=6, n_u=8, n_max=1, e_max=4.0, u_max=4.0, lam=0.1)
     liou = assemble_liouvillian(p)
     conj = assemble_conjugates(liou)
-    a_full = (conj.full + conj.correction.tosparse()).tocsr()
+    a_full = (liou.conj_full + conj.correction.tosparse()).tocsr()
     evals, vecs = eig_pairs_smallest(liou.liouvillian, 10)
     worst = -np.inf
     for k in range(vecs.shape[1]):
@@ -179,9 +179,10 @@ def test_criterion_07_virial():
         rhs = 2 * r * np.linalg.norm(a_full @ psi) + 1e-14
         worst = max(worst, lhs - rhs)
 
-    family = build_regularized_family(vecs[:, 0], conj.full, liou.number,
+    family = build_regularized_family(vecs[:, 0], liou.conj_full, liou.number,
                                       eigenvalue=float(evals[0]))
-    scan = commutator_expectation_scan(family, liou.liouvillian, conj.full)
+    scan = commutator_expectation_scan(family, liou.liouvillian,
+                                       liou.conj_full)
     final = abs(scan[-1][1])
     ok = worst <= 0 and final < 1e-6
     _line(7, ok, f"10 eigenpair residual slack {-worst:.2e}, family scan "

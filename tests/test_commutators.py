@@ -108,7 +108,7 @@ def test_field_derivative_commutator_brute_force(setup):
 def test_number_commutes_with_conjugate_operator(setup):
     p, liou, conj = setup
     n_op = sp.diags(liou.number.astype(complex))
-    assert abs(n_op @ conj.full - conj.full @ n_op).max() == 0.0
+    assert abs(n_op @ liou.conj_full - liou.conj_full @ n_op).max() == 0.0
 
 
 def test_gjn_identity_case(setup):

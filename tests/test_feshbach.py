@@ -239,6 +239,22 @@ def test_chain_eigensolves_run_in_float64(monkeypatch):
     assert dtypes == [np.float64] * 3
 
 
+def test_chain_assembles_no_kronecker_product(monkeypatch):
+    # the chain reads only the factored operators: the CSR of the conjugate
+    # operator (three kron3 products) is left to virial-scan
+    calls = []
+    kron3 = operators.kron3
+
+    def counted(*args):
+        calls.append(args)
+        return kron3(*args)
+
+    monkeypatch.setattr(operators, "kron3", counted)
+    p = ModelParams(n_e=4, n_u=4, n_max=1, e_max=4.0, u_max=4.0)
+    verify_bound_chain(p, lam=1e-2)
+    assert calls == []
+
+
 from hypothesis import given, settings, strategies as st
 
 _entry = st.floats(-3.0, 3.0, allow_nan=False)

@@ -217,3 +217,21 @@ def test_complex_coupling_keeps_the_complex_path(n_e, n_u):
     exact = np.linalg.eigvalsh(op.tosparse().toarray())[0]
     assert (op.shape[0] > DENSE_CUTOFF) == (n_e == 10)
     assert abs(min_eig_hermitian(op) - exact) <= 1e-12 * abs(exact)
+
+
+def test_chain_asks_arpack_for_the_domination_vector_only(monkeypatch):
+    # the two compensation solves read only the eigenvalue; the domination
+    # step reads its vector for the residual
+    from thermion.feshbach import verify_bound_chain
+    real, asked = spla.eigsh, []
+
+    def recorded(*args, **kwargs):
+        asked.append(kwargs.get("return_eigenvectors", True))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", recorded)
+    p = ModelParams(n_e=12, n_u=12, n_max=1, e_max=4.0, u_max=4.0)
+    assert Truncation(p).basis.dim == 2197 > DENSE_CUTOFF
+    rep = verify_bound_chain(p, lam=1e-2)
+    assert asked == [False, False, True]
+    assert rep.steps[0].detail["residual"] <= 1e-8

@@ -221,7 +221,7 @@ def test_hermitian_flags_bit_exact(small):
     liou = assemble_liouvillian(p)
     conj = assemble_conjugates(liou)
     for op in (liou.interaction.tosparse(), liou.liouvillian, liou.number_comm,
-               conj.full, conj.correction.tosparse(),
+               liou.conj_full, conj.correction.tosparse(),
                conj.correction_comm.tosparse()):
         assert hermiticity_defect(op) == 0.0
 

@@ -45,7 +45,7 @@ def test_exact_eigenvector_residual_is_zero():
 
 def test_virial_residual_bound_on_eigenpairs(setup):
     p, liou, conj = setup
-    a_full = (conj.full + conj.correction.tosparse()).tocsr()
+    a_full = (liou.conj_full + conj.correction.tosparse()).tocsr()
     _, vecs = eig_pairs_smallest(liou.liouvillian, 10)
     rep = eigenpair_residual_check(liou.liouvillian, a_full, vecs)
     assert rep.passed, rep
@@ -56,7 +56,7 @@ def test_residual_check_applies_each_operator_once_per_pair(setup):
     # former check, which applied L three times and A twice per pair
     p, liou, conj = setup
     l_op = liou.operator
-    a_full = (conj.full + conj.correction.tosparse()).tocsr()
+    a_full = (liou.conj_full + conj.correction.tosparse()).tocsr()
     _, vecs = eig_pairs_smallest(l_op, 4)
     counts = {"l": 0, "a": 0}
 
@@ -99,7 +99,7 @@ def test_random_hermitian_virial_expectation(setup):
 def test_family_norm_and_convergence(setup):
     p, liou, conj = setup
     evals, vecs = eig_pairs_smallest(liou.liouvillian, 1)
-    family = build_regularized_family(vecs[:, 0], conj.full, liou.number,
+    family = build_regularized_family(vecs[:, 0], liou.conj_full, liou.number,
                                       eigenvalue=float(evals[0]))
     for rep in family_checks(family):
         assert rep.passed, rep
@@ -110,9 +110,9 @@ def test_family_matches_dense_spectral_calculus(setup):
     from scipy.linalg import eigh
     evals, vecs = eig_pairs_smallest(liou.liouvillian, 1)
     psi = vecs[:, 0]
-    family = build_regularized_family(psi, conj.full, liou.number,
+    family = build_regularized_family(psi, liou.conj_full, liou.number,
                                       eigenvalue=float(evals[0]))
-    w, v = eigh(conj.full.toarray())
+    w, v = eigh(liou.conj_full.toarray())
     coeffs = v.conj().T @ psi
     for alpha, vec in zip(family.alphas, family.vectors):
         dense = bump(alpha ** 3 * liou.number) ** 2 * (
@@ -127,7 +127,7 @@ def test_vacuum_sector_number_cutoff_is_identity(setup):
     dim = liou.basis.dim
     psi = np.zeros(dim, dtype=complex)
     psi[liou.basis.vacuum_bound_index()] = 1.0
-    family = build_regularized_family(psi, conj.full, liou.number,
+    family = build_regularized_family(psi, liou.conj_full, liou.number,
                                       alphas=(0.2,))
     nums = liou.number
     # apply only the number cutoff: nu = alpha^3 < 1 and N psi = 0
@@ -140,16 +140,17 @@ def test_number_cutoff_commutes_with_conjugate_smoothing(setup):
     p, liou, conj = setup
     # [A, N] = 0 exactly, so the two spectral cutoffs commute
     n_op = sp.diags(liou.number.astype(complex))
-    comm = conj.full @ n_op - n_op @ conj.full
+    comm = liou.conj_full @ n_op - n_op @ liou.conj_full
     assert abs(comm).max() == 0.0
 
 
 def test_commutator_expectation_scan_decreases(setup):
     p, liou, conj = setup
     evals, vecs = eig_pairs_smallest(liou.liouvillian, 1)
-    family = build_regularized_family(vecs[:, 0], conj.full, liou.number,
+    family = build_regularized_family(vecs[:, 0], liou.conj_full, liou.number,
                                       eigenvalue=float(evals[0]))
-    scan = commutator_expectation_scan(family, liou.liouvillian, conj.full)
+    scan = commutator_expectation_scan(family, liou.liouvillian,
+                                       liou.conj_full)
     assert abs(scan[-1][1]) < 1e-6
     assert abs(scan[-1][1]) <= abs(scan[0][1]) + 1e-12
 
@@ -159,10 +160,10 @@ def test_commutator_free_scan_matches_assembled_commutator(setup):
     p, liou, conj = setup
     from thermion.commutators import commutator
     evals, vecs = eig_pairs_smallest(liou.liouvillian, 1)
-    family = build_regularized_family(vecs[:, 0], conj.full, liou.number,
+    family = build_regularized_family(vecs[:, 0], liou.conj_full, liou.number,
                                       eigenvalue=float(evals[0]))
-    c1_direct = commutator(liou.liouvillian, conj.full)
-    scan = commutator_expectation_scan(family, liou.operator, conj.full)
+    c1_direct = commutator(liou.liouvillian, liou.conj_full)
+    scan = commutator_expectation_scan(family, liou.operator, liou.conj_full)
     for (alpha, val), vc in zip(scan, family.vectors):
         oracle = np.real(np.vdot(vc, c1_direct @ vc)) / np.vdot(vc, vc).real
         assert abs(val - oracle) <= 1e-13, (alpha, val, oracle)
@@ -174,7 +175,7 @@ def test_regularity_check_trivial_cases(setup):
     rng = np.random.default_rng(2)
     psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     psi /= np.linalg.norm(psi)
-    family = build_regularized_family(psi, conj.full, liou.number,
+    family = build_regularized_family(psi, liou.conj_full, liou.number,
                                       alphas=(0.1,))
     ident = sp.identity(dim, dtype=complex, format="csr")
     # P = 0: reduces to <B> >= 0
