@@ -11,7 +11,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import aslinearoperator
 
 from . import commutators as comm
@@ -20,7 +19,7 @@ from . import feshbach as fesh
 from . import fgr
 from . import flows
 from . import virial
-from .linalg import diag_plus, eig_pairs_smallest
+from .linalg import DiagPlus, eig_pairs_smallest
 from .operators import (Truncation, assemble_conjugates, assemble_liouvillian,
                         check_j)
 from .params import ModelParams
@@ -250,8 +249,8 @@ def run_virial_scan(cfg: ExperimentConfig) -> Report:
     k49 = trunc.compensation(p.lam)
     c_op = (comm.closed_form_commutator(liou, 1)
             + aslinearoperator(conj.correction_comm))
-    b_op = diag_plus(0.1 * trunc.number + k49 * p.lam ** 2, -1.0,
-                     conj.correction_comm)
+    b_op = DiagPlus(0.1 * trunc.number + k49 * p.lam ** 2, -1.0,
+                    conj.correction_comm)
     checks.append(virial.regularity_check(c_op, trunc.number, b_op, family))
 
     tables = {"family_scan": {"columns": ["alpha", "residual"],
@@ -332,12 +331,14 @@ def run_dynamics(cfg: ExperimentConfig) -> Report:
 def run_gjn(cfg: ExperimentConfig) -> Report:
     liou = assemble_liouvillian(cfg.params)
     trunc = liou.trunc
-    c1, c2, c3 = (comm.closed_form_commutator(liou, n).tosparse()
-                  for n in (1, 2, 3))
+    c1, c2, c3 = (comm.closed_form_commutator(liou, n) for n in (1, 2, 3))
+    # i[L, N] = lam i[I, N]: L0 is diagonal
+    number_comm = DiagPlus(np.zeros(trunc.basis.dim), cfg.params.lam,
+                           trunc.number_comm)
     targets = {
-        "liouvillian": liou.liouvillian,
-        "number": sp.diags(trunc.number.astype(complex)).tocsr(),
-        "number_commutator": liou.number_comm,
+        "liouvillian": liou.operator,
+        "number": DiagPlus(trunc.number),
+        "number_commutator": number_comm,
         "c1": c1, "c2": c2, "c3": c3,
     }
     checks = []
@@ -352,7 +353,7 @@ def run_gjn(cfg: ExperimentConfig) -> Report:
             also=np.isfinite(rep.k_norm) and np.isfinite(rep.k_form),
             detail={"k_norm": rep.k_norm, "k_form": rep.k_form}))
 
-    for name, op in (("number_commutator", liou.number_comm), ("c3", c3)):
+    for name, op in (("number_commutator", number_comm), ("c3", c3)):
         k = comm.kato_half_power_bound(op, trunc.number, trunc.vacuum_proj)
         rows.append([f"{name}_vs_sqrt_number", k, np.nan])
         checks.append(BoundReport.of(

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fgr import gamma_limit
-from .linalg import diag_plus, min_eig_diag_plus_lowrank, min_eig_hermitian
+from .linalg import DiagPlus, min_eig_diag_plus_lowrank, min_eig_hermitian
 from .operators import (ConjugateOps, LiouvillianAction, LowRank, Truncation,
                         assemble_conjugates, assemble_liouvillian, hermitize,
                         pair_diag)
@@ -318,8 +318,8 @@ def verify_bound_chain(params: ModelParams,
 
     # lower-bound inequality: commutator + correction dominates the
     # dressed operator (equivalently N + lam I1 - 0.9 Pbar + k49 lam^2 >= 0)
-    combo = diag_plus(trunc.number - 0.9 * (1.0 - trunc.vacuum_proj)
-                      + k49 * lam ** 2, lam, trunc.commutator(1))
+    combo = DiagPlus(trunc.number - 0.9 * (1.0 - trunc.vacuum_proj)
+                     + k49 * lam ** 2, lam, trunc.commutator(1))
     corr = ops.correction
     scale = max(1.0, _max_abs_row_sum(ops.d_scaled, corr))
     low, vec = min_eig_hermitian(combo, with_vector=True)

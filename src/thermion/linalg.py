@@ -2,7 +2,7 @@
 
 Small problems go dense; large ones go through ARPACK / Lanczos with
 deterministic start vectors so repeated runs give identical output.
-The solvers also take a ``LinearOperator``: ``diag_plus`` makes one of
+The solvers also take a ``LinearOperator``: ``DiagPlus`` is one of
 diag(d) + lam X for a factored X (a ``KronSum``), so nothing is assembled.
 ``lanczos_functions`` is the one matrix-function primitive: a family of
 f(A)v (or the quadratic forms <v, f(A) v>) from one tridiagonalisation,
@@ -28,22 +28,22 @@ def _as_matrix(m):
     return m.toarray() if sp.issparse(m) else np.asarray(m)
 
 
-def diag_plus(d: np.ndarray, lam: float, x) -> spla.LinearOperator:
+class DiagPlus(spla.LinearOperator):
     """diag(d) + lam X as a Hermitian LinearOperator of X's dtype, for d
     real and X with @ on vectors and (dim, k) blocks (a block is applied at
-    once); ``tosparse()`` is the CSR hermitize(diags(d) + lam X.tosparse())."""
-    def apply(v):
-        return (d * v.T).T + lam * (x @ v)
+    once), or X None for diag(d) alone; ``d``, ``lam`` and ``x`` stay
+    readable, so a caller can treat the diagonal and X apart."""
 
-    def tosparse():
-        from .operators import hermitize
-        return hermitize(sp.diags(d.astype(complex)) + lam * x.tosparse())
+    def __init__(self, d: np.ndarray, lam: float = 0.0, x=None):
+        self.d, self.lam, self.x = d, lam, x
+        super().__init__(d.dtype if x is None else np.result_type(d, x.dtype),
+                         (len(d),) * 2)
 
-    op = spla.LinearOperator((len(d),) * 2, matvec=apply, rmatvec=apply,
-                             matmat=apply, rmatmat=apply,
-                             dtype=np.result_type(d, x.dtype))
-    op.tosparse = tosparse
-    return op
+    def _matmat(self, v):
+        out = (self.d * v.T).T
+        return out if self.x is None else out + self.lam * (self.x @ v)
+
+    _matvec = _rmatvec = _rmatmat = _matmat
 
 
 def _start_vector(n: int, seed: int = 12345) -> np.ndarray:
@@ -75,8 +75,7 @@ def operator_norm(m, tol: float = 1e-9) -> float:
     if min(m.shape) <= DENSE_CUTOFF:
         return float(dense_norm(_as_matrix(m), 2))
     try:
-        sv = spla.svds(m.tocsc() if sp.issparse(m) else m, k=1, tol=tol,
-                       v0=_start_vector(m.shape[1]),
+        sv = spla.svds(m, k=1, tol=tol, v0=_start_vector(m.shape[1]),
                        return_singular_vectors=False)
         return float(sv[0])
     except (spla.ArpackError, spla.ArpackNoConvergence):

@@ -2,18 +2,20 @@
 
 Matrix conventions: a flat composite index is i + dim_p * j + dim_p^2 * n
 (left particle fastest), so a composite operator built from per-factor
-matrices is kron(fock_op, kron(right_op, left_op)).  Everything flagged
-Hermitian is symmetrized bit-exactly after assembly.  Functions embedded on
+matrices is kron(fock_op, kron(right_op, left_op)), kept factored as a
+``KronSum``.  Every factor flagged Hermitian is symmetrized bit-exactly
+after assembly.  Functions embedded on
 a grid carry sqrt(weight), which makes the euclidean inner product the
 discrete L2 product and keeps every assembled matrix weight-free.
 
 Every operator is assembled once per truncation; lam, theta and epsilon
 only combine the parts.  A ``Truncation`` (grids, beta, a, form factor,
-kernel) builds each operator on first use and keeps it: the interaction
-and its commutators in factored form (``KronSum``), the diagonals, the
-conjugate operator and the compensation constant per coupling (k49 at
-the probe coupling).  A ``LiouvillianAction``
-is L = L0 + lam I over a truncation, and ``assemble_conjugates`` adds the
+kernel) builds each operator on first use and keeps it: the interaction,
+its commutators with the conjugate operator and with N, and the
+conjugate operator itself in factored form (``KronSum``), the diagonals,
+and the compensation constant per coupling (k49 at the probe coupling).
+No composite matrix is formed.  A ``LiouvillianAction`` is
+L = L0 + lam I over a truncation, and ``assemble_conjugates`` adds the
 theta- and epsilon-dependent finite-rank corrections.
 """
 from __future__ import annotations
@@ -26,7 +28,7 @@ import scipy.sparse as sp
 
 from .lattice import CompositeBasis, FieldGrid, FockBasis, build_bases
 from .flows import saturating_profile
-from .linalg import diag_plus
+from .linalg import DiagPlus, operator_norm
 from .params import ModelParams
 from .reports import BoundReport
 
@@ -255,12 +257,6 @@ def assemble_field_ops(fb: FockBasis) -> FieldOps:
 # composite assembly
 # ---------------------------------------------------------------------------
 
-def kron3(fock_op, right_op, left_op) -> sp.csr_matrix:
-    """Composite operator in the flat convention (left index fastest)."""
-    return sp.kron(fock_op, sp.kron(right_op, left_op, format="csr"),
-                   format="csr")
-
-
 @dataclass(frozen=True)
 class CouplingVectors:
     """Embedded smearing vectors of one interaction term and its modular
@@ -278,7 +274,7 @@ class KronSum:
     a factor with zero imaginary part is stored real (see ``dtype``)."""
 
     def __init__(self, basis: CompositeBasis, terms):
-        self.basis, self.shape, self._csr = basis, (basis.dim,) * 2, None
+        self.basis, self.shape = basis, (basis.dim,) * 2
         self.terms = tuple(tuple(
             m if m is None or (m.data if sp.issparse(m) else m).imag.any()
             else m.real for m in term) for term in terms)
@@ -295,27 +291,13 @@ class KronSum:
         for fock, right, left in self.terms:
             s = t if left is None else t @ left.T
             s = s if right is None else np.matmul(right, s)
-            s = fock @ s.reshape(nf, -1)
+            s = s.reshape(nf, -1)
+            s = s if fock is None else fock @ s
             out = s if out is None else np.add(out, s, out=out)
         return out.reshape(nf, *cols, dp * dp).swapaxes(1, -1).reshape(
             psi.shape)
 
     __matmul__ = matvec
-
-    def tosparse(self) -> sp.csr_matrix:
-        """Bit-level Hermitian complex CSR, assembled by kron3 on first use
-        and kept.  The terms are summed pairwise, neighbours first, so each
-        direct term meets its modular image (``interaction_like``) before
-        the pairs are added."""
-        if self._csr is None:
-            eye = np.eye(self.basis.left.dim)
-            mats = [kron3(*(sp.csr_matrix(eye if m is None else m,
-                                          dtype=complex) for m in term))
-                    for term in self.terms]
-            while len(mats) > 1:
-                mats = [sum(mats[i:i + 2]) for i in range(0, len(mats), 2)]
-            self._csr = hermitize(mats[0])
-        return self._csr
 
 
 def interaction_like(basis: CompositeBasis, g: np.ndarray, sign: float,
@@ -428,19 +410,21 @@ class Truncation:
                           np.ones(self.basis.left.dim ** 2)))
 
     @cached_property
-    def conj_full(self) -> sp.csr_matrix:
+    def number_comm(self) -> KronSum:
+        """i[I, N]: each Fock factor F of I becomes i[F, N] (N commutes
+        with the particle factors), so i[L, N] = lam i[I, N]."""
+        return KronSum(self.basis, [
+            (diag_commutator(fock, self.field.number), right, left)
+            for fock, right, left in self.interaction.terms])
+
+    @cached_property
+    def conj_full(self) -> KronSum:
         """The conjugate operator without its correction: the particle
         flow generator on the left factor minus on the right, plus the
         field translation."""
-        ap = sp.csr_matrix(self.particle.flow_gen)
-        ident_p = sp.identity(self.basis.left.dim, format="csr",
-                              dtype=complex)
-        ident_f = sp.identity(self.basis.fock.dim, format="csr",
-                              dtype=complex)
-        return hermitize(kron3(ident_f, ident_p, ap)
-                         - kron3(ident_f, ap, ident_p)
-                         + kron3(self.field.translation_gen, ident_p,
-                                 ident_p))
+        ap = self.particle.flow_gen
+        return KronSum(self.basis, [(None, None, ap), (None, -ap, None),
+                                    (self.field.translation_gen, None, None)])
 
     def compensation(self, lam: float) -> float:
         """The small-coupling compensation constant at coupling lam
@@ -461,9 +445,8 @@ class Truncation:
 
 class LiouvillianAction:
     """L = L0 + lam I at the coupling of ``params`` over a truncation:
-    ``operator`` is diag(L0) + lam I on the factored interaction, and its
-    CSR ``liouvillian`` and ``number_comm`` are assembled on first use.
-    Every other attribute (basis, interaction, ...) is the truncation's."""
+    ``operator`` is diag(L0) + lam I on the factored interaction.  Every
+    other attribute (basis, interaction, ...) is the truncation's."""
 
     def __init__(self, trunc: Truncation, params: ModelParams):
         trunc.check(params)
@@ -473,21 +456,12 @@ class LiouvillianAction:
         return getattr(self.trunc, name)
 
     @cached_property
-    def operator(self):
-        return diag_plus(self.trunc.l0_diag, self.params.lam,
-                         self.trunc.interaction)
+    def operator(self) -> DiagPlus:
+        return DiagPlus(self.trunc.l0_diag, self.params.lam,
+                        self.trunc.interaction)
 
     def matvec(self, psi: np.ndarray) -> np.ndarray:
         return self.operator.matvec(psi)
-
-    @cached_property
-    def liouvillian(self) -> sp.csr_matrix:
-        return self.operator.tosparse()
-
-    @cached_property
-    def number_comm(self) -> sp.csr_matrix:
-        """The D operator i[L, N]."""
-        return diag_commutator(self.liouvillian, self.trunc.number)
 
 
 def assemble_liouvillian(params: ModelParams,
@@ -530,11 +504,6 @@ class LowRank:
         """Spectral norm, from R C R* for the thin QR U = Q R."""
         r = np.linalg.qr(self.u, mode="r")
         return float(np.abs(np.linalg.eigvalsh(r @ self.c @ r.conj().T)).max())
-
-    def tosparse(self) -> sp.csr_matrix:
-        """Bit-level Hermitian CSR; exact zeros of u stay structural."""
-        return hermitize(sp.csr_matrix(self.u)
-                         @ sp.csr_matrix(self.c @ self.u.conj().T))
 
 
 @dataclass(frozen=True)
@@ -617,13 +586,13 @@ def check_j(liou: LiouvillianAction, n_vectors: int = 20, seed: int = 7,
     """J L J = -L on random vectors (relative to ||L|| ||psi||)."""
     conj = apply_j(liou.basis)
     rng = np.random.default_rng(seed)
-    op_norm = float(abs(liou.liouvillian).sum(axis=1).max())  # cheap upper bd
+    op_norm = operator_norm(liou.operator)
     worst = 0.0
     for _ in range(n_vectors):
         psi = rng.standard_normal(liou.basis.dim) \
             + 1j * rng.standard_normal(liou.basis.dim)
-        lhs = conj.conjugate_operator(liou.liouvillian, psi)
-        res = np.linalg.norm(lhs + liou.liouvillian @ psi)
+        lhs = conj.conjugate_operator(liou.operator, psi)
+        res = np.linalg.norm(lhs + liou.operator @ psi)
         worst = max(worst, res / (op_norm * np.linalg.norm(psi)))
     return BoundReport.of(
         "modular conjugation anticommutes with the Liouvillian", worst, "<=",

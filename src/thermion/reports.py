@@ -103,12 +103,12 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return _jsonable(obj.tolist())
+    if isinstance(obj, (np.bool_, bool)):    # bool is a subclass of int
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
     if obj is None or isinstance(obj, str):

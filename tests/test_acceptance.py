@@ -26,7 +26,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from thermion.commutators import product_boson_amplitudes
+from csr_oracle import (conj_full, kron3, liouvillian,
+                        product_boson_amplitudes, to_csr)
 from thermion.dynamics import recurrence_time, survival
 from thermion.experiments import ExperimentConfig, run
 from thermion.feshbach import (scaled_to_limit_convergence, scan_lambda0,
@@ -36,8 +37,7 @@ from thermion.fgr import (eps_convergence, gamma_limit, gamma_regularized,
 from thermion.lattice import build_bases
 from thermion.linalg import eig_pairs_smallest
 from thermion.operators import (assemble_conjugates, assemble_field_ops,
-                                assemble_liouvillian, apply_j, check_j,
-                                kron3)
+                                assemble_liouvillian, apply_j, check_j)
 from thermion.params import ModelParams
 from thermion.reports import report_to_json
 from thermion.virial import (build_regularized_family,
@@ -168,20 +168,20 @@ def test_criterion_07_virial():
     p = ModelParams(n_e=6, n_u=8, n_max=1, e_max=4.0, u_max=4.0, lam=0.1)
     liou = assemble_liouvillian(p)
     conj = assemble_conjugates(liou)
-    a_full = (liou.conj_full + conj.correction.tosparse()).tocsr()
-    evals, vecs = eig_pairs_smallest(liou.liouvillian, 10)
+    a_full = (conj_full(liou.trunc) + to_csr(conj.correction)).tocsr()
+    evals, vecs = eig_pairs_smallest(liouvillian(liou), 10)
     worst = -np.inf
     for k in range(vecs.shape[1]):
         psi = vecs[:, k]
-        e = float(np.real(np.vdot(psi, liou.liouvillian @ psi)))
-        r = np.linalg.norm(liou.liouvillian @ psi - e * psi)
-        lhs = abs(virial_residual(liou.liouvillian, a_full, psi))
+        e = float(np.real(np.vdot(psi, liouvillian(liou) @ psi)))
+        r = np.linalg.norm(liouvillian(liou) @ psi - e * psi)
+        lhs = abs(virial_residual(liouvillian(liou), a_full, psi))
         rhs = 2 * r * np.linalg.norm(a_full @ psi) + 1e-14
         worst = max(worst, lhs - rhs)
 
     family = build_regularized_family(vecs[:, 0], liou.conj_full, liou.number,
                                       eigenvalue=float(evals[0]))
-    scan = commutator_expectation_scan(family, liou.liouvillian,
+    scan = commutator_expectation_scan(family, liouvillian(liou),
                                        liou.conj_full)
     final = abs(scan[-1][1])
     ok = worst <= 0 and final < 1e-6

@@ -123,6 +123,26 @@ def test_main_byte_identical_reports(tmp_path):
     assert ja == jb
 
 
+def test_operator_kinds_build_no_kronecker_product(tmp_path, monkeypatch):
+    # every kind that builds a Truncation applies its composite operators
+    # factored: no Kronecker product of the factors is ever formed (fgr,
+    # feshbach-fuzz and flow-check build no composite operator at all)
+    import scipy.sparse
+    kron, calls = scipy.sparse.kron, {}
+
+    def counted(*args, **kwargs):
+        calls[kind] += 1
+        return kron(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse, "kron", counted)
+    for kind in ("virial-scan", "dynamics", "gjn", "bound-chain",
+                 "lambda0-scan"):
+        calls[kind] = 0
+        main([kind, "--out", str(tmp_path), "model.n_e=4", "model.n_u=4",
+              "model.n_max=1"])
+    assert calls == dict.fromkeys(calls, 0)
+
+
 @pytest.mark.parametrize("override", ["model.n_e=0", "model.n_e=2.5",
                                       "model.n_max=-1", "model.e_max=0",
                                       "model.u_max=-2.0"])

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from thermion.commutators import (assemble_commutator_set,
-                                  closed_form_commutator, commutator,
+from csr_oracle import (assemble_commutator_set, commutator, conj_full,
+                        gjn_constants, gjn_rows, kato_constant, liouvillian,
+                        smooth_test_states, to_csr)
+from thermion.commutators import (closed_form_commutator,
                                   estimate_small_coupling_bound, gjn_check,
                                   interaction_commutator,
                                   kato_half_power_bound,
-                                  small_coupling_stability,
-                                  smooth_test_states)
+                                  small_coupling_stability)
 from thermion.lattice import build_bases
-from thermion.linalg import min_eig_hermitian, operator_norm
+from thermion.linalg import DiagPlus, min_eig_hermitian, operator_norm
 from thermion.operators import (Truncation, assemble_conjugates,
                                 assemble_liouvillian, hermiticity_defect)
 from thermion.params import ModelParams
@@ -26,7 +27,7 @@ def setup():
 
 def test_self_commutator_vanishes(setup):
     p, liou, conj = setup
-    c = commutator(liou.liouvillian, liou.liouvillian)
+    c = commutator(liouvillian(liou), liouvillian(liou))
     assert abs(c).max() < 1e-12
 
 
@@ -44,7 +45,7 @@ def test_diagonal_offdiagonal_closed_form():
 def test_commutator_rejects_shape_mismatch(setup):
     p, liou, conj = setup
     with pytest.raises(ValueError):
-        commutator(liou.liouvillian, sp.identity(3, dtype=complex))
+        commutator(liouvillian(liou), sp.identity(3, dtype=complex))
 
 
 def test_commutator_set_hermitian_and_converging(setup):
@@ -87,7 +88,7 @@ def test_large_scale_limit_kills_particle_profile(setup):
     lioua = assemble_liouvillian(pa)
     cs = assemble_commutator_set(lioua)
     # xi(e/a) -> e/a -> 0: c1 reduces to N + lam I1 up to O(1/a)
-    i1 = interaction_commutator(lioua.trunc, 1).tosparse()
+    i1 = to_csr(interaction_commutator(lioua.trunc, 1))
     rest = cs.c1 - sp.diags(lioua.number.astype(complex)) - pa.lam * i1
     assert operator_norm(rest) < 1e-5
 
@@ -95,7 +96,7 @@ def test_large_scale_limit_kills_particle_profile(setup):
 def test_field_derivative_commutator_brute_force(setup):
     # i[phi(f), A_f] = phi(D f) exactly on the truncation
     p, liou, conj = setup
-    from thermion.operators import (assemble_field_ops, field_op, kron3)
+    from thermion.operators import assemble_field_ops, field_op
     basis = liou.basis
     fops = assemble_field_ops(basis.fock)
     f = liou.vectors.direct
@@ -108,22 +109,21 @@ def test_field_derivative_commutator_brute_force(setup):
 def test_number_commutes_with_conjugate_operator(setup):
     p, liou, conj = setup
     n_op = sp.diags(liou.number.astype(complex))
-    assert abs(n_op @ liou.conj_full - liou.conj_full @ n_op).max() == 0.0
+    a_full = conj_full(liou.trunc)
+    assert abs(n_op @ a_full - a_full @ n_op).max() == 0.0
 
 
 def test_gjn_identity_case(setup):
     p, liou, conj = setup
     lam_diag = liou.comparison
-    rep = gjn_check(sp.diags(lam_diag.astype(complex)).tocsr(), lam_diag,
-                    "comparison")
+    rep = gjn_check(DiagPlus(lam_diag), lam_diag, "comparison")
     assert np.isclose(rep.k_norm, 1.0)
     assert rep.k_form < 1e-10
 
 
 def test_gjn_number_dominated(setup):
     p, liou, conj = setup
-    rep = gjn_check(sp.diags(liou.number.astype(complex)).tocsr(),
-                    liou.comparison, "number")
+    rep = gjn_check(DiagPlus(liou.number), liou.comparison, "number")
     assert rep.k_norm <= 1.0 + 1e-12
     assert rep.k_form < 1e-10
 
@@ -131,18 +131,59 @@ def test_gjn_number_dominated(setup):
 def test_gjn_rejects_small_comparison(setup):
     p, liou, conj = setup
     with pytest.raises(ValueError):
-        gjn_check(liou.liouvillian, 0.2 * liou.comparison, "bad")
+        gjn_check(liou.operator, 0.2 * liou.comparison, "bad")
+
+
+def test_gjn_table_matches_csr_oracle():
+    # every row of the gjn report against the CSR computation (dense
+    # branch); the diagonal commutes with the comparison exactly, so the
+    # number operator's form constant is exactly zero
+    from thermion.experiments import ExperimentConfig, run
+    p = ModelParams(n_e=6, n_u=6, n_max=1, lam=0.1)
+    rows = run(ExperimentConfig(kind="gjn", params=p)).tables[
+        "gjn_constants"]["rows"]
+    want = gjn_rows(assemble_liouvillian(p))
+    assert [r[0] for r in rows] == [w[0] for w in want] and len(rows) == 8
+    for got, ref in zip(rows, want):
+        for g, r in zip(got[1:], ref[1:]):
+            assert (np.isnan(g) and np.isnan(r)) or abs(g - r) <= 1e-12 * r
+    assert rows[1][0] == "number" and rows[1][2] == 0.0
+
+
+@pytest.mark.parametrize("complex_coupling", [False, True])
+def test_gjn_constants_match_csr_oracle(complex_coupling):
+    # a real Y runs in float64; a Hermitian coupling g + i S (S real
+    # antisymmetric) keeps the complex path
+    from thermion.operators import KronSum, interaction_like
+    trunc = Truncation(ModelParams(n_e=6, n_u=6, n_max=1, e_max=4.0,
+                                   u_max=4.0))
+    g = trunc.coupling
+    if complex_coupling:
+        s = np.random.default_rng(2).standard_normal(g.shape)
+        g = g + 0.3j * (s - s.T)
+    x = KronSum(trunc.basis, interaction_like(
+        trunc.basis, g, 1.0, trunc.vectors.direct, trunc.vectors.image))
+    op = DiagPlus(trunc.number - 0.5 * (1.0 - trunc.vacuum_proj), 0.1, x)
+    assert op.dtype == (np.complex128 if complex_coupling else np.float64)
+    rep = gjn_check(op, trunc.comparison)
+    ref = gjn_constants(to_csr(op), trunc.comparison)
+    assert abs(rep.k_norm - ref[0]) <= 1e-12 * ref[0]
+    assert abs(rep.k_form - ref[1]) <= 1e-12 * ref[1]
+    k = kato_half_power_bound(op, trunc.number, trunc.vacuum_proj)
+    k_ref = kato_constant(to_csr(op), trunc.number, trunc.vacuum_proj)
+    assert abs(k - k_ref) <= 1e-12 * k_ref
 
 
 def test_kato_bound_for_number_commutator(setup):
     p, liou, conj = setup
-    k1 = kato_half_power_bound(liou.number_comm, liou.number,
-                               liou.vacuum_proj)
+    # i[L, N] = lam i[I, N], as the gjn pipeline passes it
+    d1 = DiagPlus(np.zeros(liou.basis.dim), p.lam, liou.number_comm)
+    k1 = kato_half_power_bound(d1, liou.number, liou.vacuum_proj)
     assert np.isfinite(k1)
     p2 = p.with_(n_e=16, n_u=32)
     liou2 = assemble_liouvillian(p2)
-    k2 = kato_half_power_bound(liou2.number_comm, liou2.number,
-                               liou2.vacuum_proj)
+    d2 = DiagPlus(np.zeros(liou2.basis.dim), p2.lam, liou2.number_comm)
+    k2 = kato_half_power_bound(d2, liou2.number, liou2.vacuum_proj)
     # uniformly bounded under refinement (allow mild growth)
     assert k2 < 1.5 * k1 + 1e-9
 
@@ -185,7 +226,7 @@ def test_c3_kato_bound_stable_under_refinement():
     p = ModelParams(n_e=12, n_u=24, n_max=1, e_max=12.0, u_max=12.0,
                     lam=0.1)
     liou = assemble_liouvillian(p)
-    c3 = closed_form_commutator(liou, 3).tosparse()
+    c3 = closed_form_commutator(liou, 3)
     k = kato_half_power_bound(c3, liou.number, liou.vacuum_proj)
     assert np.isfinite(k)
 
@@ -199,7 +240,7 @@ def test_boson_parity_anticommutes_with_interaction_terms(order):
                                    u_max=3.0))
     x = trunc.interaction if order == 0 else trunc.commutator(1)
     parity = (-1.0) ** trunc.number
-    csr = x.tosparse()
+    csr = to_csr(x)
     assert abs(sp.diags(parity) @ csr @ sp.diags(parity) + csr).max() == 0.0
     rng = np.random.default_rng(5)
     for _ in range(3):
@@ -210,15 +251,15 @@ def test_boson_parity_anticommutes_with_interaction_terms(order):
 
 def test_small_coupling_bound_zero_cases(setup):
     p, liou, conj = setup
-    i1 = liou.trunc.commutator(1).tosparse()
+    i1 = to_csr(liou.trunc.commutator(1))
     assert estimate_small_coupling_bound(p.with_(lam=0.0), liou, i1) == 0.0
-    zero = sp.csr_matrix(liou.liouvillian.shape, dtype=complex)
+    zero = sp.csr_matrix(liou.operator.shape, dtype=complex)
     assert estimate_small_coupling_bound(p, liou, zero) == 0.0
 
 
 def test_small_coupling_bound_is_valid(setup):
     p, liou, conj = setup
-    i1 = liou.trunc.commutator(1).tosparse()
+    i1 = to_csr(liou.trunc.commutator(1))
     k = estimate_small_coupling_bound(p, liou, i1)
     comp = sp.diags((0.1 * liou.number * (1 - liou.vacuum_proj)
                      + k * p.lam ** 2).astype(complex))
@@ -236,7 +277,7 @@ def test_small_coupling_bound_grid_stability():
         p = ModelParams(n_e=8, n_u=nu, n_max=1, e_max=4.0, u_max=10.0,
                         lam=0.1, a=0.2)
         trunc = Truncation(p)
-        i1 = trunc.commutator(1).tosparse()
+        i1 = to_csr(trunc.commutator(1))
         ks[nu] = estimate_small_coupling_bound(p, trunc, i1)
     assert abs(ks[64] - ks[32]) / ks[32] < 0.1
 

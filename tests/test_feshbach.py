@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from thermion import commutators, feshbach, operators
+from thermion import commutators, feshbach
 from thermion.feshbach import (assemble_bound_operators, chain_recipe,
                                feshbach_map, feshbach_woodbury,
                                find_reduction_roots,
@@ -200,24 +200,20 @@ def test_probe_and_first_commutator_built_once_per_truncation(monkeypatch):
 
 def test_chain_solves_matrix_free_three_times(monkeypatch):
     # the k49 probe, k at the run coupling and the domination step each
-    # run one eigensolve on the factored I_1; no CSR of it is assembled
-    calls = {"tosparse": 0, "min_eig": 0}
-    tosparse, solve = operators.KronSum.tosparse, feshbach.min_eig_hermitian
-
-    def counted_tosparse(self):
-        calls["tosparse"] += 1
-        return tosparse(self)
+    # run one eigensolve on the factored I_1 (that no composite matrix is
+    # built is test_cli's guard)
+    calls = {"min_eig": 0}
+    solve = feshbach.min_eig_hermitian
 
     def counted_solve(*args, **kwargs):
         calls["min_eig"] += 1
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(operators.KronSum, "tosparse", counted_tosparse)
     for module in (commutators, feshbach):
         monkeypatch.setattr(module, "min_eig_hermitian", counted_solve)
     p = ModelParams(n_e=4, n_u=4, n_max=1, e_max=4.0, u_max=4.0)
     verify_bound_chain(p, lam=1e-2)
-    assert calls == {"tosparse": 0, "min_eig": 3}
+    assert calls == {"min_eig": 3}
 
 
 def test_chain_eigensolves_run_in_float64(monkeypatch):
@@ -237,22 +233,6 @@ def test_chain_eigensolves_run_in_float64(monkeypatch):
     p = ModelParams(n_e=4, n_u=4, n_max=1, e_max=4.0, u_max=4.0)
     verify_bound_chain(p, lam=1e-2)
     assert dtypes == [np.float64] * 3
-
-
-def test_chain_assembles_no_kronecker_product(monkeypatch):
-    # the chain reads only the factored operators: the CSR of the conjugate
-    # operator (three kron3 products) is left to virial-scan
-    calls = []
-    kron3 = operators.kron3
-
-    def counted(*args):
-        calls.append(args)
-        return kron3(*args)
-
-    monkeypatch.setattr(operators, "kron3", counted)
-    p = ModelParams(n_e=4, n_u=4, n_max=1, e_max=4.0, u_max=4.0)
-    verify_bound_chain(p, lam=1e-2)
-    assert calls == []
 
 
 from hypothesis import given, settings, strategies as st

@@ -4,7 +4,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh, expm
 
-from thermion.linalg import (DENSE_CUTOFF, diag_plus, lanczos_functions,
+from csr_oracle import liouvillian, to_csr
+from thermion.linalg import (DENSE_CUTOFF, DiagPlus, lanczos_functions,
                              min_eig_diag_plus_lowrank, min_eig_hermitian)
 from thermion.operators import (LowRank, Truncation, assemble_liouvillian,
                                 hermitize)
@@ -19,7 +20,7 @@ def small():
 @pytest.fixture(scope="module")
 def dense_liouvillian(small):
     liou = assemble_liouvillian(small)
-    return liou.liouvillian.toarray(), liou.basis.vacuum_bound_index()
+    return liouvillian(liou).toarray(), liou.basis.vacuum_bound_index()
 
 
 def _random_unit(dim, seed):
@@ -154,8 +155,8 @@ def _chain_form(n_e, n_u, lam=0.1):
                                    u_max=4.0))
     d = trunc.number - 0.5 * (1.0 - trunc.vacuum_proj)
     dense = hermitize(sp.diags(d.astype(complex))
-                      + lam * trunc.commutator(1).tosparse()).toarray()
-    return diag_plus(d, lam, trunc.commutator(1)), dense
+                      + lam * to_csr(trunc.commutator(1))).toarray()
+    return DiagPlus(d, lam, trunc.commutator(1)), dense
 
 
 @pytest.fixture(scope="module")
@@ -209,12 +210,12 @@ def test_complex_coupling_keeps_the_complex_path(n_e, n_u):
     x = KronSum(trunc.basis, interaction_like(
         trunc.basis, g, 1.0, trunc.vectors.direct, trunc.vectors.image))
     d = trunc.number - 0.5 * (1.0 - trunc.vacuum_proj)
-    op = diag_plus(d, 0.1, x)
+    op = DiagPlus(d, 0.1, x)
     assert [m.dtype for term in x.terms for m in term if m is not None] \
         == [np.float64, np.complex128, np.float64, np.complex128]
     assert x.dtype == op.dtype == np.complex128
     assert (op @ np.ones(op.shape[0])).dtype == np.complex128
-    exact = np.linalg.eigvalsh(op.tosparse().toarray())[0]
+    exact = np.linalg.eigvalsh(to_csr(op).toarray())[0]
     assert (op.shape[0] > DENSE_CUTOFF) == (n_e == 10)
     assert abs(min_eig_hermitian(op) - exact) <= 1e-12 * abs(exact)
 

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from csr_oracle import conj_full, liouvillian, number_comm, to_csr
 from thermion.lattice import FieldGrid, FockBasis, build_bases
-from thermion.linalg import diag_plus, operator_norm
+from thermion.linalg import DiagPlus, operator_norm
 from thermion.operators import (LiouvillianAction, LowRank, Truncation,
                                 apply_j, assemble_conjugates,
                                 assemble_field_ops, assemble_liouvillian,
@@ -178,7 +179,7 @@ def test_liouvillian_annihilates_reference(small):
 def test_zero_coupling_reduces_to_free(small):
     p, b = small
     liou = assemble_liouvillian(p.with_(lam=0.0))
-    diff = liou.liouvillian - sp.diags(liou.l0_diag.astype(complex))
+    diff = liouvillian(liou) - sp.diags(liou.l0_diag.astype(complex))
     assert abs(diff).max() == 0.0
 
 
@@ -193,7 +194,7 @@ def test_interaction_against_dense_oracle():
     dp = b.left.dim
     dense = (np.kron(phi_d, np.kron(np.eye(dp), g))
              - np.kron(phi_i, np.kron(np.conj(g), np.eye(dp))))
-    assert np.allclose(liou.interaction.tosparse().toarray(), dense,
+    assert np.allclose(to_csr(liou.interaction).toarray(), dense,
                        atol=1e-13)
 
 
@@ -220,9 +221,9 @@ def test_hermitian_flags_bit_exact(small):
     p, b = small
     liou = assemble_liouvillian(p)
     conj = assemble_conjugates(liou)
-    for op in (liou.interaction.tosparse(), liou.liouvillian, liou.number_comm,
-               liou.conj_full, conj.correction.tosparse(),
-               conj.correction_comm.tosparse()):
+    for op in (to_csr(liou.interaction), liouvillian(liou), number_comm(liou),
+               conj_full(liou.trunc), to_csr(conj.correction),
+               to_csr(conj.correction_comm)):
         assert hermiticity_defect(op) == 0.0
 
 
@@ -230,7 +231,7 @@ def test_correction_vanishes_at_zero_coupling(small):
     p, b = small
     liou = assemble_liouvillian(p.with_(lam=0.0))
     conj = assemble_conjugates(liou)
-    corr = conj.correction.tosparse()
+    corr = to_csr(conj.correction)
     assert corr.nnz == 0 or abs(corr).max() == 0.0
 
 
@@ -292,7 +293,7 @@ def test_lowrank_corrections_match_outer_product_form(small):
     v = rng.standard_normal(b.dim) + 1j * rng.standard_normal(b.dim)
     for name, ref in old.items():
         lr = getattr(conj, name)
-        new = lr.tosparse()
+        new = to_csr(lr)
         assert hermiticity_defect(new) == 0.0
         assert new.nnz == ref.nnz
         want = ref.toarray()
@@ -335,8 +336,11 @@ def test_number_commutator_structure(small):
     p, b = small
     liou = assemble_liouvillian(p)
     n_op = sp.diags(liou.number.astype(complex))
-    direct = 1j * (liou.liouvillian @ n_op - n_op @ liou.liouvillian)
-    assert abs(direct - liou.number_comm).max() < 1e-12
+    l_csr = liouvillian(liou)
+    direct = 1j * (l_csr @ n_op - n_op @ l_csr)
+    # the factored i[L, N] = lam i[I, N]
+    factored = to_csr(DiagPlus(np.zeros(b.dim), p.lam, liou.number_comm))
+    assert abs(direct - factored).max() < 1e-12
 
 
 def test_matrix_free_action_matches_assembly(small):
@@ -345,13 +349,31 @@ def test_matrix_free_action_matches_assembly(small):
     act = LiouvillianAction(liou.trunc, p)
     rng = np.random.default_rng(4)
     v = rng.standard_normal(b.dim) + 1j * rng.standard_normal(b.dim)
-    assert np.linalg.norm(act.matvec(v) - liou.liouvillian @ v) < 1e-11
+    assert np.linalg.norm(act.matvec(v) - liouvillian(liou) @ v) < 1e-11
     # the factored commutators I_1..I_3 against their assembled CSR
     for order in (1, 2, 3):
         i_n = liou.trunc.commutator(order)
-        want = i_n.tosparse() @ v
+        want = to_csr(i_n) @ v
         assert np.linalg.norm(i_n.matvec(v) - want) <= 1e-12 * np.linalg.norm(
             want)
+
+
+def test_factored_conjugate_and_number_commutator_match_csr(small):
+    # A and i[I, N] are kept factored; their actions match the CSR of the
+    # particle flow generator and field translation, and of the entrywise
+    # commutator of the interaction's CSR with N
+    p, b = small
+    trunc = Truncation(p)
+    i_csr = to_csr(trunc.interaction)
+    n_op = sp.diags(trunc.number)
+    rng = np.random.default_rng(8)
+    for v in (rng.standard_normal(b.dim) + 1j * rng.standard_normal(b.dim),
+              rng.standard_normal((b.dim, 3))):
+        for x, want in ((trunc.conj_full, conj_full(trunc) @ v),
+                        (trunc.number_comm,
+                         1j * (i_csr @ (n_op @ v) - n_op @ (i_csr @ v)))):
+            assert np.linalg.norm(x @ v - want) <= 1e-14 * np.linalg.norm(
+                want)
 
 
 def test_block_action_matches_column_by_column(small):
@@ -363,13 +385,13 @@ def test_block_action_matches_column_by_column(small):
     rng = np.random.default_rng(6)
     block = rng.standard_normal((b.dim, 5)) + 1j * rng.standard_normal(
         (b.dim, 5))
-    op = diag_plus(trunc.number, 0.3, trunc.commutator(2))
+    op = DiagPlus(trunc.number, 0.3, trunc.commutator(2))
     for x in (trunc.interaction, trunc.commutator(1), op):
         stack = np.column_stack([x @ col for col in block.T])
         assert (x @ block).shape == block.shape
         assert np.linalg.norm(x @ block - stack) <= 1e-15 * np.linalg.norm(
             stack)
-    assert np.linalg.norm(op.matmat(block) - op.tosparse() @ block) \
+    assert np.linalg.norm(op.matmat(block) - to_csr(op) @ block) \
         <= 1e-13 * np.linalg.norm(block)
 
 
@@ -393,8 +415,8 @@ def test_real_symmetric_operators_run_in_float64(small):
             assert out.dtype == np.float64 and want.dtype == np.complex128
             assert np.linalg.norm(out - want) <= 1e-15 * np.linalg.norm(want)
     # the CSR stays the complex matrix of the complex factors
-    assert trunc.interaction.tosparse().dtype == np.complex128
-    assert liou.operator.tosparse().dtype == np.complex128
+    assert to_csr(trunc.interaction).dtype == np.complex128
+    assert to_csr(liou.operator).dtype == np.complex128
 
 
 def test_truncation_refuses_parameters_beyond_the_coupling(small):
@@ -424,7 +446,7 @@ def test_correction_commutator_norm_bound():
                 liou = assemble_liouvillian(p, trunc)
                 conj = assemble_conjugates(liou)
                 envelope = theta * lam / eps + theta * lam ** 2 / eps ** 2
-                ratios.append(operator_norm(conj.correction_comm.tosparse())
+                ratios.append(operator_norm(to_csr(conj.correction_comm))
                               / envelope)
     k = max(ratios)
     assert np.isfinite(k)

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thermion.reports import BoundReport
+from thermion.reports import BoundReport, Report, report_to_json
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "thermion"
 
@@ -62,3 +62,11 @@ def test_no_check_is_judged_outside_reports():
                 if name == "BoundReport":
                     direct.append(f"{path.name}:{node.lineno}")
     assert direct == []
+
+
+def test_json_writes_bools_as_true_and_false():
+    checks = [BoundReport.of("c", v, "<", 1.0, detail={"flag": np.bool_(v)})
+              for v in (0.0, 2.0)]
+    text = report_to_json(Report(kind="k", config={}, checks=checks))
+    assert '"passed": true' in text and '"passed": false' in text
+    assert '"flag": true' in text and '"flag": false' in text

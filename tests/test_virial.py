@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from csr_oracle import commutator, conj_full, liouvillian, to_csr
 from thermion.linalg import eig_pairs_smallest
 from thermion.operators import assemble_conjugates, assemble_liouvillian
 from thermion.params import ModelParams
@@ -45,9 +46,9 @@ def test_exact_eigenvector_residual_is_zero():
 
 def test_virial_residual_bound_on_eigenpairs(setup):
     p, liou, conj = setup
-    a_full = (liou.conj_full + conj.correction.tosparse()).tocsr()
-    _, vecs = eig_pairs_smallest(liou.liouvillian, 10)
-    rep = eigenpair_residual_check(liou.liouvillian, a_full, vecs)
+    a_full = (conj_full(liou.trunc) + to_csr(conj.correction)).tocsr()
+    _, vecs = eig_pairs_smallest(liouvillian(liou), 10)
+    rep = eigenpair_residual_check(liouvillian(liou), a_full, vecs)
     assert rep.passed, rep
 
 
@@ -56,7 +57,7 @@ def test_residual_check_applies_each_operator_once_per_pair(setup):
     # former check, which applied L three times and A twice per pair
     p, liou, conj = setup
     l_op = liou.operator
-    a_full = (liou.conj_full + conj.correction.tosparse()).tocsr()
+    a_full = (conj_full(liou.trunc) + to_csr(conj.correction)).tocsr()
     _, vecs = eig_pairs_smallest(l_op, 4)
     counts = {"l": 0, "a": 0}
 
@@ -86,19 +87,19 @@ def test_random_hermitian_virial_expectation(setup):
     # for every exact eigenpair the commutator expectation vanishes for any
     # bounded observable
     p, liou, conj = setup
-    evals, vecs = eig_pairs_smallest(liou.liouvillian, 4)
+    evals, vecs = eig_pairs_smallest(liouvillian(liou), 4)
     rng = np.random.default_rng(1)
     dim = liou.basis.dim
     x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     x = sp.csr_matrix((x + x.conj().T) / 2)
     for k in range(vecs.shape[1]):
-        res = virial_residual(liou.liouvillian, x, vecs[:, k])
+        res = virial_residual(liouvillian(liou), x, vecs[:, k])
         assert abs(res) < 1e-9 * dim
 
 
 def test_family_norm_and_convergence(setup):
     p, liou, conj = setup
-    evals, vecs = eig_pairs_smallest(liou.liouvillian, 1)
+    evals, vecs = eig_pairs_smallest(liouvillian(liou), 1)
     family = build_regularized_family(vecs[:, 0], liou.conj_full, liou.number,
                                       eigenvalue=float(evals[0]))
     for rep in family_checks(family):
@@ -108,11 +109,11 @@ def test_family_norm_and_convergence(setup):
 def test_family_matches_dense_spectral_calculus(setup):
     p, liou, conj = setup
     from scipy.linalg import eigh
-    evals, vecs = eig_pairs_smallest(liou.liouvillian, 1)
+    evals, vecs = eig_pairs_smallest(liouvillian(liou), 1)
     psi = vecs[:, 0]
     family = build_regularized_family(psi, liou.conj_full, liou.number,
                                       eigenvalue=float(evals[0]))
-    w, v = eigh(liou.conj_full.toarray())
+    w, v = eigh(conj_full(liou.trunc).toarray())
     coeffs = v.conj().T @ psi
     for alpha, vec in zip(family.alphas, family.vectors):
         dense = bump(alpha ** 3 * liou.number) ** 2 * (
@@ -140,16 +141,17 @@ def test_number_cutoff_commutes_with_conjugate_smoothing(setup):
     p, liou, conj = setup
     # [A, N] = 0 exactly, so the two spectral cutoffs commute
     n_op = sp.diags(liou.number.astype(complex))
-    comm = liou.conj_full @ n_op - n_op @ liou.conj_full
+    a_full = conj_full(liou.trunc)
+    comm = a_full @ n_op - n_op @ a_full
     assert abs(comm).max() == 0.0
 
 
 def test_commutator_expectation_scan_decreases(setup):
     p, liou, conj = setup
-    evals, vecs = eig_pairs_smallest(liou.liouvillian, 1)
+    evals, vecs = eig_pairs_smallest(liouvillian(liou), 1)
     family = build_regularized_family(vecs[:, 0], liou.conj_full, liou.number,
                                       eigenvalue=float(evals[0]))
-    scan = commutator_expectation_scan(family, liou.liouvillian,
+    scan = commutator_expectation_scan(family, liouvillian(liou),
                                        liou.conj_full)
     assert abs(scan[-1][1]) < 1e-6
     assert abs(scan[-1][1]) <= abs(scan[0][1]) + 1e-12
@@ -158,11 +160,10 @@ def test_commutator_expectation_scan_decreases(setup):
 def test_commutator_free_scan_matches_assembled_commutator(setup):
     # -2 Im <L v, A v> against <v, i[L, A] v> from the assembled product
     p, liou, conj = setup
-    from thermion.commutators import commutator
-    evals, vecs = eig_pairs_smallest(liou.liouvillian, 1)
+    evals, vecs = eig_pairs_smallest(liouvillian(liou), 1)
     family = build_regularized_family(vecs[:, 0], liou.conj_full, liou.number,
                                       eigenvalue=float(evals[0]))
-    c1_direct = commutator(liou.liouvillian, liou.conj_full)
+    c1_direct = commutator(liouvillian(liou), conj_full(liou.trunc))
     scan = commutator_expectation_scan(family, liou.operator, liou.conj_full)
     for (alpha, val), vc in zip(scan, family.vectors):
         oracle = np.real(np.vdot(vc, c1_direct @ vc)) / np.vdot(vc, vc).real
@@ -190,11 +191,10 @@ def test_regularity_check_trivial_cases(setup):
 
 
 def test_virial_scan_applies_factored_operators_and_solves_once(monkeypatch):
-    # L, c_1, I_1 and both corrections are applied in factored form; the
-    # family's base vector is the first of the residual check's pairs
-    from thermion import commutators, experiments, operators
-    calls = {"kron_tosparse": 0, "lowrank_tosparse": 0, "commutator": 0,
-             "eig_pairs": 0}
+    # the family's base vector is the first of the residual check's pairs
+    # (that no composite matrix is built is test_cli's guard)
+    from thermion import experiments
+    calls = {"eig_pairs": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -202,20 +202,13 @@ def test_virial_scan_applies_factored_operators_and_solves_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(operators.KronSum, "tosparse", counted(
-        "kron_tosparse", operators.KronSum.tosparse))
-    monkeypatch.setattr(operators.LowRank, "tosparse", counted(
-        "lowrank_tosparse", operators.LowRank.tosparse))
-    monkeypatch.setattr(commutators, "commutator", counted(
-        "commutator", commutators.commutator))
     monkeypatch.setattr(experiments, "eig_pairs_smallest", counted(
         "eig_pairs", experiments.eig_pairs_smallest))
     p = ModelParams(n_e=4, n_u=4, n_max=1, e_max=4.0, u_max=4.0)
     rep = experiments.run(experiments.ExperimentConfig(
         kind="virial-scan", params=p, options={"n_pairs": 3}))
     assert len(rep.checks) == 5
-    assert calls == {"kron_tosparse": 0, "lowrank_tosparse": 0,
-                     "commutator": 0, "eig_pairs": 1}
+    assert calls == {"eig_pairs": 1}
 
 
 @pytest.mark.parametrize("n_pairs", [0, -2])
