@@ -2,10 +2,11 @@
 
 The rate constant is a double integral: thermal weight times squared form
 factor in the emitted frequency, against the squared bound-continuum
-coupling smeared by a Lorentzian in the continuum energy.  Both the
-regularized form (finite Lorentzian width) and the width-to-zero limit are
-computed, each by two independent quadratures (adaptive and Richardson-
-refined midpoint sums) that must agree.
+coupling smeared by a Lorentzian in the continuum energy.  The regularized
+form (finite Lorentzian width) and the width-to-zero limit each have an
+adaptive quadrature and a Richardson-refined midpoint oracle; ``run_fgr``
+compares the two only for the regularized form at its first width, and the
+limit's oracle runs only in the tests.
 
 Note the exact zero-width limit carries a factor pi from the Lorentzian
 mass: integral of w / ((x)^2 + w^2) dx = pi.  Without it the two forms
@@ -80,12 +81,13 @@ def gamma_regularized(params: ModelParams, eps: float,
     e_hi = _energy_cutoff(params) + om_hi
 
     if method == "adaptive":
+        gamma, eps2 = params.kernel.gamma, eps ** 2
+
         def inner(omega):
             x = params.bound_energy + omega
 
             def f(e):
-                return (eps / ((e - x) ** 2 + eps ** 2)
-                        * abs(params.kernel.gamma(e)) ** 2)
+                return eps / ((e - x) ** 2 + eps2) * abs(gamma(e)) ** 2
             val, _ = quad(f, 0.0, e_hi, points=[max(x, 0.0)], limit=200)
             return val
 
@@ -114,10 +116,15 @@ def _gamma_reg_midpoint(params: ModelParams, eps, lo, om_hi, e_hi,
         ge2 = np.abs(params.kernel.gamma(e)) ** 2
         x = params.bound_energy + om
         total = 0.0
-        chunk = 128
-        for i in range(0, m, chunk):
-            lor = eps / ((e[None, :] - x[i:i + chunk, None]) ** 2 + eps ** 2)
-            total += float(wj[i:i + chunk] @ (lor @ ge2))
+        rows = 32  # one cache-sized buffer; fastest of 16-128 at m = 6144
+        buf = np.empty((rows, m))
+        for i in range(0, m, rows):
+            lor = buf[:min(rows, m - i)]
+            np.subtract(e, x[i:i + rows, None], out=lor)
+            np.square(lor, out=lor)
+            lor += eps ** 2
+            np.divide(eps, lor, out=lor)
+            total += float(wj[i:i + rows] @ (lor @ ge2))
         return total * dw * de
 
     s1 = riemann(n // 2)

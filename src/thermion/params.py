@@ -32,16 +32,19 @@ class PowerExpProfile:
     with negative exponent only ever get evaluated at x > 0.  A scalar x (a
     Python or NumPy float/int, as quadrature integrands pass) takes the same
     sum in ``math`` arithmetic and returns a float; where a float ``**``
-    overflows, the array path gives the inf/nan instead.
+    overflows, the array path gives the inf/nan instead.  The Leibniz terms
+    of each order are memoised outside the fields (in ``__dict__``).
     """
 
     power: float
     scale: float = 1.0
 
     def __call__(self, x, deriv: int = 0):
-        terms = [(math.comb(deriv, k) * falling_product(self.power, k)
-                  * (-1.0) ** (deriv - k), self.power - k)
-                 for k in range(deriv + 1)]
+        memo = self.__dict__.setdefault("_leibniz_terms", {})
+        terms = memo.get(deriv) or memo.setdefault(deriv, [
+            (math.comb(deriv, k) * falling_product(self.power, k)
+             * (-1.0) ** (deriv - k), self.power - k)
+            for k in range(deriv + 1)])
         if isinstance(x, (int, float, np.integer, np.floating)):
             x, out = float(x), 0.0
             if not x > 0:

@@ -1,9 +1,12 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from thermion import experiments, fgr
+from thermion import experiments, fgr, params
 from thermion.fgr import (check_hypotheses, check_ir_uv,
                           check_kernel_integrals, eps_convergence,
                           gamma_limit, gamma_regularized, golden_rule,
@@ -176,3 +179,92 @@ def test_run_fgr_integrates_each_width_once(monkeypatch):
     by_name = {c.check: c for c in rep.checks}
     alone = eps_convergence(ModelParams(), eps_list)
     assert by_name[alone.check] == alone
+
+
+def test_run_fgr_builds_each_leibniz_sum_once(monkeypatch):
+    # one build per distinct (profile, order): the form factor at orders
+    # 0-4 (15 falling products) and the kernel at orders 0-3 (10); a
+    # rebuild per call made 132,617 over the same run
+    calls = []
+
+    def counted(p, k, _fn=params.falling_product):
+        calls.append((p, k))
+        return _fn(p, k)
+    monkeypatch.setattr(params, "falling_product", counted)
+    experiments.run_fgr(experiments.ExperimentConfig(
+        kind="fgr", options={"eps_list": [0.2, 0.1]}))
+    assert len(calls) <= 25
+
+
+def _broadcast_midpoint(p, eps, lo, om_hi, e_hi, n):
+    # the whole Lorentzian matrix at once (one 128-row chunk for m <= 128)
+    def riemann(m):
+        dw = (om_hi - lo) / m
+        de = e_hi / m
+        om = lo + (np.arange(m) + 0.5) * dw
+        e = (np.arange(m) + 0.5) * de
+        x = p.bound_energy + om
+        lor = eps / ((e[None, :] - x[:, None]) ** 2 + eps ** 2)
+        ge2 = np.abs(p.kernel.gamma(e)) ** 2
+        return float(fgr._freq_weight(p, om) @ (lor @ ge2)) * dw * de
+    return (4.0 * riemann(n) - riemann(n // 2)) / 3.0
+
+
+def test_golden_rule_values_bit_identical():
+    # adaptive values pinned bit for bit: the integrands QUADPACK sees are
+    # unchanged, so its subdivisions and sums are too
+    p = ModelParams()
+    assert gamma_regularized(p, 0.2) == 23.463023622123746
+    assert gamma_regularized(p, 0.1) == 23.728094515755746
+    assert gamma_limit(p) == 23.943859418141738
+    detail = check_kernel_integrals(p).detail
+    pinned = {"column_w0_d0": 5.625, "column_w0_d1": 1.1249999999999998,
+              "column_w0_d2": 1.125, "column_w0_d3": 5.625000000000002,
+              "column_w1_d0": 0.7499999999999999,
+              "column_w1_d1": 0.7499999999999999,
+              "column_w1_d2": 8.250000000000002, "column_w2_d0": 0.25,
+              "column_w2_d1": 3.2500000000000004,
+              "column_w3_d0": 0.5000000000000001,
+              "energy_weighted_block": 442.96874999999966}
+    assert {k: detail[k] for k in pinned} == pinned
+    # the blocked midpoint sum against the broadcast one: m = 32 and 64
+    # fill whole blocks, m = 50 and 100 end in a partial one
+    lo, om_hi, e_hi = 1.0, 9.0, 20.0
+    for n in (64, 100):
+        blocked = fgr._gamma_reg_midpoint(p, 0.2, lo, om_hi, e_hi, n=n)
+        ref = _broadcast_midpoint(p, 0.2, lo, om_hi, e_hi, n)
+        assert abs(blocked - ref) <= 1e-14 * abs(ref)
+
+
+def test_power_exp_memo_is_invisible():
+    x = np.linspace(0.05, 12.0, 241)
+    prof, fresh = PowerExpProfile(2.5), PowerExpProfile(2.5)
+    p, q = ModelParams(), ModelParams()
+    key = (hash(prof), hash(p))
+    for d in (0, 3, 0, 4):
+        prof(1.5, d)
+        p.kernel.gamma(x, d)
+        p.form_factor(1.5, d)
+    assert prof == fresh and p == q
+    assert (hash(prof), hash(p)) == key == (hash(fresh), hash(q))
+    # each order gets its own terms, whatever order they are built in
+    for d in (0, 3, 0):
+        np.testing.assert_array_equal(prof(x, d), PowerExpProfile(2.5)(x, d))
+    # replace builds a new instance with its own terms
+    other = dataclasses.replace(prof, power=3.5)
+    for d in range(5):
+        leibniz = np.exp(-x) * sum(
+            math.comb(d, k) * falling_product(3.5, k) * (-1.0) ** (d - k)
+            * x ** (3.5 - k) for k in range(d + 1))
+        arr = other(x, d)
+        np.testing.assert_allclose(arr, leibniz, rtol=1e-12, atol=1e-12)
+        assert not np.allclose(arr, prof(x, d))
+        for v in x[::40].tolist():
+            assert abs(other(v, d) - other(np.array(v), d)) <= 1e-13
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        prof.power = 3.0
+    for clone in (copy.deepcopy(prof), pickle.loads(pickle.dumps(prof))):
+        assert clone == prof and hash(clone) == hash(prof)
+        for d in range(5):
+            np.testing.assert_array_equal(clone(x, d), prof(x, d))
+            assert clone(1.5, d) == prof(1.5, d)
