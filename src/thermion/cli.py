@@ -5,9 +5,11 @@ Usage:  thermion KIND [--config PATH] [--out DIR] [--seed N]
 
 KIND is one of the experiment pipelines.  Configuration lives in a flat
 text file of dotted keys (one `key = value` per line, values in JSON
-syntax); command-line KEY=VALUE overrides beat the file, which beats the
-defaults.  Exit code 0 when every check passes, 2 when a check fails,
-1 on usage or I/O errors.
+syntax): `model.NAME`, `run.NAME` or `KIND.NAME`, and a key of any
+other scope is refused (an unknown NAME under `KIND` is not).
+Command-line KEY=VALUE overrides beat the file, which beats the defaults.
+Exit code 0 when every check passes, 2 when a check fails, 1 on usage or
+I/O errors.
 """
 from __future__ import annotations
 
@@ -72,9 +74,12 @@ def build_config(kind: str, entries: dict) -> ExperimentConfig:
                 out_dir = str(val)
             else:
                 raise ValueError(f"unknown run key {name!r}")
-        else:
+        elif scope == kind and name:
             # experiment-scoped option, e.g. dynamics.lambdas
-            options[name if scope == kind else key] = val
+            options[name] = val
+        else:
+            raise ValueError(f"unknown key {key!r}: keys are model.NAME, "
+                             f"run.NAME or {kind}.NAME")
 
     ff = FormFactor(g=PowerExpProfile(
         power=float(special.get("form_power", 2.5)),

@@ -129,14 +129,13 @@ def _fuzz_instance(args):
     rank = 1 + idx % 2
     q = np.linalg.qr(rng.standard_normal((dim, rank))
                      + 1j * rng.standard_normal((dim, rank)))[0]
-    defects, tested, _ = fesh.isospectrality_defect(mat, q)
+    pencil = fesh.FeshbachPencil(mat, q)
+    defects, tested = pencil.defects()
     worst = float(defects.max()) if len(defects) else 0.0
 
-    roots = fesh.find_reduction_roots(mat, q, n_grid=160)
-    evals = np.linalg.eigvalsh(mat)
-    root_err = 0.0
-    for r in roots:
-        root_err = max(root_err, float(np.min(np.abs(evals - r))))
+    roots = pencil.roots(n_grid=160)
+    root_err = max((float(np.min(np.abs(pencil.evals - r))) for r in roots),
+                   default=0.0)
     return worst, root_err, len(tested), len(roots)
 
 

@@ -9,14 +9,16 @@ regimes that the truncation cannot reach are diagnosed and reported.
 
 A dressed operator is a diagonal plus the factored rank-4 correction,
 D + U C U*: its reduced block comes by Woodbury, its spectral bounds by
-exact inertia counting.  ``feshbach_map`` is the dense reduction.
+exact inertia counting.  ``FeshbachPencil`` is the dense reduction of any
+Hermitian matrix: one complement eigendecomposition per (matrix,
+projection) serves every spectral parameter, the isospectrality defect and
+the root scan.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fgr import gamma_limit
 from .linalg import DiagPlus, min_eig_diag_plus_lowrank, min_eig_hermitian
@@ -41,47 +43,76 @@ class FeshbachResult:
         return float(np.real(self.f_matrix[0, 0]))
 
 
-def _range_and_complement(pi, dim: int):
-    """Orthonormal bases (q, qbar) of the range of a projection and of its
-    complement; ``pi`` is an index array or a matrix whose columns span
-    the range."""
-    pi = np.asarray(pi)
-    if pi.ndim == 1:
-        q = np.zeros((dim, len(pi)), dtype=complex)
-        q[pi, np.arange(len(pi))] = 1.0
-    else:
-        q, r = np.linalg.qr(pi.astype(complex))
-        q = q[:, np.abs(np.diag(r)) > 1e-12]
-    w, v = np.linalg.eigh(np.eye(dim, dtype=complex) - q @ q.conj().T)
-    return q, v[:, w > 0.5]
-
-
 def _refuse(m: float, dist: float):
     raise ValueError(
         f"spectral parameter {m} within {dist:.3e} of the complement "
         "spectrum; refusing the reduction")
 
 
-def feshbach_map(mat, pi, m: float, cond_tol: float = 1e-8) -> FeshbachResult:
-    """Reduce a Hermitian matrix to the range of a projection at spectral
-    parameter m:  P (M - M Q (Qbar M Qbar - m)^{-1} Q M) P, densely.
+class FeshbachPencil:
+    """The reduction P (M - M Qbar (Qbar M Qbar - m)^{-1} Qbar M) P of a
+    Hermitian matrix to the range of a projection, for every spectral
+    parameter m from one decomposition: with Qbar* M Qbar = V diag(w) V*,
+    F(m) = q* M q - X* diag(1 / (w - m)) X and X = V* Qbar* M q.
 
     ``pi`` is either an index array (coordinate projection) or a matrix
-    whose columns span the range.  Refuses when m is too close to the
-    complement spectrum.
+    whose columns span the range.
     """
-    dense = mat.toarray() if sp.issparse(mat) else np.asarray(mat)
-    q, qbar = _range_and_complement(pi, dense.shape[0])
-    mbar = qbar.conj().T @ dense @ qbar
-    evals = np.linalg.eigvalsh(mbar)
-    dist = float(np.min(np.abs(evals - m)))
-    if dist <= cond_tol:
-        _refuse(m, dist)
-    cross = qbar.conj().T @ dense @ q
-    block = q.conj().T @ dense @ q
-    sol = np.linalg.solve(mbar - m * np.eye(mbar.shape[0]), cross)
-    f = block - cross.conj().T @ sol
-    return FeshbachResult(m, hermitize(f), dist)
+
+    def __init__(self, mat, pi):
+        mat, pi = np.asarray(mat), np.asarray(pi)
+        dim = mat.shape[0]
+        if pi.ndim == 1:
+            q = np.zeros((dim, len(pi)), dtype=complex)
+            q[pi, np.arange(len(pi))] = 1.0
+        else:
+            q, r = np.linalg.qr(pi.astype(complex))
+            q = q[:, np.abs(np.diag(r)) > 1e-12]
+        w, v = np.linalg.eigh(np.eye(dim, dtype=complex) - q @ q.conj().T)
+        qbar = v[:, w > 0.5]
+        self.q = q
+        self.w, v = np.linalg.eigh(qbar.conj().T @ mat @ qbar)
+        self.x = (qbar @ v).conj().T @ mat @ q
+        self.b = q.conj().T @ mat @ q
+        self.evals = np.linalg.eigvalsh(mat)
+
+    def reduce(self, m: float, cond_tol: float = 1e-8) -> FeshbachResult:
+        """F(m); refuses when m is within cond_tol of the complement
+        spectrum."""
+        shift = self.w - m
+        dist = float(np.min(np.abs(shift)))
+        if dist <= cond_tol:
+            _refuse(m, dist)
+        f = self.b - (self.x.conj().T / shift) @ self.x
+        return FeshbachResult(m, hermitize(f), dist)
+
+    def _det(self, m: float, cond_tol: float = 1e-8) -> complex:
+        f = self.reduce(m, cond_tol).f_matrix
+        return np.linalg.det(f - m * np.eye(len(f)))
+
+    def defects(self):
+        """|det(F(mu) - mu)| / max(1, ||M||)^rank at each eigenvalue mu of
+        the matrix below the complement spectrum; all should vanish.
+        Returns (defects, eigenvalues tested)."""
+        tested = self.evals[self.evals < self.w[0] - 1e-9]
+        norm = float(np.abs(self.evals).max())     # ||M||_2, M Hermitian
+        scale = max(1.0, norm) ** self.q.shape[1]
+        return (np.array([abs(self._det(float(mu))) / scale
+                          for mu in tested]), tested)
+
+    def roots(self, n_grid: int = 400) -> np.ndarray:
+        """Roots of det(F(m) - m) below the complement spectrum, by sign
+        scan plus bisection; each should be an eigenvalue of the matrix."""
+        from scipy.optimize import brentq
+
+        def d(m):
+            return float(np.real(self._det(m, cond_tol=1e-12)))
+
+        grid = np.linspace(self.evals[0] - 1.0, self.w[0] - 1e-6, n_grid)
+        signs = np.sign([d(m) for m in grid])
+        return np.array([brentq(d, lo, hi, xtol=1e-13) for lo, hi, s
+                         in zip(grid, grid[1:], signs[:-1] * signs[1:])
+                         if s < 0])
 
 
 def feshbach_woodbury(d: np.ndarray, lr: LowRank, k: int, m: float,
@@ -108,55 +139,6 @@ def feshbach_woodbury(d: np.ndarray, lr: LowRank, k: int, m: float,
         _refuse(m, dist)
     f = d[k] + u_k @ lr.c @ u_k.conj() - np.vdot(b, s)
     return FeshbachResult(m, hermitize(np.array([[f]])), float(dist))
-
-
-def isospectrality_defect(mat: np.ndarray, pi, tol_rel: float = 1e-10):
-    """For each eigenvalue of the matrix below the complement spectrum,
-    the determinant of (reduced block - eigenvalue); all should vanish.
-
-    Returns (defects, eigenvalues tested, scale) where defects are the
-    absolute determinant values normalized by the matrix norm to the
-    projection rank.
-    """
-    dense = np.asarray(mat)
-    q, qbar = _range_and_complement(pi, dense.shape[0])
-    rank = q.shape[1]
-    mbar_evals = np.linalg.eigvalsh(qbar.conj().T @ dense @ qbar)
-    evals = np.linalg.eigvalsh(dense)
-    below = evals[evals < mbar_evals[0] - 1e-9]
-    scale = max(1.0, float(np.linalg.norm(dense, 2))) ** rank
-    defects = []
-    for mu in below:
-        res = feshbach_map(dense, pi, float(mu))
-        defects.append(abs(np.linalg.det(res.f_matrix
-                                         - mu * np.eye(rank))) / scale)
-    return np.array(defects), below, scale
-
-
-def find_reduction_roots(mat: np.ndarray, pi, n_grid: int = 400):
-    """Roots of det(F(m) - m) below the complement spectrum, by sign scan
-    plus bisection; each root should be an eigenvalue of the matrix."""
-    from scipy.optimize import brentq
-
-    dense = np.asarray(mat)
-    q, qbar = _range_and_complement(pi, dense.shape[0])
-    rank = q.shape[1]
-    mbar_low = float(np.linalg.eigvalsh(qbar.conj().T @ dense @ qbar)[0])
-    lo = float(np.linalg.eigvalsh(dense)[0]) - 1.0
-    hi = mbar_low - 1e-6
-
-    def d(m):
-        res = feshbach_map(dense, pi, m, cond_tol=1e-12)
-        return float(np.real(np.linalg.det(res.f_matrix
-                                           - m * np.eye(rank))))
-
-    grid = np.linspace(lo, hi, n_grid)
-    vals = np.array([d(m) for m in grid])
-    roots = []
-    for i in range(len(grid) - 1):
-        if np.sign(vals[i]) * np.sign(vals[i + 1]) < 0:
-            roots.append(brentq(d, grid[i], grid[i + 1], xtol=1e-13))
-    return np.array(roots)
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,7 @@ def test_determinism_across_seeds_and_jobs(tmp_path):
 def test_main_exit_codes(tmp_path):
     out = str(tmp_path / "r1")
     code = main(["feshbach-fuzz", "--out", out, "--seed", "5",
-                 "fuzz.instances=4"])
+                 "feshbach-fuzz.instances=4"])
     assert code == 0
     assert (tmp_path / "r1" / "feshbach-fuzz.json").exists()
     assert main(["feshbach-fuzz", "--out", out, "bad-override"]) == 1
@@ -108,7 +108,7 @@ def test_main_exit_codes(tmp_path):
 def test_main_csv_emission(tmp_path):
     out = str(tmp_path / "r2")
     code = main(["flow-check", "--out", out, "--format", "csv",
-                 "flow.n_points=12"])
+                 "flow-check.n_points=12"])
     assert code == 0
     assert (tmp_path / "r2" / "flow-check.json").exists()
 
@@ -117,7 +117,7 @@ def test_main_byte_identical_reports(tmp_path):
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     for out, jobs in ((a, "1"), (b, "3")):
         assert main(["feshbach-fuzz", "--out", out, "--seed", "11",
-                     "--jobs", jobs, "fuzz.instances=8"]) == 0
+                     "--jobs", jobs, "feshbach-fuzz.instances=8"]) == 0
     ja = Path(a, "feshbach-fuzz.json").read_bytes()
     jb = Path(b, "feshbach-fuzz.json").read_bytes()
     assert ja == jb
@@ -155,9 +155,11 @@ def test_main_refuses_invalid_grid(tmp_path, capsys, override):
 
 
 @pytest.mark.parametrize("kind, override", [
-    ("virial-scan", "virial-scan.n_pairs=0"), ("dynamics", "dynamics.tol=0")])
+    ("virial-scan", "virial-scan.n_pairs=0"), ("dynamics", "dynamics.tol=0"),
+    ("feshbach-fuzz", "fuzz.instances=4")])
 def test_main_refuses_pipeline_errors(tmp_path, capsys, kind, override):
-    # a ValueError from the pipeline itself is a usage error too
+    # a ValueError from the pipeline itself is a usage error too, and so is
+    # an option scoped to anything but the kind (no pipeline would read it)
     out = tmp_path / "bad"
     assert main([kind, "--out", str(out), override]) == 1
     assert capsys.readouterr().err.startswith("error:")

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
+import scipy.linalg as sla
 
 from thermion import commutators, feshbach
-from thermion.feshbach import (assemble_bound_operators, chain_recipe,
-                               feshbach_map, feshbach_woodbury,
-                               find_reduction_roots,
-                               isospectrality_defect,
+from thermion.experiments import ExperimentConfig, run
+from thermion.feshbach import (FeshbachPencil, assemble_bound_operators,
+                               chain_recipe, feshbach_woodbury,
                                scaled_to_limit_convergence, scan_lambda0,
                                verify_bound_chain)
 from thermion.operators import (LowRank, assemble_conjugates,
@@ -14,24 +13,65 @@ from thermion.operators import (LowRank, assemble_conjugates,
 from thermion.params import ModelParams
 
 
+def _direct_reduction(mat, pi, m):
+    """P (M - M Qbar (Qbar M Qbar - m)^{-1} Qbar M) P by dense solve, as a
+    dim x dim matrix (independent of the bases chosen for P and Qbar),
+    and the distance from m to the spectrum of Qbar M Qbar."""
+    pi = np.asarray(pi)
+    cols = np.eye(len(mat))[:, pi] if pi.ndim == 1 else pi
+    q = sla.orth(cols.astype(complex))
+    qbar = sla.null_space(q.conj().T)
+    block = qbar.conj().T @ mat @ qbar
+    resolved = qbar @ np.linalg.solve(
+        block - m * np.eye(qbar.shape[1]), qbar.conj().T @ mat)
+    proj = q @ q.conj().T
+    distance = float(np.min(np.abs(np.linalg.eigvalsh(block) - m)))
+    return proj @ (mat - mat @ resolved) @ proj, distance
+
+
+def _random_hermitian(rng, dim):
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return (a + a.conj().T) / 2
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("kind", ["index", "columns"])
+def test_pencil_matches_direct_formula(rank, kind):
+    rng = np.random.default_rng(17 + rank)
+    mat = _random_hermitian(rng, 11)
+    pi = (np.array([3, 7][:rank]) if kind == "index"
+          else rng.standard_normal((11, rank))
+          + 1j * rng.standard_normal((11, rank)))
+    pencil = FeshbachPencil(mat, pi)
+    lo = float(np.linalg.eigvalsh(mat)[0])
+    for m in (lo - 2.0, lo - 0.3, float(pencil.w[0]) - 0.05):
+        got = pencil.reduce(m)
+        want, distance = _direct_reduction(mat, pi, m)
+        lifted = pencil.q @ got.f_matrix @ pencil.q.conj().T
+        assert np.linalg.norm(lifted - want) \
+            <= 1e-12 * np.linalg.norm(want)
+        assert got.spec_distance == pytest.approx(distance, rel=1e-12)
+
+
 def test_block_diagonal_reduces_to_corner():
     m = np.diag([1.0, 2.0, 5.0, 7.0]).astype(complex)
-    res = feshbach_map(m, np.array([0]), m=0.3)
+    res = FeshbachPencil(m, np.array([0])).reduce(0.3)
     assert res.f_value == pytest.approx(1.0)
 
 
 def test_two_by_two_closed_form():
     a, b, d = 1.0, 0.7 + 0.4j, 3.0
     m = np.array([[a, b], [np.conj(b), d]])
+    pencil = FeshbachPencil(m, np.array([0]))
     for mval in (-1.0, 0.5, 2.0):
-        res = feshbach_map(m, np.array([0]), m=mval)
+        res = pencil.reduce(mval)
         assert res.f_value == pytest.approx(a - abs(b) ** 2 / (d - mval))
 
 
 def test_refuses_spectral_parameter_on_complement():
     m = np.diag([1.0, 2.0]).astype(complex)
     with pytest.raises(ValueError, match="refusing"):
-        feshbach_map(m, np.array([0]), m=2.0)
+        FeshbachPencil(m, np.array([0])).reduce(2.0)
 
 
 def test_reduction_is_hermitian_for_real_parameter():
@@ -40,7 +80,7 @@ def test_reduction_is_hermitian_for_real_parameter():
     m = (a + a.conj().T) / 2
     q = np.linalg.qr(rng.standard_normal((8, 2)))[0]
     evs = np.linalg.eigvalsh(m)
-    res = feshbach_map(m, q, m=float(evs[0]) - 1.0)
+    res = FeshbachPencil(m, q).reduce(float(evs[0]) - 1.0)
     assert np.allclose(res.f_matrix, res.f_matrix.conj().T)
 
 
@@ -53,7 +93,7 @@ def test_isospectrality_on_random_instances():
         m = (a + a.conj().T) / 2
         rank = 1 + trial % 2
         q = np.linalg.qr(rng.standard_normal((dim, rank)))[0]
-        defects, tested, _ = isospectrality_defect(m, q)
+        defects, tested = FeshbachPencil(m, q).defects()
         if len(defects):
             assert defects.max() < 1e-10
 
@@ -63,10 +103,43 @@ def test_reduction_roots_are_eigenvalues():
     a = rng.standard_normal((10, 10))
     m = (a + a.T) / 2
     q = np.linalg.qr(rng.standard_normal((10, 1)))[0]
-    roots = find_reduction_roots(m, q)
+    roots = FeshbachPencil(m, q).roots()
     evs = np.linalg.eigvalsh(m)
     for r in roots:
         assert np.min(np.abs(evs - r)) < 1e-8
+
+
+def test_root_scan_decomposes_once(monkeypatch):
+    # the scan grid evaluates the secular form only: the number of
+    # eigendecompositions behind one scan does not grow with the grid
+    rng = np.random.default_rng(3)
+    m = _random_hermitian(rng, 12)
+    q = np.linalg.qr(rng.standard_normal((12, 2)))[0]
+    def decompositions(n_grid):
+        calls = []
+        with monkeypatch.context() as mp:
+            for name in ("eigh", "eigvalsh"):
+                mp.setattr(np.linalg, name,
+                           lambda *a, _fn=getattr(np.linalg, name), **k:
+                           calls.append(1) or _fn(*a, **k))
+            FeshbachPencil(m, q).roots(n_grid)
+        return len(calls)
+
+    assert decompositions(40) == decompositions(400) > 0
+
+
+def test_fuzz_builds_one_pencil_per_instance(monkeypatch):
+    built = []
+
+    class Counted(FeshbachPencil):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(feshbach, "FeshbachPencil", Counted)
+    run(ExperimentConfig(kind="feshbach-fuzz", seed=0,
+                         options={"instances": 12}))
+    assert len(built) == 12
 
 
 def test_loewner_monotonicity_in_parameter():
@@ -77,10 +150,11 @@ def test_loewner_monotonicity_in_parameter():
     a = rng.standard_normal((9, 9))
     m = (a + a.T) / 2 + 9 * np.eye(9)   # positive, complement well above
     q = np.linalg.qr(rng.standard_normal((9, 2)))[0]
+    pencil = FeshbachPencil(m, q)
     evs_prev = None
     lo = float(np.linalg.eigvalsh(m).min())
     for mval in np.linspace(lo - 3.0, lo - 0.5, 5):
-        f = feshbach_map(m, q, float(mval)).f_matrix
+        f = pencil.reduce(float(mval)).f_matrix
         evs = np.linalg.eigvalsh(f)
         if evs_prev is not None:
             assert np.all(evs <= evs_prev + 1e-10)
@@ -118,9 +192,10 @@ def test_woodbury_reduction_matches_dense(chain_setup):
     dense = np.diag(ops.d_limit) + corr.u @ corr.c @ corr.u.conj().T
     keep = np.arange(len(dense)) != k
     floor = float(np.linalg.eigvalsh(dense[np.ix_(keep, keep)])[0])
+    pencil = FeshbachPencil(dense, np.array([k]))
     for m in (0.0, 0.05, 0.1, 0.15, 0.2, 0.24):
         got = feshbach_woodbury(ops.d_limit, corr, k, m, floor)
-        want = feshbach_map(dense, np.array([k]), m)
+        want = pencil.reduce(m)
         assert got.f_value == pytest.approx(want.f_value, rel=1e-12)
         assert got.spec_distance == pytest.approx(want.spec_distance)
 
@@ -247,5 +322,5 @@ def test_rank_one_reduction_closed_form_property(a, br, bi, d, m):
     mat = np.array([[a, b], [np.conj(b), d]])
     if abs(d - m) < 1e-3:
         return
-    res = feshbach_map(mat, np.array([0]), m, cond_tol=1e-6)
+    res = FeshbachPencil(mat, np.array([0])).reduce(m, cond_tol=1e-6)
     assert abs(res.f_value - (a - abs(b) ** 2 / (d - m))) < 1e-10
