@@ -90,14 +90,15 @@ class FeshbachPencil:
         f = self.reduce(m, cond_tol).f_matrix
         return np.linalg.det(f - m * np.eye(len(f)))
 
-    def defects(self):
+    def defects(self, cond_tol: float = 1e-8):
         """|det(F(mu) - mu)| / max(1, ||M||)^rank at each eigenvalue mu of
-        the matrix below the complement spectrum; all should vanish.
+        the matrix more than cond_tol below the complement spectrum (closer
+        ones ``reduce`` refuses); all should vanish.
         Returns (defects, eigenvalues tested)."""
-        tested = self.evals[self.evals < self.w[0] - 1e-9]
+        tested = self.evals[self.evals < self.w[0] - cond_tol]
         norm = float(np.abs(self.evals).max())     # ||M||_2, M Hermitian
         scale = max(1.0, norm) ** self.q.shape[1]
-        return (np.array([abs(self._det(float(mu))) / scale
+        return (np.array([abs(self._det(float(mu), cond_tol)) / scale
                           for mu in tested]), tested)
 
     def roots(self, n_grid: int = 400) -> np.ndarray:

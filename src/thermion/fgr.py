@@ -81,7 +81,7 @@ def gamma_regularized(params: ModelParams, eps: float,
     e_hi = _energy_cutoff(params) + om_hi
 
     if method == "adaptive":
-        gamma, eps2 = params.kernel.gamma, eps ** 2
+        gamma, eps2 = params.kernel.gamma.scalar(0), eps ** 2
 
         def inner(omega):
             x = params.bound_energy + omega
@@ -278,11 +278,14 @@ def check_kernel_integrals(params: ModelParams) -> BoundReport:
     columns = {}
     for m1 in range(4):
         for m2 in range(4 - m1):
+            gamma = ker.gamma.scalar(m2)
+
             def f(e):
-                return (e ** (-2 * m1)) * abs(ker.gamma(e, m2)) ** 2
+                return (e ** (-2 * m1)) * abs(gamma(e)) ** 2
             columns[f"w{m1}_d{m2}"] = float(quad(f, 0.0, e_hi, limit=200)[0])
     v_pl = columns["w0_d0"]
-    v_en, _ = quad(lambda e: e ** 2 * abs(ker.gamma(e)) ** 2, 0.0, e_hi)
+    gamma = ker.gamma.scalar(0)
+    v_en, _ = quad(lambda e: e ** 2 * abs(gamma(e)) ** 2, 0.0, e_hi)
     # separable double integrals for the default rank-one block
     blocks = {k: v * v_pl for k, v in columns.items()}
     detail = {**{f"column_{k}": v for k, v in columns.items()},

@@ -15,7 +15,6 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 
 from .reports import BoundReport
 
@@ -139,6 +138,8 @@ def induced_unitary_apply(field: VectorField, mu: Callable, t: float,
     contribute zero and are accounted in the mass-loss metric, measured in
     the mu-weighted norm.
     """
+    from scipy.interpolate import CubicSpline
+
     nodes = np.asarray(nodes, float)
     mu_vals = np.asarray(mu(nodes), float)
     if np.any(mu_vals <= 0):
@@ -174,6 +175,8 @@ def generator_apply(field: VectorField, mu: Callable, nodes: np.ndarray,
     the derivative of psi from a spline of psi, so the same interpolation
     model underlies both the unitary and its generator.
     """
+    from scipy.interpolate import CubicSpline
+
     nodes = np.asarray(nodes, float)
     mu_vals = np.asarray(mu(nodes), float)
     mu_spline = CubicSpline(nodes, mu_vals)

@@ -29,37 +29,49 @@ class PowerExpProfile:
 
     Used for the default form factor (p = 5/2) and the default bound-state
     coupling (p = 3).  Derivatives follow from the Leibniz rule; powers of x
-    with negative exponent only ever get evaluated at x > 0.  A scalar x (a
-    Python or NumPy float/int, as quadrature integrands pass) takes the same
-    sum in ``math`` arithmetic and returns a float; where a float ``**``
-    overflows, the array path gives the inf/nan instead.  The Leibniz terms
-    of each order are memoised outside the fields (in ``__dict__``).
+    with negative exponent only ever get evaluated at x > 0.  ``scalar(d)``
+    is the order-d derivative as a function of one number: the Leibniz sum
+    in ``math`` arithmetic, returning a float; where a float ``**``
+    overflows, the array path gives the inf/nan instead.  Quadrature
+    integrands bind it once; calling the profile on a scalar x (a Python or
+    NumPy float/int) goes through it too.  The Leibniz terms of each order
+    are memoised outside the fields (in ``__dict__``); the evaluators are
+    not stored, so pickling, copies, ``==`` and ``hash`` see the fields only.
     """
 
     power: float
     scale: float = 1.0
 
-    def __call__(self, x, deriv: int = 0):
+    def _terms(self, deriv: int) -> list:
         memo = self.__dict__.setdefault("_leibniz_terms", {})
-        terms = memo.get(deriv) or memo.setdefault(deriv, [
+        return memo.get(deriv) or memo.setdefault(deriv, [
             (math.comb(deriv, k) * falling_product(self.power, k)
              * (-1.0) ** (deriv - k), self.power - k)
             for k in range(deriv + 1)])
-        if isinstance(x, (int, float, np.integer, np.floating)):
+
+    def scalar(self, deriv: int = 0) -> Callable[[float], float]:
+        terms, scale, exp = self._terms(deriv), self.scale, math.exp
+
+        def value(x) -> float:
             x, out = float(x), 0.0
             if not x > 0:
                 return 0.0
             try:
                 for coeff, q in terms:
                     out += coeff * x ** q
-                return self.scale * out * math.exp(-x)
+                return scale * out * exp(-x)
             except OverflowError:
-                pass
+                return self(np.array(x), deriv)
+        return value
+
+    def __call__(self, x, deriv: int = 0):
+        if isinstance(x, (int, float, np.integer, np.floating)):
+            return self.scalar(deriv)(x)
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
         # huge x overflows the power to inf and inf * exp(-x) to nan
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for coeff, q in terms:
+            for coeff, q in self._terms(deriv):
                 out = out + coeff * np.where(x > 0, x ** q, 0.0)
             res = self.scale * out * np.exp(-np.where(x > 0, x, 0.0))
         res = np.where(x > 0, res, 0.0)
@@ -92,14 +104,17 @@ class FormFactor:
 class Kernel:
     """Particle-space coupling in the energy representation.
 
-    ``gamma(e, deriv)`` is the bound-to-continuum coupling profile,
+    ``gamma`` is the bound-to-continuum coupling profile, a
+    ``PowerExpProfile``: ``gamma(e, deriv)`` on scalars or arrays, and
+    ``gamma.scalar(deriv)`` for quadrature integrands,
     ``k(e, e', d1, d2)`` the continuum-continuum block (must be Hermitian:
     conj(k(e, e')) == k(e', e)), and ``g_ee`` the real bound-bound scalar.
     The default is the rank-one choice k(e,e') = gamma(e) gamma(e') with
     g_ee = 1, i.e. the whole coupling matrix is |v><v| for v = (1, gamma).
     """
 
-    gamma: Callable = field(default_factory=lambda: PowerExpProfile(3.0))
+    gamma: PowerExpProfile = field(
+        default_factory=lambda: PowerExpProfile(3.0))
     g_ee: float = 1.0
 
     def k(self, e, ep, d1: int = 0, d2: int = 0):

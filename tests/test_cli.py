@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import thermion
 from thermion.cli import build_config, emit, main, parse_config_text
 from thermion.experiments import ExperimentConfig, run
 from thermion.reports import (Report, TimeSeries, report_to_json,
@@ -164,3 +168,15 @@ def test_main_refuses_pipeline_errors(tmp_path, capsys, kind, override):
     assert main([kind, "--out", str(out), override]) == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
+
+
+def test_cli_import_leaves_scipy_interpolate_unloaded():
+    # only flow-check's splines need scipy.interpolate; every other kind
+    # should not pay for importing it
+    src = str(Path(thermion.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, thermion.cli; "
+         "print('scipy.interpolate' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "False"

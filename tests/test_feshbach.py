@@ -98,6 +98,19 @@ def test_isospectrality_on_random_instances():
             assert defects.max() < 1e-10
 
 
+def test_defects_skip_eigenvalues_reduce_refuses():
+    # 2 - 5e-9 lies within reduce's cond_tol of the complement spectrum
+    # {2, 3}: it is left out of the test set instead of raising
+    pencil = FeshbachPencil(np.diag([2 - 5e-9, 2, 3.]), np.array([0]))
+    with pytest.raises(ValueError):
+        pencil.reduce(2 - 5e-9)
+    defects, tested = pencil.defects()
+    assert len(defects) == len(tested) == 0
+    defects, tested = pencil.defects(cond_tol=1e-9)
+    np.testing.assert_array_equal(tested, [2 - 5e-9])
+    assert defects.max() < 1e-10
+
+
 def test_reduction_roots_are_eigenvalues():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((10, 10))

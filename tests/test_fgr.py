@@ -155,6 +155,19 @@ def test_power_exp_scalar_path_matches_array_path(prof, deriv):
         assert prof(v, deriv) == prof(2.0, deriv)
 
 
+@pytest.mark.parametrize("prof", [PowerExpProfile(2.5),
+                                  PowerExpProfile(3.0, 0.5)])
+def test_power_exp_scalar_evaluator_matches_call(prof):
+    # 1e308 ** p overflows and takes the array fallback (inf * 0 = nan)
+    for deriv in range(5):
+        value = prof.scalar(deriv)
+        for x in (-1.0, 0.0, 1e-3, 1.5, 700.0, 1e308):
+            got, ref = value(x), prof(np.float64(x), deriv)
+            assert type(got) is float
+            assert got == ref or math.isnan(got) and math.isnan(ref)
+        assert math.isnan(value(1e308))
+
+
 def test_power_exp_array_path_overflow_is_silent():
     # x ** p overflows to inf and inf * exp(-x) gives nan; the values are
     # kept, the RuntimeWarnings are not (pytest turns them into errors)
@@ -194,6 +207,20 @@ def test_run_fgr_builds_each_leibniz_sum_once(monkeypatch):
     experiments.run_fgr(experiments.ExperimentConfig(
         kind="fgr", options={"eps_list": [0.2, 0.1]}))
     assert len(calls) <= 25
+
+
+def test_run_fgr_binds_the_kernel_evaluator_per_quadrature(monkeypatch):
+    # quadrature nodes call a bound scalar evaluator, not __call__; a call
+    # per node made 131,169 over the same run
+    calls = [0]
+
+    def counted(self, *args, _fn=PowerExpProfile.__call__, **kwargs):
+        calls[0] += 1
+        return _fn(self, *args, **kwargs)
+    monkeypatch.setattr(PowerExpProfile, "__call__", counted)
+    experiments.run_fgr(experiments.ExperimentConfig(
+        kind="fgr", options={"eps_list": [0.2, 0.1]}))
+    assert 0 < calls[0] <= 2500
 
 
 def _broadcast_midpoint(p, eps, lo, om_hi, e_hi, n):
@@ -243,6 +270,8 @@ def test_power_exp_memo_is_invisible():
     key = (hash(prof), hash(p))
     for d in (0, 3, 0, 4):
         prof(1.5, d)
+        prof.scalar(d)(2.5)
+        p.kernel.gamma.scalar(d)
         p.kernel.gamma(x, d)
         p.form_factor(1.5, d)
     assert prof == fresh and p == q
@@ -267,4 +296,4 @@ def test_power_exp_memo_is_invisible():
         assert clone == prof and hash(clone) == hash(prof)
         for d in range(5):
             np.testing.assert_array_equal(clone(x, d), prof(x, d))
-            assert clone(1.5, d) == prof(1.5, d)
+            assert clone(1.5, d) == prof(1.5, d) == clone.scalar(d)(1.5)
