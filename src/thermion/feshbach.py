@@ -28,6 +28,9 @@ from .operators import (ConjugateOps, LiouvillianAction, LowRank, Truncation,
 from .params import ModelParams
 from .reports import BoundReport
 
+# distance to the complement spectrum within which a reduction is refused
+_COND_TOL = 1e-8
+
 
 @dataclass
 class FeshbachResult:
@@ -76,7 +79,7 @@ class FeshbachPencil:
         self.b = q.conj().T @ mat @ q
         self.evals = np.linalg.eigvalsh(mat)
 
-    def reduce(self, m: float, cond_tol: float = 1e-8) -> FeshbachResult:
+    def reduce(self, m: float, cond_tol: float = _COND_TOL) -> FeshbachResult:
         """F(m); refuses when m is within cond_tol of the complement
         spectrum."""
         shift = self.w - m
@@ -86,19 +89,19 @@ class FeshbachPencil:
         f = self.b - (self.x.conj().T / shift) @ self.x
         return FeshbachResult(m, hermitize(f), dist)
 
-    def _det(self, m: float, cond_tol: float = 1e-8) -> complex:
+    def _det(self, m: float, cond_tol: float = _COND_TOL) -> complex:
         f = self.reduce(m, cond_tol).f_matrix
         return np.linalg.det(f - m * np.eye(len(f)))
 
-    def defects(self, cond_tol: float = 1e-8):
+    def defects(self):
         """|det(F(mu) - mu)| / max(1, ||M||)^rank at each eigenvalue mu of
-        the matrix more than cond_tol below the complement spectrum (closer
+        the matrix more than _COND_TOL below the complement spectrum (closer
         ones ``reduce`` refuses); all should vanish.
         Returns (defects, eigenvalues tested)."""
-        tested = self.evals[self.evals < self.w[0] - cond_tol]
+        tested = self.evals[self.evals < self.w[0] - _COND_TOL]
         norm = float(np.abs(self.evals).max())     # ||M||_2, M Hermitian
         scale = max(1.0, norm) ** self.q.shape[1]
-        return (np.array([abs(self._det(float(mu), cond_tol)) / scale
+        return (np.array([abs(self._det(float(mu))) / scale
                           for mu in tested]), tested)
 
     def roots(self, n_grid: int = 400) -> np.ndarray:
@@ -117,7 +120,8 @@ class FeshbachPencil:
 
 
 def feshbach_woodbury(d: np.ndarray, lr: LowRank, k: int, m: float,
-                      floor: float, cond_tol: float = 1e-8) -> FeshbachResult:
+                      floor: float,
+                      cond_tol: float = _COND_TOL) -> FeshbachResult:
     """F(m) = d_k + u_k C u_k* - b* (Mbar - m)^{-1} b, b = Ubar C u_k*, of
     M = diag(d) + U C U* on the coordinate k, by Woodbury through
     I + C Ubar* (Dbar - m)^{-1} Ubar (C need not be invertible) on the
