@@ -5,8 +5,11 @@ flow induces a unitary group on weighted L2 and the generator has a closed
 form in terms of the field and the weight.  Everything here is plain
 numerics: the flow map and its derivative with respect to the initial
 condition are integrated jointly with an adaptive embedded Runge-Kutta
-pair, and the induced unitary is realized on a grid with cubic
-interpolation.
+pair, every start point of one call in one system, and the induced
+unitary is realized on a grid with cubic interpolation.  The integrator's
+error norm is an RMS over all components, so the tolerance is divided by
+the square root of the number of start points: each component is then
+held to the bound a lone start point would meet.
 """
 from __future__ import annotations
 
@@ -83,42 +86,35 @@ def saturating_profile() -> VectorField:
 
 @dataclass(frozen=True)
 class FlowResult:
-    """Endpoint, sensitivity and volume factor of one flow integration."""
+    """Endpoint Phi_t(x) and derivative Phi_t'(x), each shaped like x."""
 
-    x0: float
-    t: float
-    endpoint: float
-    derivative: float
-    jacobian: float
-    error_estimate: float
+    endpoint: np.ndarray
+    derivative: np.ndarray
 
 
-def integrate_flow(field: VectorField, x: float, t: float,
+def integrate_flow(field: VectorField, x, t: float,
                    tol: float = 1e-10) -> FlowResult:
     """Solve dx/dt = xi(x) together with the sensitivity equation
-    d(phi')/dt = xi'(x(t)) phi'."""
+    d(phi')/dt = xi'(x(t)) phi' for every start point in x at once."""
     if tol <= 0:
         raise ValueError("tol must be positive")
+    x = np.asarray(x, float)
+    if t == 0.0:
+        return FlowResult(x.copy(), np.ones_like(x))
+    n = x.size
 
     def rhs(_s, y):
-        return [float(field.xi(y[0])), float(field.dxi(y[0])) * y[1]]
+        return np.concatenate([field.xi(y[:n]), field.dxi(y[:n]) * y[n:]])
 
-    def run(rt):
-        sol = solve_ivp(rhs, (0.0, t), [x, 1.0], method="RK45",
-                        rtol=rt, atol=rt, dense_output=False)
-        if not sol.success:
-            raise RuntimeError(
-                f"flow integration failed near x={x}, t={t}: {sol.message}")
-        return sol.y[0, -1], sol.y[1, -1]
-
-    if t == 0.0:
-        return FlowResult(x, t, x, 1.0, 1.0, 0.0)
-    end, deriv = run(tol)
-    end_chk, _ = run(max(min(tol * 1e-2, 1e-13), 3e-14))
-    jac = abs(deriv)
-    if jac <= 0:
-        raise RuntimeError(f"non-positive flow Jacobian at x={x}, t={t}")
-    return FlowResult(x, t, end, deriv, jac, abs(end - end_chk))
+    rt = tol / np.sqrt(n)
+    sol = solve_ivp(rhs, (0.0, t), np.concatenate([x.ravel(), np.ones(n)]),
+                    method="RK45", rtol=rt, atol=rt)
+    if not sol.success:
+        raise RuntimeError(f"flow integration failed at t={t}: {sol.message}")
+    end, deriv = sol.y[:n, -1].reshape(x.shape), sol.y[n:, -1].reshape(x.shape)
+    if not np.all(deriv > 0):
+        raise RuntimeError(f"non-positive flow Jacobian at t={t}")
+    return FlowResult(end, deriv)
 
 
 @dataclass
@@ -147,22 +143,19 @@ def induced_unitary_apply(field: VectorField, mu: Callable, t: float,
     if t == 0.0:
         return UnitaryResult(psi.astype(complex).copy(), 0.0, False)
 
-    res = [integrate_flow(field, float(x), t, tol) for x in nodes]
-    end = np.array([r.endpoint for r in res])
-    jac = np.abs([r.derivative for r in res])
+    res = integrate_flow(field, nodes, t, tol)
+    end = res.endpoint
     inside = (end >= nodes[0]) & (end <= nodes[-1])
     spline_r = CubicSpline(nodes, np.real(psi))
     spline_i = CubicSpline(nodes, np.imag(psi))
-    comp = np.zeros_like(end, dtype=complex)
-    comp[inside] = spline_r(end[inside]) + 1j * spline_i(end[inside])
-    amp = np.sqrt(jac * np.asarray(mu(end), float) / mu_vals)
-    out = amp * comp
+    held = np.clip(end, nodes[0], nodes[-1])
+    comp = spline_r(held) + 1j * spline_i(held)
+    amp = np.sqrt(res.derivative * np.asarray(mu(end), float) / mu_vals)
+    out = np.where(inside, amp * comp, 0.0)
 
     dx = np.gradient(nodes)
     total = float(np.sum(np.abs(psi) ** 2 * mu_vals * dx))
-    lost = float(np.sum((np.abs(amp * (spline_r(np.clip(end, nodes[0],
-                                                        nodes[-1])))) ** 2
-                         * mu_vals * dx)[~inside])) if (~inside).any() else 0.0
+    lost = float(np.sum((np.abs(amp * comp) ** 2 * mu_vals * dx)[~inside]))
     mass_loss = lost / total if total > 0 else 0.0
     return UnitaryResult(out, mass_loss, bool(mass_loss > 1e-12))
 
@@ -212,35 +205,32 @@ def generator_check(field: VectorField, mu: Callable, nodes: np.ndarray,
 
 
 def verify_gronwall(field: VectorField, points: np.ndarray, times: np.ndarray,
-                    scale: float | None = None, tol: float = 1e-10,
-                    dim: int = 1) -> BoundReport:
+                    scale: float | None = None,
+                    tol: float = 1e-10) -> BoundReport:
     """Exponential growth bounds for the flow over a sample of (x, t).
 
     Checks |Phi_t(x)| <= |x| + |t| ||xi||_inf, |Phi_t'(x)| <= exp(||xi'|| |t|)
-    and J_t <= exp(dim ||xi'|| |t|); when the field is a scaled profile the
-    derivative rate is ||xi'||_inf |t| / a.  Reports the worst slack.
+    and the Jacobian bound J_t = Phi_t' <= exp(||xi'|| |t|); when the field is
+    a scaled profile the derivative rate is ||xi'||_inf |t| / a.  Reports the
+    worst slack, at the first (x, t) in x-major order that attains it.
     """
     base_sup, base_dsup, _ = field.sup_norms()
     fld = field if scale is None else field.scaled(scale)
     sup_xi = base_sup
     rate = base_dsup if scale is None else base_dsup / scale
 
-    worst = np.inf
-    records = []
-    for x in np.atleast_1d(points):
-        for t in np.atleast_1d(times):
-            r = integrate_flow(fld, float(x), float(t), tol)
-            bounds = [
-                (abs(x) + abs(t) * sup_xi) - abs(r.endpoint),
-                np.exp(rate * abs(t)) - abs(r.derivative),
-                np.exp(dim * rate * abs(t)) - r.jacobian,
-            ]
-            here = min(bounds)
-            if here < worst:
-                worst = here
-                records = [float(x), float(t)] + [float(b) for b in bounds]
-            if r.jacobian <= 0:
-                raise RuntimeError("Jacobian must stay positive")
+    xs = np.atleast_1d(points).astype(float)
+    ts = np.atleast_1d(times).astype(float)
+    bounds = np.empty((len(xs), len(ts), 3))
+    for j, t in enumerate(ts):
+        r = integrate_flow(fld, xs, t, tol)
+        bounds[:, j, 0] = (np.abs(xs) + abs(t) * sup_xi) - np.abs(r.endpoint)
+        # in one dimension the Jacobian is Phi' itself
+        bounds[:, j, 1:] = (np.exp(rate * abs(t)) - r.derivative)[:, None]
+    margins = bounds.min(axis=2)
+    i, j = np.unravel_index(np.argmin(margins), margins.shape)
+    records = [float(xs[i]), float(ts[j])] + bounds[i, j].tolist()
     return BoundReport.of(
-        "flow growth bounds (endpoint, derivative, Jacobian)", -worst, "<=",
-        tol, detail={"worst_case": records, "sup_xi": sup_xi, "rate": rate})
+        "flow growth bounds (endpoint, derivative, Jacobian)",
+        -float(margins[i, j]), "<=", tol,
+        detail={"worst_case": records, "sup_xi": sup_xi, "rate": rate})

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
+from scipy.special import wrightomega
 
+from thermion import flows
+from thermion.experiments import ExperimentConfig, run
 from thermion.flows import (FlowResult, VectorField, generator_apply,
                             generator_check, induced_unitary_apply,
                             integrate_flow, saturating_profile,
@@ -18,7 +22,7 @@ def test_zero_field_is_static():
                        lambda x: 0.0 * np.asarray(x))
     r = integrate_flow(zero, 1.7, 2.5)
     assert r.endpoint == pytest.approx(1.7, abs=1e-12)
-    assert r.jacobian == pytest.approx(1.0, abs=1e-12)
+    assert r.derivative == pytest.approx(1.0, abs=1e-12)
 
 
 def test_linear_field_exact_exponential():
@@ -60,9 +64,9 @@ def test_jacobian_positive_and_cocycle(profile):
         rs = integrate_flow(profile, x, s, tol)
         rt = integrate_flow(profile, rs.endpoint, t, tol)
         rst = integrate_flow(profile, x, s + t, tol)
-        assert rs.jacobian > 0 and rt.jacobian > 0
-        assert rst.jacobian == pytest.approx(rt.jacobian * rs.jacobian,
-                                             rel=1e-7)
+        assert rs.derivative > 0 and rt.derivative > 0
+        assert rst.derivative == pytest.approx(rt.derivative * rs.derivative,
+                                               rel=1e-7)
 
 
 def test_unitary_identity_at_zero_time(profile):
@@ -163,3 +167,40 @@ def test_mass_loss_reported_for_boundary_crossing(profile):
                                 nodes, psi)
     assert res.flagged
     assert res.mass_loss > 0
+    # the loss is a norm: a constant phase on psi must not change it
+    for phase in (1j, np.exp(0.7j)):
+        rot = induced_unitary_apply(profile, lambda x: np.ones_like(x), 1.0,
+                                    nodes, phase * psi)
+        assert rot.mass_loss == pytest.approx(res.mass_loss, rel=1e-12)
+        assert rot.flagged == res.flagged
+
+
+def test_array_flow_matches_exact_flow(profile):
+    # for xi = x/(1+x), Phi_t(x) e^{Phi_t(x)} = x e^{x+t}, so
+    # Phi_t(x) = W(ln x + x + t) with W the Wright omega function, and in
+    # one dimension Phi_t'(x) = xi(Phi_t(x)) / xi(x)
+    tol = 1e-10
+    xs = np.linspace(0.02, 12.0, 600)
+    for t in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0):
+        r = integrate_flow(profile, xs, t, tol)
+        assert r.endpoint.shape == r.derivative.shape == xs.shape
+        exact = np.real(wrightomega(np.log(xs) + xs + t))
+        assert np.max(np.abs(r.endpoint - exact)) <= tol
+        identity = profile.xi(r.endpoint) / profile.xi(xs)
+        assert np.max(np.abs(r.derivative - identity)
+                      / np.maximum(1.0, r.derivative)) <= tol
+
+
+def test_flow_check_integrates_each_start_array_once(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(flows, "solve_ivp", counting)
+    rep = run(ExperimentConfig(kind="flow-check", seed=0))
+    assert rep.all_passed
+    # 11 for the group laws, 4 unitaries, 3 generator times and 8 nonzero
+    # times for each of the two growth checks
+    assert len(calls) <= 34
