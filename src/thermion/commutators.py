@@ -117,9 +117,9 @@ def gjn_check(x: DiagPlus, comparison_diag: np.ndarray,
 def kato_half_power_bound(x, number_diag: np.ndarray,
                           vacuum_diag: np.ndarray) -> float:
     """Smallest k with X <= k N^{1/2} in the Kato sense, realized as
-    ||X (N + P_vac)^{-1/2}|| for a Hermitian LinearOperator X; the vacuum
-    compensation is exact because the tested operators have no
-    vacuum-to-vacuum block."""
+    ||X (N + P_vac)^{-1/2}|| for a Hermitian LinearOperator X, or X
+    without a phase (which changes no norm); the vacuum compensation is
+    exact because the tested operators have no vacuum-to-vacuum block."""
     shifted = np.asarray(number_diag, float) + np.asarray(vacuum_diag, float)
     return operator_norm(x @ DiagPlus(1.0 / np.sqrt(shifted)))
 

@@ -329,7 +329,8 @@ def run_gjn(cfg: ExperimentConfig) -> Report:
     liou = assemble_liouvillian(cfg.params)
     trunc = liou.trunc
     c1, c2, c3 = (comm.closed_form_commutator(liou, n) for n in (1, 2, 3))
-    # i[L, N] = lam i[I, N]: L0 is diagonal
+    # i[L, N] = lam i[I, N]: L0 is diagonal.  A phase changes no norm, so
+    # it is measured as lam [I, N], in float64 for a real coupling
     number_comm = DiagPlus(np.zeros(trunc.basis.dim), cfg.params.lam,
                            trunc.number_comm)
     targets = {

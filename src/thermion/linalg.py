@@ -29,21 +29,31 @@ def _as_matrix(m):
 
 
 class DiagPlus(spla.LinearOperator):
-    """diag(d) + lam X as a Hermitian LinearOperator of X's dtype, for d
+    """diag(d) + lam X as a LinearOperator of the dtype of X and lam, for d
     real and X with @ on vectors and (dim, k) blocks (a block is applied at
     once), or X None for diag(d) alone; ``d``, ``lam`` and ``x`` stay
-    readable, so a caller can treat the diagonal and X apart."""
+    readable, so a caller can treat the diagonal and X apart.  X's adjoint
+    is p^2 = +-1 times X for its ``phase`` p (a ``KronSum``'s, 1 or 1j; 1
+    for any other X): a real lam and phase give a Hermitian operator, as
+    does lam = i lam' on a phase-i X."""
 
     def __init__(self, d: np.ndarray, lam: float = 0.0, x=None):
         self.d, self.lam, self.x = d, lam, x
-        super().__init__(d.dtype if x is None else np.result_type(d, x.dtype),
-                         (len(d),) * 2)
+        super().__init__(d.dtype if x is None
+                         else np.result_type(d, x.dtype, lam), (len(d),) * 2)
+
+    def _apply(self, v, lam):
+        out = (self.d * v.T).T
+        return out if self.x is None else out + lam * (self.x @ v)
 
     def _matmat(self, v):
-        out = (self.d * v.T).T
-        return out if self.x is None else out + self.lam * (self.x @ v)
+        return self._apply(v, self.lam)
 
-    _matvec = _rmatvec = _rmatmat = _matmat
+    def _rmatmat(self, v):
+        return self._apply(v, np.conj(self.lam)
+                           * (getattr(self.x, "phase", 1) ** 2).real)
+
+    _matvec, _rmatvec = _matmat, _rmatmat
 
 
 def _start_vector(n: int, seed: int = 12345) -> np.ndarray:

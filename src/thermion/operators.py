@@ -268,13 +268,15 @@ class CouplingVectors:
 
 
 class KronSum:
-    """A Hermitian sum of Kronecker products fock x right x left, kept
-    factored: ``terms`` are (fock, right, left) with a sparse Fock-space
-    factor and dense particle factors, None standing for the identity;
-    a factor with zero imaginary part is stored real (see ``dtype``)."""
+    """A sum S of Kronecker products fock x right x left, kept factored,
+    with ``phase`` p * S Hermitian: ``terms`` are (fock, right, left) with
+    a sparse Fock-space factor and dense particle factors, None standing
+    for the identity; a factor with zero imaginary part is stored real
+    (see ``dtype``).  ``@`` applies S; the phase is held outside (p = 1j
+    keeps the purely imaginary i[I, N] on real factors), so S* = p^2 S."""
 
-    def __init__(self, basis: CompositeBasis, terms):
-        self.basis, self.shape = basis, (basis.dim,) * 2
+    def __init__(self, basis: CompositeBasis, terms, phase: complex = 1):
+        self.basis, self.shape, self.phase = basis, (basis.dim,) * 2, phase
         self.terms = tuple(tuple(
             m if m is None or (m.data if sp.issparse(m) else m).imag.any()
             else m.real for m in term) for term in terms)
@@ -319,10 +321,10 @@ def pair_diag(basis: CompositeBasis, diag_p: np.ndarray,
 
 
 def diag_commutator(x, d: np.ndarray) -> sp.csr_matrix:
-    """i[X, diag(d)] entrywise: i X_ij (d_j - d_i)."""
+    """[X, diag(d)] entrywise: X_ij (d_j - d_i), in X's own field."""
     xc = sp.coo_matrix(x)
     return sp.coo_matrix(
-        (1j * xc.data * (d[xc.col] - d[xc.row]), (xc.row, xc.col)),
+        (xc.data * (d[xc.col] - d[xc.row]), (xc.row, xc.col)),
         shape=x.shape).tocsr()
 
 
@@ -411,11 +413,12 @@ class Truncation:
 
     @cached_property
     def number_comm(self) -> KronSum:
-        """i[I, N]: each Fock factor F of I becomes i[F, N] (N commutes
-        with the particle factors), so i[L, N] = lam i[I, N]."""
+        """i[I, N] with phase i: each Fock factor F of I becomes [F, N] (N
+        commutes with the particle factors), real for a real coupling, so
+        i[L, N] = lam i[I, N] runs in float64 with its i held outside."""
         return KronSum(self.basis, [
             (diag_commutator(fock, self.field.number), right, left)
-            for fock, right, left in self.interaction.terms])
+            for fock, right, left in self.interaction.terms], phase=1j)
 
     @cached_property
     def conj_full(self) -> KronSum:
@@ -520,7 +523,7 @@ def assemble_conjugates(liou: LiouvillianAction) -> ConjugateOps:
     r2bar = 1.0 / (trunc.l0_diag ** 2 + params.epsilon ** 2)
     r2bar[k_pi] = 0.0
 
-    e_pi = np.zeros(trunc.basis.dim, dtype=complex)
+    e_pi = np.zeros(trunc.basis.dim)
     e_pi[k_pi] = 1.0
     i_epi = trunc.interaction @ e_pi
     x = r2bar * i_epi
@@ -532,11 +535,12 @@ def assemble_conjugates(liou: LiouvillianAction) -> ConjugateOps:
 
     l_epi = params.lam * i_epi      # L0 annihilates the reference vector
     l_x = trunc.l0_diag * x + params.lam * (trunc.interaction @ x)
-    # -th_lam (|L e_pi><x| + |x><L e_pi| - |L x><e_pi| - |e_pi><L x|)
+    # -th_lam (|L e_pi><x| + |x><L e_pi| - |L x><e_pi| - |e_pi><L x|),
+    # real for a real coupling: its field is the interaction's
     correction_comm = LowRank(
         np.column_stack([l_epi, x, l_x, e_pi]),
         -th_lam * np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1],
-                            [0, 0, -1, 0]], dtype=complex))
+                            [0, 0, -1, 0]]))
 
     return ConjugateOps(r2bar, correction, correction_comm, k_pi)
 

@@ -33,7 +33,8 @@ def to_csr(op) -> sp.csr_matrix:
     """Bit-level Hermitian complex CSR of a ``KronSum``, ``DiagPlus`` or
     ``LowRank``, built from its factors.  A ``KronSum``'s terms are summed
     pairwise, neighbours first, so each direct term meets its modular
-    image before the pairs are added."""
+    image before the pairs are added; its CSR is the sum S that ``@``
+    applies, phase * S bit-level Hermitian."""
     if isinstance(op, KronSum):
         dims = (op.basis.fock.dim, op.basis.left.dim, op.basis.left.dim)
         mats = [kron3(*(sp.csr_matrix(np.eye(n) if m is None else m,
@@ -42,7 +43,7 @@ def to_csr(op) -> sp.csr_matrix:
                 for term in op.terms]
         while len(mats) > 1:
             mats = [sum(mats[i:i + 2]) for i in range(0, len(mats), 2)]
-        return hermitize(mats[0])
+        return hermitize(op.phase * mats[0]) / op.phase
     if isinstance(op, DiagPlus):
         diag = sp.diags(op.d.astype(complex))
         return hermitize(diag if op.x is None
@@ -60,7 +61,7 @@ def liouvillian(liou) -> sp.csr_matrix:
 
 def number_comm(liou) -> sp.csr_matrix:
     """The D operator i[L, N], by the entrywise rule on the CSR of L."""
-    return diag_commutator(liouvillian(liou), liou.number)
+    return 1j * diag_commutator(liouvillian(liou), liou.number)
 
 
 def conj_full(trunc) -> sp.csr_matrix:
@@ -174,7 +175,7 @@ def gjn_constants(x: sp.spmatrix, comparison_diag: np.ndarray) -> tuple:
     lam = np.asarray(comparison_diag, float)
     k_norm = operator_norm(x @ sp.diags(1.0 / lam))
     half = sp.diags(1.0 / np.sqrt(lam))
-    sandwiched = hermitize(half @ diag_commutator(x, lam) @ half)
+    sandwiched = hermitize(half @ (1j * diag_commutator(x, lam)) @ half)
     return k_norm, operator_norm(sandwiched)
 
 

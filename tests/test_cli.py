@@ -180,3 +180,18 @@ def test_cli_import_leaves_scipy_interpolate_unloaded():
         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
         text=True, timeout=120, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_gjn_report_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # default gjn once varied in its number_commutator constants with the
+    # BLAS thread count (complex svds); its norms now run in float64
+    src = str(Path(thermion.__file__).resolve().parents[1])
+    texts = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "thermion.cli", "gjn",
+                        "--out", str(tmp_path / threads)],
+                       env=env, capture_output=True, timeout=300, check=True)
+        texts.append((tmp_path / threads / "gjn.json").read_bytes())
+    assert texts[0] == texts[1]

@@ -176,7 +176,8 @@ def test_gjn_constants_match_csr_oracle(complex_coupling):
 
 def test_kato_bound_for_number_commutator(setup):
     p, liou, conj = setup
-    # i[L, N] = lam i[I, N], as the gjn pipeline passes it
+    # lam [I, N]: i[L, N] = lam i[I, N] without its phase, which changes
+    # no norm, as the gjn pipeline passes it
     d1 = DiagPlus(np.zeros(liou.basis.dim), p.lam, liou.number_comm)
     k1 = kato_half_power_bound(d1, liou.number, liou.vacuum_proj)
     assert np.isfinite(k1)

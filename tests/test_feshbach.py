@@ -334,3 +334,30 @@ def test_rank_one_reduction_closed_form_property(a, br, bi, d, m):
         return
     res = FeshbachPencil(mat, np.array([0])).reduce(m, cond_tol=1e-6)
     assert abs(res.f_value - (a - abs(b) ** 2 / (d - m))) < 1e-10
+
+
+def test_real_coupling_runs_the_chain_in_float64():
+    # at the chain workload's truncation and run parameters the rank-4
+    # correction, the dressed diagonals and the factors of i[I, N] are
+    # float64, and the same factors cast to complex128 give the same row
+    # sum and inertia bracket, bit for bit
+    from thermion.linalg import min_eig_diag_plus_lowrank
+    p = ModelParams(n_e=24, n_u=24, n_max=1)
+    run = p.with_(lam=1.6902591656479554e-07, theta=5.941068708213811e-05,
+                  epsilon=3.380518331295911e-07)
+    liou = assemble_liouvillian(run)
+    conj = assemble_conjugates(liou)
+    ops = assemble_bound_operators(liou, conj, k49=50631.637715549485)
+    corr = ops.correction
+    assert corr is conj.correction_comm and liou.basis.dim == 15625
+    assert corr.u.dtype == corr.c.dtype == np.float64
+    assert ops.d_scaled.dtype == ops.d_limit.dtype == np.float64
+    number_comm = liou.number_comm
+    assert number_comm.phase == 1j and number_comm.dtype == np.float64
+    assert all(m.dtype == np.float64 for term in number_comm.terms
+               for m in term if m is not None)
+    cast = LowRank(corr.u.astype(complex), corr.c.astype(complex))
+    assert feshbach._max_abs_row_sum(ops.d_scaled, cast) \
+        == feshbach._max_abs_row_sum(ops.d_scaled, corr)
+    assert min_eig_diag_plus_lowrank(ops.d_limit, cast) \
+        == min_eig_diag_plus_lowrank(ops.d_limit, corr)

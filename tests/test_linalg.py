@@ -7,8 +7,8 @@ from scipy.linalg import eigh, expm
 from csr_oracle import liouvillian, to_csr
 from thermion.linalg import (DENSE_CUTOFF, DiagPlus, lanczos_functions,
                              min_eig_diag_plus_lowrank, min_eig_hermitian)
-from thermion.operators import (LowRank, Truncation, assemble_liouvillian,
-                                hermitize)
+from thermion.operators import (LowRank, Truncation, assemble_conjugates,
+                                assemble_liouvillian, hermitize)
 from thermion.params import ModelParams
 
 
@@ -218,6 +218,10 @@ def test_complex_coupling_keeps_the_complex_path(n_e, n_u):
     exact = np.linalg.eigvalsh(to_csr(op).toarray())[0]
     assert (op.shape[0] > DENSE_CUTOFF) == (n_e == 10)
     assert abs(min_eig_hermitian(op) - exact) <= 1e-12 * abs(exact)
+    # the chain's correction follows the interaction into the complex field
+    trunc.coupling = g      # the interaction is built from it on first use
+    conj = assemble_conjugates(assemble_liouvillian(trunc.params, trunc))
+    assert conj.correction_comm.dtype == np.complex128
 
 
 def test_chain_asks_arpack_for_the_domination_vector_only(monkeypatch):

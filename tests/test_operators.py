@@ -338,9 +338,17 @@ def test_number_commutator_structure(small):
     n_op = sp.diags(liou.number.astype(complex))
     l_csr = liouvillian(liou)
     direct = 1j * (l_csr @ n_op - n_op @ l_csr)
-    # the factored i[L, N] = lam i[I, N]
-    factored = to_csr(DiagPlus(np.zeros(b.dim), p.lam, liou.number_comm))
+    # the factored i[L, N] = lam i[I, N], the i held as number_comm's phase
+    factored = to_csr(DiagPlus(np.zeros(b.dim),
+                               p.lam * liou.number_comm.phase,
+                               liou.number_comm))
     assert abs(direct - factored).max() < 1e-12
+    # gjn's real lam [I, N] applies its adjoint -lam [I, N] (svds reads it)
+    x = DiagPlus(np.zeros(b.dim), p.lam, liou.number_comm)
+    v = np.random.default_rng(3).standard_normal(b.dim)
+    want = p.lam * (to_csr(liou.number_comm).conj().T @ v)
+    assert x.dtype == np.float64
+    assert np.linalg.norm(x.rmatvec(v) - want) <= 1e-14 * np.linalg.norm(want)
 
 
 def test_matrix_free_action_matches_assembly(small):
@@ -361,7 +369,8 @@ def test_matrix_free_action_matches_assembly(small):
 def test_factored_conjugate_and_number_commutator_match_csr(small):
     # A and i[I, N] are kept factored; their actions match the CSR of the
     # particle flow generator and field translation, and of the entrywise
-    # commutator of the interaction's CSR with N
+    # commutator of the interaction's CSR with N (number_comm applies
+    # [I, N], its phase i held outside)
     p, b = small
     trunc = Truncation(p)
     i_csr = to_csr(trunc.interaction)
@@ -371,7 +380,7 @@ def test_factored_conjugate_and_number_commutator_match_csr(small):
               rng.standard_normal((b.dim, 3))):
         for x, want in ((trunc.conj_full, conj_full(trunc) @ v),
                         (trunc.number_comm,
-                         1j * (i_csr @ (n_op @ v) - n_op @ (i_csr @ v)))):
+                         i_csr @ (n_op @ v) - n_op @ (i_csr @ v))):
             assert np.linalg.norm(x @ v - want) <= 1e-14 * np.linalg.norm(
                 want)
 
