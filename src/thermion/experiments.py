@@ -134,8 +134,8 @@ def _fuzz_instance(args):
     worst = float(defects.max()) if len(defects) else 0.0
 
     roots = pencil.roots(n_grid=160)
-    root_err = max((float(np.min(np.abs(pencil.evals - r))) for r in roots),
-                   default=0.0)
+    root_err = float(np.abs(pencil.evals - roots[:, None]).min(axis=1)
+                     .max(initial=0.0))
     return worst, root_err, len(tested), len(roots)
 
 

@@ -11,8 +11,8 @@ A dressed operator is a diagonal plus the factored rank-4 correction,
 D + U C U*: its reduced block comes by Woodbury, its spectral bounds by
 exact inertia counting.  ``FeshbachPencil`` is the dense reduction of any
 Hermitian matrix: one complement eigendecomposition per (matrix,
-projection) serves every spectral parameter, the isospectrality defect and
-the root scan.
+projection), then F over a stack of spectral parameters in one broadcast
+evaluation, for the isospectrality defect and the root scan alike.
 """
 from __future__ import annotations
 
@@ -34,9 +34,9 @@ _COND_TOL = 1e-8
 
 @dataclass
 class FeshbachResult:
-    m: float
-    f_matrix: np.ndarray       # reduced block on the projection range
-    spec_distance: float       # distance from m to the complement spectrum
+    m: float | np.ndarray      # one spectral parameter or a stack
+    f_matrix: np.ndarray       # reduced block on the projection range, per m
+    spec_distance: float | np.ndarray  # from m to the complement spectrum
 
     @property
     def f_value(self) -> float:
@@ -58,19 +58,17 @@ class FeshbachPencil:
     parameter m from one decomposition: with Qbar* M Qbar = V diag(w) V*,
     F(m) = q* M q - X* diag(1 / (w - m)) X and X = V* Qbar* M q.
 
-    ``pi`` is either an index array (coordinate projection) or a matrix
-    whose columns span the range.
+    ``pi`` is a matrix whose columns span the range; it must have full
+    column rank.  ``reduce`` takes a scalar m or a stack of them and
+    evaluates every one by the same lines, broadcasting over the stack.
     """
 
     def __init__(self, mat, pi):
-        mat, pi = np.asarray(mat), np.asarray(pi)
+        mat = np.asarray(mat)
         dim = mat.shape[0]
-        if pi.ndim == 1:
-            q = np.zeros((dim, len(pi)), dtype=complex)
-            q[pi, np.arange(len(pi))] = 1.0
-        else:
-            q, r = np.linalg.qr(pi.astype(complex))
-            q = q[:, np.abs(np.diag(r)) > 1e-12]
+        q, r = np.linalg.qr(np.asarray(pi).astype(complex))
+        if np.any(np.abs(np.diag(r)) <= 1e-12):
+            raise ValueError("projection columns are linearly dependent")
         w, v = np.linalg.eigh(np.eye(dim, dtype=complex) - q @ q.conj().T)
         qbar = v[:, w > 0.5]
         self.q = q
@@ -79,19 +77,20 @@ class FeshbachPencil:
         self.b = q.conj().T @ mat @ q
         self.evals = np.linalg.eigvalsh(mat)
 
-    def reduce(self, m: float, cond_tol: float = _COND_TOL) -> FeshbachResult:
-        """F(m); refuses when m is within cond_tol of the complement
-        spectrum."""
-        shift = self.w - m
-        dist = float(np.min(np.abs(shift)))
-        if dist <= cond_tol:
-            _refuse(m, dist)
-        f = self.b - (self.x.conj().T / shift) @ self.x
+    def reduce(self, m, cond_tol: float = _COND_TOL) -> FeshbachResult:
+        """F(m) over the axes of m; refuses when any m is within cond_tol
+        of the complement spectrum."""
+        shift = self.w - np.asarray(m)[..., None]
+        dist = np.min(np.abs(shift), axis=-1)
+        near = dist <= cond_tol
+        if np.any(near):
+            _refuse(np.asarray(m)[near][0], dist[near][0])
+        f = self.b - (self.x.conj().T / shift[..., None, :]) @ self.x
         return FeshbachResult(m, hermitize(f), dist)
 
-    def _det(self, m: float, cond_tol: float = _COND_TOL) -> complex:
+    def _det(self, m, cond_tol: float = _COND_TOL):
         f = self.reduce(m, cond_tol).f_matrix
-        return np.linalg.det(f - m * np.eye(len(f)))
+        return np.linalg.det(f - np.multiply.outer(m, np.eye(f.shape[-1])))
 
     def defects(self):
         """|det(F(mu) - mu)| / max(1, ||M||)^rank at each eigenvalue mu of
@@ -101,8 +100,7 @@ class FeshbachPencil:
         tested = self.evals[self.evals < self.w[0] - _COND_TOL]
         norm = float(np.abs(self.evals).max())     # ||M||_2, M Hermitian
         scale = max(1.0, norm) ** self.q.shape[1]
-        return (np.array([abs(self._det(float(mu))) / scale
-                          for mu in tested]), tested)
+        return np.abs(self._det(tested)) / scale, tested
 
     def roots(self, n_grid: int = 400) -> np.ndarray:
         """Roots of det(F(m) - m) below the complement spectrum, by sign
@@ -110,10 +108,10 @@ class FeshbachPencil:
         from scipy.optimize import brentq
 
         def d(m):
-            return float(np.real(self._det(m, cond_tol=1e-12)))
+            return np.real(self._det(m, cond_tol=1e-12))
 
         grid = np.linspace(self.evals[0] - 1.0, self.w[0] - 1e-6, n_grid)
-        signs = np.sign([d(m) for m in grid])
+        signs = np.sign(d(grid))
         return np.array([brentq(d, lo, hi, xtol=1e-13) for lo, hi, s
                          in zip(grid, grid[1:], signs[:-1] * signs[1:])
                          if s < 0])

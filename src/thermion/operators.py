@@ -34,10 +34,11 @@ from .reports import BoundReport
 
 
 def hermitize(m):
-    """(M + M*) / 2; bit-level Hermitian because float addition commutes."""
+    """(M + M*) / 2; bit-level Hermitian because float addition commutes.
+    A dense stack is symmetrised over its last two axes."""
     if sp.issparse(m):
         return ((m + m.conj().T) * 0.5).tocsr()
-    return (m + m.conj().T) * 0.5
+    return (m + m.conj().swapaxes(-1, -2)) * 0.5
 
 
 def hermiticity_defect(m) -> float:

@@ -182,16 +182,19 @@ def test_cli_import_leaves_scipy_interpolate_unloaded():
     assert proc.stdout.strip() == "False"
 
 
-def test_gjn_report_bytes_do_not_depend_on_blas_threads(tmp_path):
+@pytest.mark.parametrize("kind", ["gjn", "feshbach-fuzz"])
+def test_report_bytes_do_not_depend_on_blas_threads(tmp_path, kind):
     # default gjn once varied in its number_commutator constants with the
-    # BLAS thread count (complex svds); its norms now run in float64
+    # BLAS thread count (complex svds); its norms now run in float64.
+    # feshbach-fuzz evaluates stacks of reduced blocks through batched
+    # matmul and det
     src = str(Path(thermion.__file__).resolve().parents[1])
     texts = []
     for threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
                    OMP_NUM_THREADS=threads)
-        subprocess.run([sys.executable, "-m", "thermion.cli", "gjn",
+        subprocess.run([sys.executable, "-m", "thermion.cli", kind,
                         "--out", str(tmp_path / threads)],
                        env=env, capture_output=True, timeout=300, check=True)
-        texts.append((tmp_path / threads / "gjn.json").read_bytes())
+        texts.append((tmp_path / threads / f"{kind}.json").read_bytes())
     assert texts[0] == texts[1]

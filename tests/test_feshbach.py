@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg as sla
 
 from thermion import commutators, feshbach
-from thermion.experiments import ExperimentConfig, run
+from thermion.experiments import ExperimentConfig, _fuzz_instance, run
 from thermion.feshbach import (FeshbachPencil, assemble_bound_operators,
                                chain_recipe, feshbach_woodbury,
                                scaled_to_limit_convergence, scan_lambda0,
@@ -17,9 +17,7 @@ def _direct_reduction(mat, pi, m):
     """P (M - M Qbar (Qbar M Qbar - m)^{-1} Qbar M) P by dense solve, as a
     dim x dim matrix (independent of the bases chosen for P and Qbar),
     and the distance from m to the spectrum of Qbar M Qbar."""
-    pi = np.asarray(pi)
-    cols = np.eye(len(mat))[:, pi] if pi.ndim == 1 else pi
-    q = sla.orth(cols.astype(complex))
+    q = sla.orth(np.asarray(pi).astype(complex))
     qbar = sla.null_space(q.conj().T)
     block = qbar.conj().T @ mat @ qbar
     resolved = qbar @ np.linalg.solve(
@@ -39,7 +37,7 @@ def _random_hermitian(rng, dim):
 def test_pencil_matches_direct_formula(rank, kind):
     rng = np.random.default_rng(17 + rank)
     mat = _random_hermitian(rng, 11)
-    pi = (np.array([3, 7][:rank]) if kind == "index"
+    pi = (np.eye(11)[:, [3, 7][:rank]] if kind == "index"
           else rng.standard_normal((11, rank))
           + 1j * rng.standard_normal((11, rank)))
     pencil = FeshbachPencil(mat, pi)
@@ -53,16 +51,44 @@ def test_pencil_matches_direct_formula(rank, kind):
         assert got.spec_distance == pytest.approx(distance, rel=1e-12)
 
 
+def test_refuses_linearly_dependent_columns():
+    # unpivoted QR of [0, v] keeps a column that is not in span{v}; a
+    # silently filtered range gave a wrong F(-5)
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal((6, 6))
+    mat = (a + a.T) / 2
+    v = rng.standard_normal(6)
+    with pytest.raises(ValueError, match="linearly dependent"):
+        FeshbachPencil(mat, np.column_stack([np.zeros(6), v]))
+    assert FeshbachPencil(mat, v[:, None]).reduce(-5.0).f_value \
+        == pytest.approx(-0.4453970297581965, rel=1e-12)
+
+
+def test_stacked_reduction_equals_point_evaluations():
+    rng = np.random.default_rng(9)
+    mat = _random_hermitian(rng, 10)
+    pencil = FeshbachPencil(mat, rng.standard_normal((10, 2)))
+    ms = np.linspace(pencil.evals[0] - 2.0, pencil.w[0] - 0.01, 7)
+    stacked = pencil.reduce(ms)
+    assert stacked.f_matrix.shape == (7, 2, 2)
+    for i, m in enumerate(ms):
+        point = pencil.reduce(float(m))
+        assert np.array_equal(stacked.f_matrix[i], point.f_matrix)
+        assert np.array_equal(stacked.spec_distance[i], point.spec_distance)
+    with pytest.raises(ValueError, match="refusing"):
+        pencil.reduce(np.append(ms, pencil.w[1] + 1e-9))
+
+
 def test_block_diagonal_reduces_to_corner():
     m = np.diag([1.0, 2.0, 5.0, 7.0]).astype(complex)
-    res = FeshbachPencil(m, np.array([0])).reduce(0.3)
+    res = FeshbachPencil(m, np.eye(4)[:, [0]]).reduce(0.3)
     assert res.f_value == pytest.approx(1.0)
 
 
 def test_two_by_two_closed_form():
     a, b, d = 1.0, 0.7 + 0.4j, 3.0
     m = np.array([[a, b], [np.conj(b), d]])
-    pencil = FeshbachPencil(m, np.array([0]))
+    pencil = FeshbachPencil(m, np.eye(2)[:, [0]])
     for mval in (-1.0, 0.5, 2.0):
         res = pencil.reduce(mval)
         assert res.f_value == pytest.approx(a - abs(b) ** 2 / (d - mval))
@@ -71,7 +97,7 @@ def test_two_by_two_closed_form():
 def test_refuses_spectral_parameter_on_complement():
     m = np.diag([1.0, 2.0]).astype(complex)
     with pytest.raises(ValueError, match="refusing"):
-        FeshbachPencil(m, np.array([0])).reduce(2.0)
+        FeshbachPencil(m, np.eye(2)[:, [0]]).reduce(2.0)
 
 
 def test_reduction_is_hermitian_for_real_parameter():
@@ -101,7 +127,7 @@ def test_isospectrality_on_random_instances():
 def test_defects_skip_eigenvalues_reduce_refuses():
     # 2 - 5e-9 lies within reduce's cond_tol of the complement spectrum
     # {2, 3}: it is left out of the test set instead of raising
-    pencil = FeshbachPencil(np.diag([2 - 5e-9, 2, 3.]), np.array([0]))
+    pencil = FeshbachPencil(np.diag([2 - 5e-9, 2, 3.]), np.eye(3)[:, [0]])
     with pytest.raises(ValueError):
         pencil.reduce(2 - 5e-9)
     defects, tested = pencil.defects()
@@ -150,6 +176,18 @@ def test_fuzz_builds_one_pencil_per_instance(monkeypatch):
     run(ExperimentConfig(kind="feshbach-fuzz", seed=0,
                          options={"instances": 12}))
     assert len(built) == 12
+
+
+def test_fuzz_instance_stacks_its_scan_and_defects(monkeypatch):
+    # defects and the grid scan are one stacked call each; every scalar
+    # call is a bisection step, fewer than the grid has points
+    calls = []
+    reduce = FeshbachPencil.reduce
+    monkeypatch.setattr(FeshbachPencil, "reduce", lambda self, m, *a, **k:
+                        calls.append(np.ndim(m)) or reduce(self, m, *a, **k))
+    _fuzz_instance((0, 1, 20))
+    assert calls.count(1) == 2
+    assert calls.count(0) == len(calls) - 2 < 160
 
 
 def test_loewner_monotonicity_in_parameter():
@@ -202,7 +240,7 @@ def test_woodbury_reduction_matches_dense(chain_setup):
     dense = np.diag(ops.d_limit) + corr.u @ corr.c @ corr.u.conj().T
     keep = np.arange(len(dense)) != k
     floor = float(np.linalg.eigvalsh(dense[np.ix_(keep, keep)])[0])
-    pencil = FeshbachPencil(dense, np.array([k]))
+    pencil = FeshbachPencil(dense, np.eye(len(dense))[:, [k]])
     for m in (0.0, 0.05, 0.1, 0.15, 0.2, 0.24):
         got = feshbach_woodbury(ops.d_limit, corr, k, m, floor)
         want = pencil.reduce(m)
@@ -332,7 +370,7 @@ def test_rank_one_reduction_closed_form_property(a, br, bi, d, m):
     mat = np.array([[a, b], [np.conj(b), d]])
     if abs(d - m) < 1e-3:
         return
-    res = FeshbachPencil(mat, np.array([0])).reduce(m, cond_tol=1e-6)
+    res = FeshbachPencil(mat, np.eye(2)[:, [0]]).reduce(m, cond_tol=1e-6)
     assert abs(res.f_value - (a - abs(b) ** 2 / (d - m))) < 1e-10
 
 
