@@ -6,7 +6,7 @@ Usage:  thermion KIND [--config PATH] [--out DIR] [--seed N]
 KIND is one of the experiment pipelines.  Configuration lives in a flat
 text file of dotted keys (one `key = value` per line, values in JSON
 syntax): `model.NAME`, `run.NAME` or `KIND.NAME`, and a key of any
-other scope is refused (an unknown NAME under `KIND` is not).
+other scope, or a NAME the kind does not declare, is refused.
 Command-line KEY=VALUE overrides beat the file, which beats the defaults.
 Exit code 0 when every check passes, 2 when a check fails, 1 on usage or
 I/O errors.

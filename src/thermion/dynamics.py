@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import lanczos_functions
-from .operators import Truncation, apply_j, assemble_liouvillian
+from .operators import Truncation, assemble_liouvillian
 from .params import ModelParams
-from .reports import BoundReport, TimeSeries
+from .reports import TimeSeries
 
 
 def recurrence_time(params: ModelParams) -> float:
@@ -87,26 +87,3 @@ def decay_rate(series: TimeSeries, window: tuple | None = None) -> DecayFit:
         widened = True
     return DecayFit(rate, icpt, res, window, widened)
 
-
-def j_covariance_check(params: ModelParams, t: float = 2.0,
-                       tol: float = 1e-8, seed: int = 5) -> BoundReport:
-    """Evolving the conjugated vector equals conjugating the evolved vector
-    (consequence of the anticommutation with the conjugation and
-    antilinearity); each side is one Lanczos run."""
-    act = assemble_liouvillian(params)
-    basis = act.trunc.basis
-    conj = apply_j(basis)
-    rng = np.random.default_rng(seed)
-    psi = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
-    psi /= np.linalg.norm(psi)
-
-    def evolved(v):
-        return lanczos_functions(act.matvec, v,
-                                 lambda theta: np.exp(-1j * t * theta)[None],
-                                 tol, vectors=True).values[0]
-
-    lhs = evolved(conj.apply(psi))
-    rhs = conj.apply(evolved(psi))
-    return BoundReport.of(
-        "evolution commutes with the modular conjugation",
-        np.linalg.norm(lhs - rhs), "<=", 10 * tol, detail={"t": t})

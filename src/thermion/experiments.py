@@ -37,6 +37,8 @@ class ExperimentConfig:
     options: dict = field(default_factory=dict)
 
     def opt(self, key, default):
+        if key not in PIPELINES[self.kind][1]:
+            raise ValueError(f"{self.kind} declares no option {key!r}")
         return self.options.get(key, default)
 
 
@@ -359,6 +361,7 @@ def run_gjn(cfg: ExperimentConfig) -> Report:
             "<", np.inf, detail={"k": k}))
 
     checks.append(check_j(liou))
+    checks.append(comm.small_coupling_stability(cfg.params))
     tables = {"gjn_constants": {"columns": ["operator", "k_norm", "k_form"],
                                 "rows": rows}}
     return Report(kind="gjn", config=_config_echo(cfg), checks=checks,
@@ -400,15 +403,19 @@ def run_lambda0_scan(cfg: ExperimentConfig) -> Report:
                   checks=checks, tables=tables)
 
 
+# each kind's pipeline and the option names it reads through
+# ExperimentConfig.opt
 PIPELINES = {
-    "fgr": run_fgr,
-    "bound-chain": run_bound_chain,
-    "feshbach-fuzz": run_feshbach_fuzz,
-    "flow-check": run_flow_check,
-    "virial-scan": run_virial_scan,
-    "dynamics": run_dynamics,
-    "gjn": run_gjn,
-    "lambda0-scan": run_lambda0_scan,
+    "fgr": (run_fgr, ("eps_list", "operator_check", "operator_eps")),
+    "bound-chain": (run_bound_chain, ("theta", "epsilon", "lam", "gamma")),
+    "feshbach-fuzz": (run_feshbach_fuzz, ("instances", "dim_max")),
+    "flow-check": (run_flow_check, ("tol", "n_points", "gronwall_scale")),
+    "virial-scan": (run_virial_scan, ("n_pairs", "alphas")),
+    "dynamics": (run_dynamics, ("lambdas", "t_max", "n_times", "tol",
+                                "fit_window")),
+    "gjn": (run_gjn, ()),
+    "lambda0-scan": (run_lambda0_scan,
+                     ("lambdas", "betas", "theta", "epsilon")),
 }
 
 
@@ -416,4 +423,9 @@ def run(cfg: ExperimentConfig) -> Report:
     if cfg.kind not in PIPELINES:
         raise ValueError(f"unknown experiment kind {cfg.kind!r}; "
                          f"choose from {sorted(PIPELINES)}")
-    return PIPELINES[cfg.kind](cfg)
+    pipeline, names = PIPELINES[cfg.kind]
+    for key in cfg.options:
+        if key not in names:
+            raise ValueError(f"unknown {cfg.kind} option {key!r}; accepted: "
+                             f"{', '.join(names) or 'none'}")
+    return pipeline(cfg)

@@ -180,36 +180,6 @@ def _max_abs_row_sum(d: np.ndarray, lr: LowRank, chunk: int = 256) -> float:
     return float(sums.max())
 
 
-def scaled_to_limit_convergence(params: ModelParams, liou: LiouvillianAction,
-                                a_values=(0.5, 0.25, 0.125, 0.0625),
-                                n_vectors: int = 20,
-                                seed: int = 11) -> BoundReport:
-    """|| (M_a - M) psi || decreases monotonically as the dilation scale
-    shrinks, for a fixed bundle of random vectors (strong convergence,
-    sampled)."""
-    basis = liou.basis
-    part_nodes = basis.left.grid.nodes
-    from .flows import saturating_profile
-    prof = saturating_profile()
-    rng = np.random.default_rng(seed)
-    vecs = rng.standard_normal((n_vectors, basis.dim)) \
-        + 1j * rng.standard_normal((n_vectors, basis.dim))
-    vecs /= np.linalg.norm(vecs, axis=1)[:, None]
-
-    norms = []
-    for a in a_values:
-        xi = np.concatenate(([0.0], np.asarray(prof.xi(part_nodes / a))))
-        cont = np.concatenate(([0.0], np.ones(len(part_nodes))))
-        dd = pair_diag(basis, xi - cont)
-        norms.append([float(np.linalg.norm(dd * v)) for v in vecs])
-    norms = np.array(norms)     # (n_a, n_vectors)
-    worst_gap = float(np.max(np.diff(norms, axis=0)))
-    return BoundReport.of(
-        "dilation-profile bound operator converges to its limit", worst_gap,
-        "<", 0.0, detail={"a_values": list(a_values),
-                          "max_norm_per_a": norms.max(axis=1).tolist()})
-
-
 # ---------------------------------------------------------------------------
 # the chain
 # ---------------------------------------------------------------------------

@@ -211,8 +211,12 @@ def verify_gronwall(field: VectorField, points: np.ndarray, times: np.ndarray,
 
     Checks |Phi_t(x)| <= |x| + |t| ||xi||_inf, |Phi_t'(x)| <= exp(||xi'|| |t|)
     and the Jacobian bound J_t = Phi_t' <= exp(||xi'|| |t|); when the field is
-    a scaled profile the derivative rate is ||xi'||_inf |t| / a.  Reports the
-    worst slack, at the first (x, t) in x-major order that attains it.
+    a scaled profile the derivative rate is ||xi'||_inf |t| / a.  The
+    integrator's error on Phi_t' is relative to Phi_t', so the derivative
+    and Jacobian margins are relative to their bound, 1 - Phi_t' e^{-rate |t|},
+    and a field that attains the bound passes; the endpoint margin is
+    absolute.  Reports the worst margin, at the first (x, t) in x-major
+    order that attains it.
     """
     base_sup, base_dsup, _ = field.sup_norms()
     fld = field if scale is None else field.scaled(scale)
@@ -226,7 +230,8 @@ def verify_gronwall(field: VectorField, points: np.ndarray, times: np.ndarray,
         r = integrate_flow(fld, xs, t, tol)
         bounds[:, j, 0] = (np.abs(xs) + abs(t) * sup_xi) - np.abs(r.endpoint)
         # in one dimension the Jacobian is Phi' itself
-        bounds[:, j, 1:] = (np.exp(rate * abs(t)) - r.derivative)[:, None]
+        bounds[:, j, 1:] = (1.0 - r.derivative
+                            * np.exp(-rate * abs(t)))[:, None]
     margins = bounds.min(axis=2)
     i, j = np.unravel_index(np.argmin(margins), margins.shape)
     records = [float(xs[i]), float(ts[j])] + bounds[i, j].tolist()

@@ -17,6 +17,13 @@ scan fails the reduced-block and dressed-positivity steps (epsilon =
 Criterion 9 passes at its own configuration; only the shipped-default
 dynamics run fails its rate-scaling check.  The obstruction constants
 are in the run reports.
+
+Criteria 2, 3, 4, 5, 8, 9, 10 and 12 run a CLI kind at their pinned
+configuration and assert on its report's checks, so `thermion KIND` at
+that configuration explains the verdict.  Criteria 1, 6 and 7 compare
+against oracles computed here (criteria 1 and 7 against the CSR
+references of tests/csr_oracle.py, criterion 6 against the limit
+operator).  Criterion 11 calls gjn's own `check_j` at gjn's arguments.
 """
 import json
 import time
@@ -30,14 +37,12 @@ from csr_oracle import (conj_full, kron3, liouvillian,
                         product_boson_amplitudes, to_csr)
 from thermion.dynamics import recurrence_time, survival
 from thermion.experiments import ExperimentConfig, run
-from thermion.feshbach import (scaled_to_limit_convergence, scan_lambda0,
-                               verify_bound_chain)
-from thermion.fgr import (eps_convergence, gamma_limit, gamma_regularized,
-                          operator_side_rate)
+from thermion.flows import saturating_profile
 from thermion.lattice import build_bases
 from thermion.linalg import eig_pairs_smallest
 from thermion.operators import (assemble_conjugates, assemble_field_ops,
-                                assemble_liouvillian, apply_j, check_j)
+                                assemble_liouvillian, apply_j, check_j,
+                                pair_diag)
 from thermion.params import ModelParams
 from thermion.reports import report_to_json
 from thermion.virial import (build_regularized_family,
@@ -81,34 +86,32 @@ def test_criterion_01_commutator_identity_order():
 
 def test_criterion_02_golden_rule_positivity():
     t0 = time.time()
-    p = ModelParams()   # shipped defaults: beta=1, E=-1, power-law shapes
-    glim = gamma_limit(p)
-    adaptive = gamma_regularized(p, 0.2, method="adaptive")
-    midpoint = gamma_regularized(p, 0.2, method="midpoint")
-    rel = abs(adaptive - midpoint) / abs(adaptive)
-    conv = eps_convergence(p, (0.2, 0.1, 0.05, 0.025))
+    # shipped defaults: beta=1, E=-1, power-law shapes, widths 0.2 to 0.025
+    rep = run(ExperimentConfig(kind="fgr"))
+    positive, agree, conv = rep.checks[:3]
     elapsed = time.time() - t0
-    ok = glim > 0 and rel <= 1e-6 and conv.passed and elapsed < 60
-    _line(2, ok, f"gamma={glim:.4f}, oracle agreement {rel:.2e}, "
-          f"linear-width spread {conv.value:.3f}, {elapsed:.1f}s")
-    assert glim > 0
-    assert rel <= 1e-6
+    ok = positive.passed and agree.passed and conv.passed and elapsed < 60
+    _line(2, ok, f"gamma={positive.value:.4f}, oracle agreement "
+          f"{agree.value:.2e}, linear-width spread {conv.value:.3f}, "
+          f"{elapsed:.1f}s")
+    assert positive.passed, positive
+    assert agree.passed, agree
     assert conv.passed, conv
     assert elapsed < 60
 
 
 def test_criterion_03_operator_integral_consistency():
-    eps = 0.5
-    rels = {}
+    checks = {}
     for n in (32, 64):
-        p = ModelParams(n_e=n, n_u=n, n_max=1)
-        ops = operator_side_rate(p, eps)
-        quad_val = gamma_regularized(p, eps)
-        rels[n] = abs(ops - quad_val) / abs(quad_val)
-    ok = rels[64] <= 0.05 and rels[64] < rels[32]
+        cfg = ExperimentConfig(
+            kind="fgr", params=ModelParams(n_e=n, n_u=n, n_max=1),
+            options={"operator_check": True, "operator_eps": 0.5})
+        checks[n] = run(cfg).checks[-1]
+    rels = {n: c.value for n, c in checks.items()}
+    ok = checks[64].passed and rels[64] < rels[32]
     _line(3, ok, f"relative mismatch {rels[64]:.4f} at n=64 "
           f"(n=32: {rels[32]:.4f})")
-    assert rels[64] <= 0.05
+    assert checks[64].passed, checks[64]
     assert rels[64] < rels[32]
 
 
@@ -131,18 +134,18 @@ def test_criterion_05_bound_chain():
     p = ModelParams(n_e=24, n_u=24, n_max=1)
     dim = (1 + p.n_e) ** 2 * (1 + p.n_u)
     assert dim <= 5e4
-    rep = verify_bound_chain(p)
+    rep = run(ExperimentConfig(kind="bound-chain", params=p))
     elapsed = time.time() - t0
-    dom, comp, fesh, posit = (rep.steps[0], rep.steps[1], rep.steps[2],
-                              rep.steps[3])
+    dom, comp, fesh, posit = rep.checks[:4]
+    recipe = rep.stats["recipe"]
     ok = dom.passed and comp.passed and fesh.passed and posit.passed \
         and elapsed < 600
     _line(5, ok,
           f"domination {dom.value:.2e} (>= {dom.bound:.2e}), complement "
           f"{comp.value:.3f} (> 0.5), positivity {posit.value:.3e} vs "
           f"target {posit.bound:.3e}; recipe feasible: "
-          f"{rep.recipe.recipe_feasible}, needs n_e ~ "
-          f"{rep.recipe.n_e_required}; {elapsed:.0f}s")
+          f"{recipe['recipe_feasible']}, needs n_e ~ "
+          f"{recipe['n_e_required']}; {elapsed:.0f}s")
     assert elapsed < 600
     assert dom.passed, dom
     assert comp.passed, comp
@@ -150,18 +153,34 @@ def test_criterion_05_bound_chain():
     # regime resolved on the grid; the report's recipe block carries the
     # measured obstruction (k49/gamma ~ 2.1e3 gives epsilon = 3.4e-7, and
     # the recipe's n_e_required is 35,497,515; see the module docstring)
-    assert fesh.passed, (fesh, rep.recipe)
-    assert posit.passed, (posit, rep.recipe)
+    assert fesh.passed, (fesh, recipe)
+    assert posit.passed, (posit, recipe)
 
 
 def test_criterion_06_scaled_operator_converges():
+    # || (M_a - M) psi || against the sharp-projection limit M decreases
+    # monotonically as the dilation scale shrinks, for a fixed bundle of
+    # random vectors (strong convergence, sampled).  An oracle comparison:
+    # bound-chain builds M_a, but the chain benchmark pins its check list
     p = ModelParams(n_e=12, n_u=12, n_max=1)
-    liou = assemble_liouvillian(p)
-    rep = scaled_to_limit_convergence(
-        p, liou, a_values=(0.5, 0.25, 0.125, 0.0625), n_vectors=20)
-    _line(6, rep.passed, f"monotone over the scale ladder, worst gap "
-          f"{rep.value:.3e}")
-    assert rep.passed, rep
+    basis = build_bases(p)
+    nodes = basis.left.grid.nodes
+    prof = saturating_profile()
+    rng = np.random.default_rng(11)
+    vecs = rng.standard_normal((20, basis.dim)) \
+        + 1j * rng.standard_normal((20, basis.dim))
+    vecs /= np.linalg.norm(vecs, axis=1)[:, None]
+    cont = np.concatenate(([0.0], np.ones(len(nodes))))
+    norms = []
+    for a in (0.5, 0.25, 0.125, 0.0625):
+        xi = np.concatenate(([0.0], np.asarray(prof.xi(nodes / a))))
+        dd = pair_diag(basis, xi - cont)
+        norms.append([float(np.linalg.norm(dd * v)) for v in vecs])
+    worst_gap = float(np.max(np.diff(norms, axis=0)))
+    ok = worst_gap < 0.0
+    _line(6, ok, f"monotone over the scale ladder, worst gap "
+          f"{worst_gap:.3e}")
+    assert ok, np.max(norms, axis=1)
 
 
 def test_criterion_07_virial():
@@ -238,24 +257,28 @@ def test_criterion_09_ionization_signature():
 def test_criterion_10_threshold_trend():
     t0 = time.time()
     p = ModelParams(n_e=8, n_u=8, n_max=1, e_max=4.0, u_max=4.0)
-    rows, _ = scan_lambda0(p, (1e-4, 1e-3, 1e-2), betas=(0.5, 1.0, 2.0))
+    rep = run(ExperimentConfig(kind="lambda0-scan", params=p,
+                               options={"lambdas": [1e-4, 1e-3, 1e-2],
+                                        "betas": [0.5, 1.0, 2.0]}))
+    rows = rep.tables["lambda0_scan"]["rows"]
     lam0 = [r[2] for r in rows]
     gammas = [r[1] for r in rows]
-    ratios = [r[3] for r in rows if r[3] > 0]
-    decreasing = all(np.diff(lam0) < 0)
-    spread = max(ratios) / min(ratios) if ratios else np.inf
+    decreasing, tracks = rep.checks
     elapsed = time.time() - t0
-    ok = decreasing and spread < 3.0
+    ok = decreasing.passed and tracks.passed
     _line(10, ok, f"lambda0 per beta {lam0}, gamma per beta "
-          f"{np.round(gammas, 3).tolist()}, ratio spread {spread}; "
+          f"{np.round(gammas, 3).tolist()}, ratio spread {tracks.value}; "
           f"{elapsed:.0f}s")
     # no coupling on the grid passes the full chain at this truncation
     # (same obstruction as criterion 5), so the trend is vacuously flat
-    assert decreasing, lam0
-    assert spread < 3.0
+    assert decreasing.passed, lam0
+    assert tracks.passed, tracks
 
 
 def test_criterion_11_modular_structure():
+    # check_j at gjn's own arguments, so `thermion gjn` at this
+    # configuration prints the same residual; a whole gjn run would cost
+    # about 1.9 s per coupling, mostly dense norms this criterion never reads
     p = ModelParams(n_e=6, n_u=12, n_max=1, e_max=4.0, u_max=4.0)
     b = build_bases(p)
     conj = apply_j(b)

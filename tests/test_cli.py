@@ -160,14 +160,27 @@ def test_main_refuses_invalid_grid(tmp_path, capsys, override):
 
 @pytest.mark.parametrize("kind, override", [
     ("virial-scan", "virial-scan.n_pairs=0"), ("dynamics", "dynamics.tol=0"),
-    ("feshbach-fuzz", "fuzz.instances=4")])
+    ("feshbach-fuzz", "fuzz.instances=4"),
+    ("feshbach-fuzz", "feshbach-fuzz.instance=4")])
 def test_main_refuses_pipeline_errors(tmp_path, capsys, kind, override):
     # a ValueError from the pipeline itself is a usage error too, and so is
-    # an option scoped to anything but the kind (no pipeline would read it)
+    # an option scoped to anything but the kind or not declared by it (no
+    # pipeline would read it)
     out = tmp_path / "bad"
     assert main([kind, "--out", str(out), override]) == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
+
+
+def test_run_refuses_undeclared_options():
+    cfg = ExperimentConfig(kind="feshbach-fuzz", options={"instance": 4})
+    with pytest.raises(ValueError, match="'instance'; accepted: instances, "
+                                         "dim_max"):
+        run(cfg)
+    with pytest.raises(ValueError, match="'eps_list'"):
+        cfg.opt("eps_list", None)
+    with pytest.raises(ValueError, match="accepted: none"):
+        run(ExperimentConfig(kind="gjn", options={"tol": 1e-3}))
 
 
 def test_cli_import_leaves_scipy_interpolate_unloaded():

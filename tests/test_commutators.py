@@ -10,6 +10,7 @@ from thermion.commutators import (closed_form_commutator,
                                   interaction_commutator,
                                   kato_half_power_bound,
                                   small_coupling_stability)
+from thermion.experiments import ExperimentConfig, run
 from thermion.lattice import build_bases
 from thermion.linalg import DiagPlus, min_eig_hermitian, operator_norm
 from thermion.operators import (Truncation, assemble_conjugates,
@@ -287,3 +288,8 @@ def test_small_coupling_stability_across_scales(setup):
     p, liou, conj = setup
     rep = small_coupling_stability(p)
     assert rep.passed, rep
+    # gjn reports the check, compared at shipped defaults: at this fixture's
+    # truncation gjn's norms are dense SVDs, 13 s against 1 s
+    rep = small_coupling_stability(ModelParams())
+    gjn = run(ExperimentConfig(kind="gjn"))
+    assert [c for c in gjn.checks if c.check == rep.check] == [rep]

@@ -6,8 +6,7 @@ from thermion import commutators, feshbach
 from thermion.experiments import ExperimentConfig, _fuzz_instance, run
 from thermion.feshbach import (FeshbachPencil, assemble_bound_operators,
                                chain_recipe, feshbach_woodbury,
-                               scaled_to_limit_convergence, scan_lambda0,
-                               verify_bound_chain)
+                               scan_lambda0, verify_bound_chain)
 from thermion.operators import (LowRank, assemble_conjugates,
                                 assemble_liouvillian)
 from thermion.params import ModelParams
@@ -257,12 +256,6 @@ def test_woodbury_refuses_near_or_on_the_complement():
     # and the residual of the solve gives it away
     with pytest.raises(ValueError, match="refusing"):
         feshbach_woodbury(d, lr, 0, m=1.0, floor=5.0)
-
-
-def test_scaled_to_limit_convergence(chain_setup):
-    p, liou, conj = chain_setup
-    rep = scaled_to_limit_convergence(p, liou)
-    assert rep.passed, rep
 
 
 def test_chain_recipe_diagnoses_feasibility():

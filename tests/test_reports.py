@@ -64,6 +64,23 @@ def test_no_check_is_judged_outside_reports():
     assert direct == []
 
 
+def test_every_check_has_a_src_caller():
+    # a check that only tests read is judged outside every report: each
+    # module-level function that builds a BoundReport is called in src/
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    builders = [f"{name}:{fn.name}" for name, tree in trees.items()
+                for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                and any(isinstance(node, ast.Attribute) and node.attr == "of"
+                        and getattr(node.value, "id", None) == "BoundReport"
+                        for node in ast.walk(fn))]
+    assert builders
+    assert [b for b in builders if b.split(":")[1] not in used] == []
+
+
 def test_json_writes_bools_as_true_and_false():
     checks = [BoundReport.of("c", v, "<", 1.0, detail={"flag": np.bool_(v)})
               for v in (0.0, 2.0)]
