@@ -89,13 +89,11 @@ def closed_form_commutator(liou: LiouvillianAction, order: int):
 
 @dataclass
 class GjnReport:
-    operator: str
     k_norm: float
     k_form: float
 
 
-def gjn_check(x: DiagPlus, comparison_diag: np.ndarray,
-              name: str = "X") -> GjnReport:
+def gjn_check(x: DiagPlus, comparison_diag: np.ndarray) -> GjnReport:
     """Measured relative-bound constants of X = diag(d) + lam Y against the
     diagonal comparison operator Lambda: k_norm = ||X Lambda^{-1}||, k_form
     = ||Lambda^{-1/2} i[X, Lambda] Lambda^{-1/2}||.  The diagonal commutes
@@ -107,11 +105,11 @@ def gjn_check(x: DiagPlus, comparison_diag: np.ndarray,
         raise ValueError("comparison operator must dominate the identity")
     k_norm = operator_norm(x @ DiagPlus(1.0 / lam))
     if x.x is None:
-        return GjnReport(name, k_norm, 0.0)
+        return GjnReport(k_norm, 0.0)
     h, h_inv = DiagPlus(np.sqrt(lam)), DiagPlus(1.0 / np.sqrt(lam))
     y = DiagPlus(np.zeros(len(lam)), 1.0, x.x)
     k_form = abs(x.lam) * operator_norm(h_inv @ y @ h - h @ y @ h_inv)
-    return GjnReport(name, k_norm, k_form)
+    return GjnReport(k_norm, k_form)
 
 
 def kato_half_power_bound(x, number_diag: np.ndarray,

@@ -51,7 +51,6 @@ def survival(params: ModelParams, times: np.ndarray, tol: float = 1e-8,
 @dataclass
 class DecayFit:
     rate: float
-    intercept: float
     residual: float
     window: tuple
     widened: bool
@@ -75,15 +74,15 @@ def decay_rate(series: TimeSeries, window: tuple | None = None) -> DecayFit:
         coeff, res = np.polyfit(t[mask], np.log(v[mask]), 1, cov=False), None
         pred = np.polyval(coeff, t[mask])
         residual = float(np.sqrt(np.mean((pred - np.log(v[mask])) ** 2)))
-        return -float(coeff[0]), float(coeff[1]), residual, mask
+        return -float(coeff[0]), residual, mask
 
-    rate, icpt, res, mask = fit(window)
+    rate, res, mask = fit(window)
     smooth = np.convolve(v, np.ones(5) / 5.0, mode="same")
     if not np.all(np.diff(smooth[mask]) <= 1e-12):
         lo = max(t[0], window[0] / 2.0)
         hi = min(t[-1], 0.95 * t_rec)
         window = (lo, hi)
-        rate, icpt, res, mask = fit(window)
+        rate, res, mask = fit(window)
         widened = True
-    return DecayFit(rate, icpt, res, window, widened)
+    return DecayFit(rate, res, window, widened)
 

@@ -218,20 +218,23 @@ def run_flow_check(cfg: ExperimentConfig) -> Report:
 def run_virial_scan(cfg: ExperimentConfig) -> Report:
     p = cfg.params
     n_pairs = int(cfg.opt("n_pairs", 10))
-    if n_pairs < 1:
-        raise ValueError(f"virial-scan.n_pairs must be >= 1, got {n_pairs}")
-    liou = assemble_liouvillian(p)
-    trunc, l_op, a_op = liou.trunc, liou.operator, liou.conj_full
+    trunc = Truncation(p)
+    dim = trunc.basis.dim
+    if not 1 <= n_pairs <= dim - 2:
+        # dim - 2: ARPACK's bound on eigenpairs of a complex operator
+        raise ValueError(f"virial-scan.n_pairs must be in [1, {dim - 2}] "
+                         f"(dim - 2 at dim {dim}), got {n_pairs}")
+    liou = assemble_liouvillian(p, trunc)
+    l_op, a_op = liou.operator, liou.conj_full
     conj = assemble_conjugates(liou)
     a_full = aslinearoperator(a_op) + aslinearoperator(conj.correction)
-    evals, vecs = eig_pairs_smallest(l_op, n_pairs)
+    _, vecs = eig_pairs_smallest(l_op, n_pairs)
     checks = [virial.eigenpair_residual_check(l_op, a_full, vecs)]
 
     psi = vecs[:, 0]
     alphas = tuple(cfg.opt("alphas",
                              (0.4, 0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625)))
-    family = virial.build_regularized_family(
-        psi, a_op, trunc.number, alphas, eigenvalue=float(evals[0]))
+    family = virial.build_regularized_family(psi, a_op, trunc.number, alphas)
     checks.extend(virial.family_checks(family))
 
     scan = virial.commutator_expectation_scan(family, l_op, a_op)
@@ -344,7 +347,7 @@ def run_gjn(cfg: ExperimentConfig) -> Report:
     checks = []
     rows = []
     for name, op in targets.items():
-        rep = comm.gjn_check(op, trunc.comparison, name)
+        rep = comm.gjn_check(op, trunc.comparison)
         rows.append([name, rep.k_norm, rep.k_form])
         # max() drops a nan behind a number, so both are tested for finiteness
         checks.append(BoundReport.of(

@@ -1,9 +1,10 @@
 """Eigenvalue, norm and Krylov helpers.
 
-Small problems go dense; large ones go through ARPACK / Lanczos with
-deterministic start vectors so repeated runs give identical output.
-The solvers also take a ``LinearOperator``: ``DiagPlus`` is one of
-diag(d) + lam X for a factored X (a ``KronSum``), so nothing is assembled.
+Every eigenvalue and norm goes through ARPACK / Lanczos, matrix-free at
+every size, with deterministic start vectors so repeated runs give
+identical output; no solver densifies an operator.  The solvers take a
+``LinearOperator``: ``DiagPlus`` is one of diag(d) + lam X for a factored
+X (a ``KronSum``), so nothing is assembled.
 ``lanczos_functions`` is the one matrix-function primitive: a family of
 f(A)v (or the quadratic forms <v, f(A) v>) from one tridiagonalisation,
 with convergence checked by doubling the Krylov dimension; it also
@@ -17,15 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import eigh, eigh_tridiagonal, norm as dense_norm
-
-DENSE_CUTOFF = 1500
-
-
-def _as_matrix(m):
-    if isinstance(m, spla.LinearOperator):
-        return m.matmat(np.eye(m.shape[1], dtype=m.dtype))
-    return m.toarray() if sp.issparse(m) else np.asarray(m)
+from scipy.linalg import eigh_tridiagonal
 
 
 class DiagPlus(spla.LinearOperator):
@@ -82,8 +75,6 @@ def _power_norm(m, tol: float = 1e-10, max_iter: int = 500) -> float:
 
 def operator_norm(m, tol: float = 1e-9) -> float:
     """Largest singular value."""
-    if min(m.shape) <= DENSE_CUTOFF:
-        return float(dense_norm(_as_matrix(m), 2))
     try:
         sv = spla.svds(m, k=1, tol=tol, v0=_start_vector(m.shape[1]),
                        return_singular_vectors=False)
@@ -93,35 +84,27 @@ def operator_norm(m, tol: float = 1e-9) -> float:
 
 
 def min_eig_hermitian(m, tol: float = 1e-10, with_vector: bool = False):
-    """Smallest eigenvalue of a Hermitian matrix or LinearOperator: below
-    the cutoff densified (through the matvec), hermitized and solved dense,
-    above it by ARPACK, with a shifted retry on non-convergence.  Either
-    solver builds the eigenvector only when ``with_vector`` asks for it."""
+    """Smallest eigenvalue of a Hermitian matrix or LinearOperator by
+    ARPACK, with a shifted retry on non-convergence; the eigenvector is
+    built only when ``with_vector`` asks for it."""
     n, shift = m.shape[0], 0.0
-    if n <= DENSE_CUTOFF:
-        a = _as_matrix(m)
-        out = eigh((a + a.conj().T) * 0.5, eigvals_only=not with_vector,
-                   subset_by_index=[0, 0])
-    else:
-        op = spla.aslinearoperator(m)
-        arpack = dict(k=1, tol=tol, v0=_start_vector(n), maxiter=60 * n,
-                      return_eigenvectors=with_vector)
-        try:
-            out = spla.eigsh(op, which="SA", **arpack)
-        except spla.ArpackNoConvergence:
-            shift = operator_norm(m) + 1.0
-            op = op - shift * spla.aslinearoperator(sp.identity(n))
-            out = spla.eigsh(op, which="LM", **arpack)
+    op = spla.aslinearoperator(m)
+    arpack = dict(k=1, tol=tol, v0=_start_vector(n), maxiter=60 * n,
+                  return_eigenvectors=with_vector)
+    try:
+        out = spla.eigsh(op, which="SA", **arpack)
+    except spla.ArpackNoConvergence:
+        shift = operator_norm(m) + 1.0
+        op = op - shift * spla.aslinearoperator(sp.identity(n))
+        out = spla.eigsh(op, which="LM", **arpack)
     low = float((out[0] if with_vector else out)[0] + shift)
     return (low, out[1][:, 0]) if with_vector else low
 
 
 def eig_pairs_smallest(m, k: int):
-    """k smallest eigenpairs of a Hermitian matrix or LinearOperator."""
+    """k smallest eigenpairs of a Hermitian matrix or LinearOperator by
+    ARPACK (k <= dim - 2 for a complex one)."""
     n = m.shape[0]
-    if n <= DENSE_CUTOFF or k >= n - 2:
-        w, v = eigh(_as_matrix(m))
-        return w[:k], v[:, :k]
     w, v = spla.eigsh(m, k=k, which="SA", tol=1e-10,
                       v0=_start_vector(n), maxiter=80 * n)
     order = np.argsort(w)

@@ -91,7 +91,6 @@ def coupling_matrix(params: ModelParams, basis: CompositeBasis) -> np.ndarray:
 @dataclass(frozen=True)
 class ParticleOps:
     h: np.ndarray              # diagonal entries (E, e_1, ..)
-    bound_proj: np.ndarray     # diag of rank-one projection on the bound state
     continuum_proj: np.ndarray  # diag of the projection onto the continuum
     comparison: np.ndarray     # diag of H_p * P_continuum + 1  (>= 1)
     xi_of_h: np.ndarray        # diag of xi(e / a) on the continuum, 0 on bound
@@ -104,9 +103,8 @@ def assemble_particle_ops(params: ModelParams,
     grid = basis.left.grid
     energies = basis.left.energies
     dp = basis.left.dim
-    bound = np.zeros(dp)
-    bound[0] = 1.0
-    cont = 1.0 - bound
+    cont = np.ones(dp)
+    cont[0] = 0.0
     comparison = energies * cont + 1.0
     xs = np.asarray(profile.xi(grid.nodes / params.a), float)
     xi_diag = np.concatenate(([0.0], xs))
@@ -116,7 +114,7 @@ def assemble_particle_ops(params: ModelParams,
     flow_gen = np.zeros((dp, dp), dtype=complex)
     flow_gen[1:, 1:] = a_cont
     flow_gen = hermitize(flow_gen)
-    return ParticleOps(energies, bound, cont, comparison, xi_diag, flow_gen)
+    return ParticleOps(energies, cont, comparison, xi_diag, flow_gen)
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +510,6 @@ class LowRank:
 
 @dataclass(frozen=True)
 class ConjugateOps:
-    resolvent2: np.ndarray            # diag of (L0^2 + eps^2)^{-1}, 0 at Pi
     correction: LowRank               # the finite-rank Hermitian correction
     correction_comm: LowRank          # i[L, correction], rank <= 4
     pi_index: int
@@ -543,7 +540,7 @@ def assemble_conjugates(liou: LiouvillianAction) -> ConjugateOps:
         -th_lam * np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1],
                             [0, 0, -1, 0]]))
 
-    return ConjugateOps(r2bar, correction, correction_comm, k_pi)
+    return ConjugateOps(correction, correction_comm, k_pi)
 
 
 # ---------------------------------------------------------------------------

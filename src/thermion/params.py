@@ -155,7 +155,9 @@ class ModelParams:
             raise ValueError("bound state energy must be negative")
         if not (self.e_max > 0 and self.u_max > 0):
             raise ValueError("grid cutoffs e_max and u_max must be positive")
-        for name, low in (("n_e", 1), ("n_max", 0), ("n_u", 2)):
+        # n_max >= 1: with no boson I_1 and N Pbar vanish, and the
+        # eigensolvers would start from a zero vector
+        for name, low in (("n_e", 1), ("n_max", 1), ("n_u", 2)):
             n = getattr(self, name)
             if not (isinstance(n, (int, np.integer)) and n >= low):
                 raise ValueError(f"{name} must be an integer >= {low}")

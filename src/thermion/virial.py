@@ -79,13 +79,12 @@ class RegularizedFamily:
     base: np.ndarray
     alphas: tuple
     vectors: list               # one per alpha, nu = alpha^3
-    base_eigenvalue: float
     krylov_error: float         # m/2-vs-m difference of the f(alpha A) psi
 
 
 def build_regularized_family(psi: np.ndarray, a_op, number_diag: np.ndarray,
-                             alphas=(0.4, 0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625),
-                             eigenvalue: float = 0.0) -> RegularizedFamily:
+                             alphas=(0.4, 0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625)
+                             ) -> RegularizedFamily:
     """Spectral-calculus construction of the smoothed family.
 
     Every f(alpha A) psi comes from one Krylov space of the conjugate
@@ -102,7 +101,7 @@ def build_regularized_family(psi: np.ndarray, a_op, number_diag: np.ndarray,
         1e-12, vectors=True)
     vectors = [bump(alpha ** 3 * number_diag) ** 2 * smoothed
                for alpha, smoothed in zip(alphas, res.values)]
-    return RegularizedFamily(psi, alphas, vectors, eigenvalue, res.error)
+    return RegularizedFamily(psi, alphas, vectors, res.error)
 
 
 def family_checks(family: RegularizedFamily) -> list:

@@ -18,12 +18,12 @@ Criterion 9 passes at its own configuration; only the shipped-default
 dynamics run fails its rate-scaling check.  The obstruction constants
 are in the run reports.
 
-Criteria 2, 3, 4, 5, 8, 9, 10 and 12 run a CLI kind at their pinned
+Criteria 2, 3, 4, 5, 8, 9, 10, 11 and 12 run a CLI kind at their pinned
 configuration and assert on its report's checks, so `thermion KIND` at
 that configuration explains the verdict.  Criteria 1, 6 and 7 compare
 against oracles computed here (criteria 1 and 7 against the CSR
 references of tests/csr_oracle.py, criterion 6 against the limit
-operator).  Criterion 11 calls gjn's own `check_j` at gjn's arguments.
+operator), and so does criterion 11's involution defect.
 """
 import json
 import time
@@ -41,7 +41,7 @@ from thermion.flows import saturating_profile
 from thermion.lattice import build_bases
 from thermion.linalg import eig_pairs_smallest
 from thermion.operators import (assemble_conjugates, assemble_field_ops,
-                                assemble_liouvillian, apply_j, check_j,
+                                assemble_liouvillian, apply_j,
                                 pair_diag)
 from thermion.params import ModelParams
 from thermion.reports import report_to_json
@@ -188,7 +188,7 @@ def test_criterion_07_virial():
     liou = assemble_liouvillian(p)
     conj = assemble_conjugates(liou)
     a_full = (conj_full(liou.trunc) + to_csr(conj.correction)).tocsr()
-    evals, vecs = eig_pairs_smallest(liouvillian(liou), 10)
+    _, vecs = eig_pairs_smallest(liouvillian(liou), 10)
     worst = -np.inf
     for k in range(vecs.shape[1]):
         psi = vecs[:, k]
@@ -198,8 +198,7 @@ def test_criterion_07_virial():
         rhs = 2 * r * np.linalg.norm(a_full @ psi) + 1e-14
         worst = max(worst, lhs - rhs)
 
-    family = build_regularized_family(vecs[:, 0], liou.conj_full, liou.number,
-                                      eigenvalue=float(evals[0]))
+    family = build_regularized_family(vecs[:, 0], liou.conj_full, liou.number)
     scan = commutator_expectation_scan(family, liouvillian(liou),
                                        liou.conj_full)
     final = abs(scan[-1][1])
@@ -276,9 +275,6 @@ def test_criterion_10_threshold_trend():
 
 
 def test_criterion_11_modular_structure():
-    # check_j at gjn's own arguments, so `thermion gjn` at this
-    # configuration prints the same residual; a whole gjn run would cost
-    # about 1.9 s per coupling, mostly dense norms this criterion never reads
     p = ModelParams(n_e=6, n_u=12, n_max=1, e_max=4.0, u_max=4.0)
     b = build_bases(p)
     conj = apply_j(b)
@@ -291,8 +287,9 @@ def test_criterion_11_modular_structure():
                        np.linalg.norm(conj.apply(conj.apply(v)) - v))
     reps = {}
     for lam in (0.0, 0.1):
-        liou = assemble_liouvillian(p.with_(lam=lam))
-        reps[lam] = check_j(liou, n_vectors=20, tol=1e-10)
+        rep = run(ExperimentConfig(kind="gjn", params=p.with_(lam=lam)))
+        reps[lam] = next(c for c in rep.checks
+                         if "modular conjugation anticommutes" in c.check)
     ok = worst_sq < 1e-14 and all(r.passed for r in reps.values())
     _line(11, ok, f"involution defect {worst_sq:.2e}, anticommutation "
           f"residuals {[f'{r.value:.2e}' for r in reps.values()]}")

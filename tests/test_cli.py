@@ -148,7 +148,8 @@ def test_operator_kinds_build_no_kronecker_product(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("override", ["model.n_e=0", "model.n_e=2.5",
-                                      "model.n_max=-1", "model.e_max=0",
+                                      "model.n_max=-1", "model.n_max=0",
+                                      "model.e_max=0",
                                       "model.u_max=-2.0"])
 def test_main_refuses_invalid_grid(tmp_path, capsys, override):
     out = tmp_path / "bad"
@@ -159,15 +160,18 @@ def test_main_refuses_invalid_grid(tmp_path, capsys, override):
 
 
 @pytest.mark.parametrize("kind, override", [
-    ("virial-scan", "virial-scan.n_pairs=0"), ("dynamics", "dynamics.tol=0"),
+    ("virial-scan", "virial-scan.n_pairs=0"),
+    ("virial-scan", "virial-scan.n_pairs=11 model.n_e=1 model.n_u=2"),
+    ("dynamics", "dynamics.tol=0"),
     ("feshbach-fuzz", "fuzz.instances=4"),
     ("feshbach-fuzz", "feshbach-fuzz.instance=4")])
 def test_main_refuses_pipeline_errors(tmp_path, capsys, kind, override):
-    # a ValueError from the pipeline itself is a usage error too, and so is
-    # an option scoped to anything but the kind or not declared by it (no
+    # a ValueError from the pipeline itself is a usage error too (so is
+    # more eigenpairs than ARPACK serves: dim 12 allows 10), and so is an
+    # option scoped to anything but the kind or not declared by it (no
     # pipeline would read it)
     out = tmp_path / "bad"
-    assert main([kind, "--out", str(out), override]) == 1
+    assert main([kind, "--out", str(out), *override.split()]) == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
 

@@ -117,14 +117,14 @@ def test_number_commutes_with_conjugate_operator(setup):
 def test_gjn_identity_case(setup):
     p, liou, conj = setup
     lam_diag = liou.comparison
-    rep = gjn_check(DiagPlus(lam_diag), lam_diag, "comparison")
+    rep = gjn_check(DiagPlus(lam_diag), lam_diag)
     assert np.isclose(rep.k_norm, 1.0)
     assert rep.k_form < 1e-10
 
 
 def test_gjn_number_dominated(setup):
     p, liou, conj = setup
-    rep = gjn_check(DiagPlus(liou.number), liou.comparison, "number")
+    rep = gjn_check(DiagPlus(liou.number), liou.comparison)
     assert rep.k_norm <= 1.0 + 1e-12
     assert rep.k_form < 1e-10
 
@@ -132,13 +132,13 @@ def test_gjn_number_dominated(setup):
 def test_gjn_rejects_small_comparison(setup):
     p, liou, conj = setup
     with pytest.raises(ValueError):
-        gjn_check(liou.operator, 0.2 * liou.comparison, "bad")
+        gjn_check(liou.operator, 0.2 * liou.comparison)
 
 
 def test_gjn_table_matches_csr_oracle():
-    # every row of the gjn report against the CSR computation (dense
-    # branch); the diagonal commutes with the comparison exactly, so the
-    # number operator's form constant is exactly zero
+    # every row of the gjn report against the CSR computation; the
+    # diagonal commutes with the comparison exactly, so the number
+    # operator's form constant is exactly zero
     from thermion.experiments import ExperimentConfig, run
     p = ModelParams(n_e=6, n_u=6, n_max=1, lam=0.1)
     rows = run(ExperimentConfig(kind="gjn", params=p)).tables[
@@ -207,7 +207,7 @@ def test_c3_kato_bound_stable_under_refinement():
 
     ad3 = []
     for ne, cut in ((64, 14.0), (128, 16.0), (256, 18.0)):
-        p = ModelParams(n_e=ne, n_u=4, n_max=0, e_max=cut, u_max=10.0)
+        p = ModelParams(n_e=ne, n_u=4, n_max=1, e_max=cut, u_max=10.0)
         b = build_bases(p)
         part = assemble_particle_ops(p, b)
         g = coupling_matrix(p, b)
@@ -288,8 +288,6 @@ def test_small_coupling_stability_across_scales(setup):
     p, liou, conj = setup
     rep = small_coupling_stability(p)
     assert rep.passed, rep
-    # gjn reports the check, compared at shipped defaults: at this fixture's
-    # truncation gjn's norms are dense SVDs, 13 s against 1 s
-    rep = small_coupling_stability(ModelParams())
-    gjn = run(ExperimentConfig(kind="gjn"))
+    # gjn reports the check
+    gjn = run(ExperimentConfig(kind="gjn", params=p))
     assert [c for c in gjn.checks if c.check == rep.check] == [rep]

@@ -5,8 +5,9 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import eigh, expm
 
 from csr_oracle import liouvillian, to_csr
-from thermion.linalg import (DENSE_CUTOFF, DiagPlus, lanczos_functions,
-                             min_eig_diag_plus_lowrank, min_eig_hermitian)
+from thermion.linalg import (DiagPlus, eig_pairs_smallest, lanczos_functions,
+                             min_eig_diag_plus_lowrank, min_eig_hermitian,
+                             operator_norm)
 from thermion.operators import (LowRank, Truncation, assemble_conjugates,
                                 assemble_liouvillian, hermitize)
 from thermion.params import ModelParams
@@ -162,22 +163,38 @@ def _chain_form(n_e, n_u, lam=0.1):
 @pytest.fixture(scope="module")
 def arpack_sized():
     op, dense = _chain_form(10, 12)
-    assert op.shape[0] > DENSE_CUTOFF
     return op, np.linalg.eigvalsh(dense)[0]
 
 
-def test_min_eig_of_operator_dense_branch():
-    op, dense = _chain_form(6, 8)
-    assert op.shape[0] <= DENSE_CUTOFF
+@pytest.mark.parametrize("n_e, n_u, tol", [(6, 8, 1e-12), (10, 12, 1e-10)])
+def test_min_eig_of_operator(n_e, n_u, tol):
+    op, dense = _chain_form(n_e, n_u)
     exact = np.linalg.eigvalsh(dense)[0]
     low, vec = min_eig_hermitian(op, with_vector=True)
-    assert abs(low - exact) <= 1e-12 * abs(exact)
-    assert np.linalg.norm(op @ vec - low * vec) <= 1e-12 * abs(exact)
+    assert abs(low - exact) <= tol * abs(exact)
+    assert np.linalg.norm(op @ vec - low * vec) <= tol * abs(exact)
 
 
-def test_min_eig_of_operator_arpack_branch(arpack_sized):
-    op, exact = arpack_sized
-    assert abs(min_eig_hermitian(op) - exact) <= 1e-10 * abs(exact)
+def test_no_solver_densifies():
+    # every solver applies the operator matrix-free: to vectors, or to the
+    # (dim, 1) block of svds' one eigenvector, never to the identity
+    op, _ = _chain_form(6, 8)
+    widths = []
+
+    def recorded(apply):
+        def counted(x):
+            widths.append(1 if x.ndim == 1 else x.shape[1])
+            return apply(x)
+        return counted
+
+    wrapped = spla.LinearOperator(
+        op.shape, dtype=op.dtype, matvec=recorded(op.matvec),
+        matmat=recorded(op.matmat), rmatvec=recorded(op.rmatvec),
+        rmatmat=recorded(op.rmatmat))
+    min_eig_hermitian(wrapped)
+    eig_pairs_smallest(wrapped, 4)
+    operator_norm(wrapped)
+    assert widths and set(widths) == {1}
 
 
 def test_min_eig_of_operator_shifted_retry(arpack_sized, monkeypatch):
@@ -200,8 +217,7 @@ def test_min_eig_of_operator_shifted_retry(arpack_sized, monkeypatch):
 def test_complex_coupling_keeps_the_complex_path(n_e, n_u):
     # a Hermitian coupling g + i S (S real antisymmetric) has a genuinely
     # complex particle factor: it alone stays complex, and the sum,
-    # diag + lam I and the solve stay complex128 and match dense eigvalsh,
-    # in the dense and ARPACK branches
+    # diag + lam I and the solve stay complex128 and match dense eigvalsh
     from thermion.operators import KronSum, interaction_like
     trunc = Truncation(ModelParams(n_e=n_e, n_u=n_u, n_max=1, e_max=4.0,
                                    u_max=4.0))
@@ -216,7 +232,6 @@ def test_complex_coupling_keeps_the_complex_path(n_e, n_u):
     assert x.dtype == op.dtype == np.complex128
     assert (op @ np.ones(op.shape[0])).dtype == np.complex128
     exact = np.linalg.eigvalsh(to_csr(op).toarray())[0]
-    assert (op.shape[0] > DENSE_CUTOFF) == (n_e == 10)
     assert abs(min_eig_hermitian(op) - exact) <= 1e-12 * abs(exact)
     # the chain's correction follows the interaction into the complex field
     trunc.coupling = g      # the interaction is built from it on first use
@@ -236,7 +251,6 @@ def test_chain_asks_arpack_for_the_domination_vector_only(monkeypatch):
 
     monkeypatch.setattr(spla, "eigsh", recorded)
     p = ModelParams(n_e=12, n_u=12, n_max=1, e_max=4.0, u_max=4.0)
-    assert Truncation(p).basis.dim == 2197 > DENSE_CUTOFF
     rep = verify_bound_chain(p, lam=1e-2)
     assert asked == [False, False, True]
     assert rep.steps[0].detail["residual"] <= 1e-8

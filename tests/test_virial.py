@@ -99,9 +99,8 @@ def test_random_hermitian_virial_expectation(setup):
 
 def test_family_norm_and_convergence(setup):
     p, liou, conj = setup
-    evals, vecs = eig_pairs_smallest(liouvillian(liou), 1)
-    family = build_regularized_family(vecs[:, 0], liou.conj_full, liou.number,
-                                      eigenvalue=float(evals[0]))
+    _, vecs = eig_pairs_smallest(liouvillian(liou), 1)
+    family = build_regularized_family(vecs[:, 0], liou.conj_full, liou.number)
     for rep in family_checks(family):
         assert rep.passed, rep
 
@@ -109,10 +108,9 @@ def test_family_norm_and_convergence(setup):
 def test_family_matches_dense_spectral_calculus(setup):
     p, liou, conj = setup
     from scipy.linalg import eigh
-    evals, vecs = eig_pairs_smallest(liouvillian(liou), 1)
+    _, vecs = eig_pairs_smallest(liouvillian(liou), 1)
     psi = vecs[:, 0]
-    family = build_regularized_family(psi, liou.conj_full, liou.number,
-                                      eigenvalue=float(evals[0]))
+    family = build_regularized_family(psi, liou.conj_full, liou.number)
     w, v = eigh(conj_full(liou.trunc).toarray())
     coeffs = v.conj().T @ psi
     for alpha, vec in zip(family.alphas, family.vectors):
@@ -148,9 +146,8 @@ def test_number_cutoff_commutes_with_conjugate_smoothing(setup):
 
 def test_commutator_expectation_scan_decreases(setup):
     p, liou, conj = setup
-    evals, vecs = eig_pairs_smallest(liouvillian(liou), 1)
-    family = build_regularized_family(vecs[:, 0], liou.conj_full, liou.number,
-                                      eigenvalue=float(evals[0]))
+    _, vecs = eig_pairs_smallest(liouvillian(liou), 1)
+    family = build_regularized_family(vecs[:, 0], liou.conj_full, liou.number)
     scan = commutator_expectation_scan(family, liouvillian(liou),
                                        liou.conj_full)
     assert abs(scan[-1][1]) < 1e-6
@@ -160,9 +157,8 @@ def test_commutator_expectation_scan_decreases(setup):
 def test_commutator_free_scan_matches_assembled_commutator(setup):
     # -2 Im <L v, A v> against <v, i[L, A] v> from the assembled product
     p, liou, conj = setup
-    evals, vecs = eig_pairs_smallest(liouvillian(liou), 1)
-    family = build_regularized_family(vecs[:, 0], liou.conj_full, liou.number,
-                                      eigenvalue=float(evals[0]))
+    _, vecs = eig_pairs_smallest(liouvillian(liou), 1)
+    family = build_regularized_family(vecs[:, 0], liou.conj_full, liou.number)
     c1_direct = commutator(liouvillian(liou), conj_full(liou.trunc))
     scan = commutator_expectation_scan(family, liou.operator, liou.conj_full)
     for (alpha, val), vc in zip(scan, family.vectors):
