@@ -239,13 +239,18 @@ def run_virial_scan(cfg: ExperimentConfig) -> Report:
 
     scan = virial.commutator_expectation_scan(family, l_op, a_op)
     final = abs(scan[-1][1])
-    orders = (np.diff(np.log(np.abs([v for _, v in scan])))
+    # an order needs both scan values nonzero (zero when I vanishes)
+    mags = np.abs([v for _, v in scan])
+    nonzero = mags > 0
+    orders = (np.diff(np.log(np.where(nonzero, mags, 1.0)))
               / np.diff(np.log([a for a, _ in scan])))
+    orders = [o if ok else None
+              for o, ok in zip(orders.tolist(), nonzero[:-1] & nonzero[1:])]
     checks.append(BoundReport.of(
         "commutator expectation vanishes along the smoothed family", final,
         "<", 1e-6, also=final <= abs(scan[0][1]) + 1e-12,
         detail={"scan": [[a, v] for a, v in scan],
-                "alpha_orders": orders.tolist(),
+                "alpha_orders": orders,
                 "krylov_error": family.krylov_error}))
 
     k49 = trunc.compensation(p.lam)

@@ -176,6 +176,22 @@ def test_main_refuses_pipeline_errors(tmp_path, capsys, kind, override):
     assert not out.exists()
 
 
+def test_virial_scan_report_is_strict_json_when_the_scan_vanishes(tmp_path):
+    # at n_e = 1, n_u = 2 every scan value is exactly 0, so no order of
+    # decay is defined: each becomes null rather than NaN
+    main(["virial-scan", "--out", str(tmp_path), "model.n_e=1",
+          "model.n_u=2"])
+
+    def refuse(name):
+        raise ValueError(f"non-JSON constant {name}")
+    rep = json.loads((tmp_path / "virial-scan.json").read_text(),
+                     parse_constant=refuse)
+    detail = next(c["detail"] for c in rep["checks"]
+                  if "alpha_orders" in c["detail"])
+    assert all(v == 0.0 for _, v in detail["scan"])
+    assert detail["alpha_orders"] == [None] * (len(detail["scan"]) - 1)
+
+
 def test_run_refuses_undeclared_options():
     cfg = ExperimentConfig(kind="feshbach-fuzz", options={"instance": 4})
     with pytest.raises(ValueError, match="'instance'; accepted: instances, "
@@ -199,12 +215,13 @@ def test_cli_import_leaves_scipy_interpolate_unloaded():
     assert proc.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("kind", ["gjn", "feshbach-fuzz"])
+@pytest.mark.parametrize("kind", ["gjn", "feshbach-fuzz", "fgr"])
 def test_report_bytes_do_not_depend_on_blas_threads(tmp_path, kind):
     # default gjn once varied in its number_commutator constants with the
     # BLAS thread count (complex svds); its norms now run in float64.
     # feshbach-fuzz evaluates stacks of reduced blocks through batched
-    # matmul and det
+    # matmul and det. fgr's midpoint oracle sums its Lorentzian matrix as
+    # an FFT correlation, which no BLAS thread count may move
     src = str(Path(thermion.__file__).resolve().parents[1])
     texts = []
     for threads in ("1", "2"):

@@ -216,16 +216,16 @@ def test_run_fgr_binds_the_kernel_evaluator_per_quadrature(monkeypatch):
 
 
 def _broadcast_midpoint(p, eps, lo, om_hi, e_hi, n):
-    # the whole Lorentzian matrix at once (one 128-row chunk for m <= 128)
+    # the whole Lorentzian matrix at once, on the oracle's shared spacing:
+    # h on both axes, ceil(e_hi / h) energy midpoints
     def riemann(m):
-        dw = (om_hi - lo) / m
-        de = e_hi / m
-        om = lo + (np.arange(m) + 0.5) * dw
-        e = (np.arange(m) + 0.5) * de
+        h = (om_hi - lo) / m
+        om = lo + (np.arange(m) + 0.5) * h
+        e = (np.arange(math.ceil(e_hi / h)) + 0.5) * h
         x = p.bound_energy + om
         lor = eps / ((e[None, :] - x[:, None]) ** 2 + eps ** 2)
         ge2 = np.abs(p.kernel.gamma(e)) ** 2
-        return float(fgr._freq_weight(p, om) @ (lor @ ge2)) * dw * de
+        return float(fgr._freq_weight(p, om) @ (lor @ ge2)) * h * h
     return (4.0 * riemann(n) - riemann(n // 2)) / 3.0
 
 
@@ -236,6 +236,7 @@ def test_golden_rule_values_bit_identical():
     assert gamma_regularized(p, 0.2) == 23.463023622123746
     assert gamma_regularized(p, 0.1) == 23.728094515755746
     assert gamma_limit(p) == 23.943859418141738
+    assert gamma_regularized(p, 0.2, method="midpoint") == 23.463023622124187
     detail = check_kernel_integrals(p).detail
     pinned = {"column_w0_d0": 5.625, "column_w0_d1": 1.1249999999999998,
               "column_w0_d2": 1.125, "column_w0_d3": 5.625000000000002,
@@ -246,13 +247,16 @@ def test_golden_rule_values_bit_identical():
               "column_w3_d0": 0.5000000000000001,
               "energy_weighted_block": 442.96874999999966}
     assert {k: detail[k] for k in pinned} == pinned
-    # the blocked midpoint sum against the broadcast one: m = 32 and 64
-    # fill whole blocks, m = 50 and 100 end in a partial one
-    lo, om_hi, e_hi = 1.0, 9.0, 20.0
-    for n in (64, 100):
-        blocked = fgr._gamma_reg_midpoint(p, 0.2, lo, om_hi, e_hi, n=n)
+    # the FFT midpoint sum against the broadcast one. At (1, 9, 24.25) and
+    # n = 32 the Richardson pair needs m + m_e - 1 = 64 and 128 lags, both
+    # fast lengths, so the FFT is exactly as long as the no-wraparound
+    # bound. lo = 0.5 shifts the lags off the grid (E + lo != 0), and
+    # e_hi = 5.1 is no multiple of h, so the energy grid runs past it
+    for lo, om_hi, e_hi, n in ((1.0, 9.0, 20.0, 64), (1.0, 9.0, 20.0, 100),
+                               (1.0, 9.0, 24.25, 32), (0.5, 8.5, 5.1, 32)):
+        fft = fgr._gamma_reg_midpoint(p, 0.2, lo, om_hi, e_hi, n=n)
         ref = _broadcast_midpoint(p, 0.2, lo, om_hi, e_hi, n)
-        assert abs(blocked - ref) <= 1e-14 * abs(ref)
+        assert abs(fft - ref) <= 1e-14 * abs(ref)
 
 
 def test_power_exp_memo_is_invisible():
