@@ -70,6 +70,9 @@ def build_config(kind: str, entries: dict) -> ExperimentConfig:
                 jobs = int(val)
             elif name == "format":
                 fmt = str(val)
+                if fmt not in ("json", "csv"):
+                    raise ValueError(f"run.format must be json or csv, "
+                                     f"got {val!r}")
             elif name == "out":
                 out_dir = str(val)
             else:

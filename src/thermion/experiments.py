@@ -75,6 +75,8 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
 def run_fgr(cfg: ExperimentConfig) -> Report:
     p = cfg.params
     eps_list = tuple(cfg.opt("eps_list", (0.2, 0.1, 0.05, 0.025)))
+    if not eps_list:
+        raise ValueError("fgr.eps_list must hold at least one width")
     res = fgr.golden_rule(p, eps_list)
     checks = [BoundReport.of(
         "golden-rule constant strictly positive", res.gamma_limit, ">", 0.0,
@@ -82,14 +84,14 @@ def run_fgr(cfg: ExperimentConfig) -> Report:
                 "cutoffs": res.cutoffs})]
 
     adaptive = res.gamma_eps[eps_list[0]]
-    midpoint = fgr.gamma_regularized(p, eps_list[0], method="midpoint")
+    midpoint = fgr.gamma_regularized_midpoint(p, eps_list[0])
     rel = abs(adaptive - midpoint) / abs(adaptive)
     checks.append(BoundReport.of(
         "independent quadratures agree", rel, "<=", 1e-6,
         detail={"adaptive": adaptive, "midpoint": midpoint,
                 "eps": eps_list[0]}))
 
-    checks.append(fgr.eps_convergence(p, eps_list, res))
+    checks.append(fgr.eps_convergence(res))
     checks.extend(fgr.check_hypotheses(p))
 
     if cfg.opt("operator_check", False):
@@ -253,10 +255,10 @@ def run_virial_scan(cfg: ExperimentConfig) -> Report:
                 "alpha_orders": orders,
                 "krylov_error": family.krylov_error}))
 
-    k49 = trunc.compensation(p.lam)
+    k_lam = trunc.compensation(p.lam)
     c_op = (comm.closed_form_commutator(liou, 1)
             + aslinearoperator(conj.correction_comm))
-    b_op = DiagPlus(0.1 * trunc.number + k49 * p.lam ** 2, -1.0,
+    b_op = DiagPlus(0.1 * trunc.number + k_lam * p.lam ** 2, -1.0,
                     conj.correction_comm)
     checks.append(virial.regularity_check(c_op, trunc.number, b_op, family))
 

@@ -118,16 +118,15 @@ class FeshbachPencil:
 
 
 def feshbach_woodbury(d: np.ndarray, lr: LowRank, k: int, m: float,
-                      floor: float,
-                      cond_tol: float = _COND_TOL) -> FeshbachResult:
+                      floor: float) -> FeshbachResult:
     """F(m) = d_k + u_k C u_k* - b* (Mbar - m)^{-1} b, b = Ubar C u_k*, of
     M = diag(d) + U C U* on the coordinate k, by Woodbury through
     I + C Ubar* (Dbar - m)^{-1} Ubar (C need not be invertible) on the
-    support of U.  Refuses when m is within cond_tol of ``floor`` (a lower
+    support of U.  Refuses when m is within _COND_TOL of ``floor`` (a lower
     bound on the complement spectrum) or the residual exceeds 1e-10 ||b||.
     """
     dist = floor - m
-    if dist <= cond_tol:
+    if dist <= _COND_TOL:
         _refuse(m, dist)
     rows = np.flatnonzero(np.any(lr.u != 0, axis=1))
     ub, u_k, shifted = lr.u[rows[rows != k]], lr.u[k], d[rows[rows != k]] - m
@@ -158,20 +157,19 @@ class BoundOperators:
 
 
 def assemble_bound_operators(liou: LiouvillianAction, conj: ConjugateOps,
-                             k49: float | None = None) -> BoundOperators:
+                             k49: float) -> BoundOperators:
     trunc, lam = liou.trunc, liou.params.lam
-    if k49 is None:
-        k49 = trunc.compensation(lam)
     offset = 0.9 * (1.0 - trunc.vacuum_proj) - k49 * lam ** 2
     d_scaled = pair_diag(trunc.basis, trunc.particle.xi_of_h) + offset
     d_limit = pair_diag(trunc.basis, trunc.particle.continuum_proj) + offset
     return BoundOperators(d_scaled, d_limit, conj.correction_comm, float(k49))
 
 
-def _max_abs_row_sum(d: np.ndarray, lr: LowRank, chunk: int = 256) -> float:
+def _max_abs_row_sum(d: np.ndarray, lr: LowRank) -> float:
     """max_i sum_j |(diag(d) + U C U*)_ij|: |d_i| off the support of U, on
-    it the dense rows a chunk at a time."""
+    it the dense rows 256 at a time."""
     sums, on = np.abs(d), np.flatnonzero(np.any(lr.u != 0, axis=1))
+    chunk = 256
     uc, uh = lr.u[on] @ lr.c, lr.u[on].conj().T
     for i in range(0, len(on), chunk):
         block = uc[i:i + chunk] @ uh
@@ -197,24 +195,24 @@ class ChainRecipe:
     detail: dict = field(default_factory=dict)
 
 
-def chain_recipe(params: ModelParams, gamma: float, k49: float,
-                 eps0: float = 1.0, corr_shape: float = 0.5) -> ChainRecipe:
+def chain_recipe(params: ModelParams, gamma: float, k49: float) -> ChainRecipe:
     """Parameter choice following the smallness prescription with measured
     constants.
 
     The reduction argument needs theta (1 + lam/eps)^2 + eps/(gamma theta)
-    below a threshold lambda2 set by the measured correction shape and the
-    compensation constant; theta is fixed at a quarter of that threshold
-    and eps below gamma * theta * lambda2.  The returned diagnosis states
-    whether the resulting width is resolvable on the energy grid.
+    below a threshold lambda2 set by the correction shape (at least 1/2)
+    and the compensation constant; theta is fixed at an eighth of that
+    threshold and eps at half of gamma * theta * lambda2, capped at 1.
+    The returned diagnosis states whether the resulting width is
+    resolvable on the energy grid.
     """
-    k_hat = max(corr_shape, k49 / max(2.0 * gamma, 1e-300))
+    k_hat = max(0.5, k49 / max(2.0 * gamma, 1e-300))
     lambda2 = max(1.0 / (2.0 * k_hat), 1e-9)
     theta = lambda2 / 8.0
     lambda1 = min(1.0, np.sqrt(0.2 / max(k49, 1.0)))
     # floor keeps the parameters admissible when the rate constant
     # degenerates to zero; the chain then fails its smallness flags
-    epsilon = max(min(eps0, gamma * theta * lambda2 / 2.0), 1e-9)
+    epsilon = max(min(1.0, gamma * theta * lambda2 / 2.0), 1e-9)
     lambda0 = min(lambda1, epsilon * np.sqrt(lambda1 / theta), epsilon)
     de = params.e_max / params.n_e
     feasible = 2.0 * de
@@ -248,8 +246,6 @@ def verify_bound_chain(params: ModelParams,
                        epsilon: float | None = None,
                        lam: float | None = None,
                        gamma: float | None = None,
-                       m_grid=(0.0, 0.05, 0.1, 0.15, 0.2, 0.24),
-                       tol_scale: float = 1e-8,
                        trunc: Truncation | None = None) -> ChainReport:
     """Run every inequality of the positivity argument at the given (or
     recipe-chosen) parameters and report slacks; the probe and the run
@@ -281,7 +277,7 @@ def verify_bound_chain(params: ModelParams,
     residual = float(np.linalg.norm(combo @ vec - low * vec))
     steps.append(BoundReport.of(
         "commutator dominates the dressed bound operator", low, ">=",
-        -tol_scale * scale,
+        -1e-8 * scale,
         detail={"norm_scale": scale, "residual": residual}))
 
     # complement block strictly above one half
@@ -296,7 +292,7 @@ def verify_bound_chain(params: ModelParams,
     # reduced scalar positive uniformly on the parameter grid
     f_vals = {}
     if mbar_low > 0.3:
-        for m in m_grid:
+        for m in (0.0, 0.05, 0.1, 0.15, 0.2, 0.24):
             if m < mbar_low - 1e-6:
                 res = feshbach_woodbury(ops.d_limit, corr, k_pi, float(m),
                                         mbar_low)

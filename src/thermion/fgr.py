@@ -3,11 +3,11 @@
 The rate constant is a double integral: thermal weight times squared form
 factor in the emitted frequency, against the squared bound-continuum
 coupling smeared by a Lorentzian in the continuum energy.  The regularized
-form (finite Lorentzian width) and the width-to-zero limit each have an
-adaptive quadrature and a Richardson-refined midpoint oracle; ``run_fgr``
-compares the two only for the regularized form at its first width, and the
-limit's oracle runs only in the tests.  The regularized oracle puts both
-variables on one spacing, so its inner sum is one FFT correlation.
+form (finite Lorentzian width) has an adaptive quadrature and a
+Richardson-refined midpoint oracle, which ``run_fgr`` compares at its
+first width; the width-to-zero limit is adaptive here, and its midpoint
+oracle lives in the tests.  The regularized oracle puts both variables on
+one spacing, so its inner sum is one FFT correlation.
 
 Note the exact zero-width limit carries a factor pi from the Lorentzian
 mass: integral of w / ((x)^2 + w^2) dx = pi.  Without it the two forms
@@ -68,41 +68,46 @@ def _freq_weight(params: ModelParams, omega):
             * np.abs(g) ** 2)
 
 
-def gamma_regularized(params: ModelParams, eps: float,
-                      method: str = "adaptive") -> float:
-    """Finite-width rate constant:
+def _freq_range(params: ModelParams) -> tuple:
+    """The frequency range (-E, om_hi) of the outer integral."""
+    lo = -params.bound_energy
+    return lo, max(_freq_cutoff(params), lo * 1.5)
+
+
+def gamma_regularized(params: ModelParams, eps: float) -> float:
+    """Finite-width rate constant, by adaptive quadrature:
 
         int_{-E}^{inf} dw dSigma  w^2/(e^{bw}-1) |g(w)|^2
             int_0^inf de  eps / ((e - E - w)^2 + eps^2) |Gamma(e)|^2
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    lo = -params.bound_energy
-    om_hi = max(_freq_cutoff(params), lo * 1.5)
+    lo, om_hi = _freq_range(params)
     e_hi = _energy_cutoff(params) + om_hi
+    gamma, eps2 = params.kernel.gamma.scalar(0), eps ** 2
 
-    if method == "adaptive":
-        gamma, eps2 = params.kernel.gamma.scalar(0), eps ** 2
+    def inner(omega):
+        x = params.bound_energy + omega
 
-        def inner(omega):
-            x = params.bound_energy + omega
+        def f(e):
+            return eps / ((e - x) ** 2 + eps2) * abs(gamma(e)) ** 2
+        val, _ = quad(f, 0.0, e_hi, points=[max(x, 0.0)], limit=200)
+        return val
 
-            def f(e):
-                return eps / ((e - x) ** 2 + eps2) * abs(gamma(e)) ** 2
-            val, _ = quad(f, 0.0, e_hi, points=[max(x, 0.0)], limit=200)
-            return val
+    def outer(omega):
+        return _freq_weight(params, omega) * inner(omega)
 
-        def outer(omega):
-            return _freq_weight(params, omega) * inner(omega)
+    val, err = quad(outer, lo, om_hi, limit=200)
+    if not np.isfinite(val) or err > 1e-6 * abs(val) + 1e-12:
+        raise RuntimeError(f"outer quadrature failed: est. error {err}")
+    return float(val)
 
-        val, err = quad(outer, lo, om_hi, limit=200)
-        if not np.isfinite(val) or err > 1e-6 * abs(val) + 1e-12:
-            raise RuntimeError(f"outer quadrature failed: est. error {err}")
-        return float(val)
 
-    if method == "midpoint":
-        return _gamma_reg_midpoint(params, eps, lo, om_hi, e_hi)
-    raise ValueError(f"unknown method {method!r}")
+def gamma_regularized_midpoint(params: ModelParams, eps: float) -> float:
+    """The same constant by the midpoint oracle, on the same ranges."""
+    lo, om_hi = _freq_range(params)
+    return _gamma_reg_midpoint(params, eps, lo, om_hi,
+                               _energy_cutoff(params) + om_hi)
 
 
 def _gamma_reg_midpoint(params: ModelParams, eps, lo, om_hi, e_hi,
@@ -140,46 +145,31 @@ def _gamma_reg_midpoint(params: ModelParams, eps, lo, om_hi, e_hi,
     return (4.0 * s2 - s1) / 3.0
 
 
-def gamma_limit(params: ModelParams, method: str = "adaptive",
-                n: int = 1 << 18) -> float:
-    """Zero-width limit (factor pi included, see module docstring):
+def gamma_limit(params: ModelParams) -> float:
+    """Zero-width limit (factor pi included, see module docstring), by
+    adaptive quadrature:
 
         pi * int_{-E}^{inf} dw dSigma  w^2/(e^{bw}-1)
              |g(w)|^2 |Gamma(E + w)|^2
     """
-    lo = -params.bound_energy
-    om_hi = max(_freq_cutoff(params), lo * 1.5)
+    lo, om_hi = _freq_range(params)
 
     def f(omega):
         return (_freq_weight(params, omega)
                 * np.abs(params.kernel.gamma(params.bound_energy + omega))**2)
 
-    if method == "adaptive":
-        val, err = quad(f, lo, om_hi, limit=200)
-        if not np.isfinite(val) or err > 1e-6 * abs(val) + 1e-12:
-            raise RuntimeError(f"quadrature failed: est. error {err}")
-        return math.pi * float(val)
-    if method == "midpoint":
-        def riemann(m):
-            h = (om_hi - lo) / m
-            om = lo + (np.arange(m) + 0.5) * h
-            return float(np.sum(f(om))) * h
-        s1, s2 = riemann(n // 2), riemann(n)
-        return math.pi * (4.0 * s2 - s1) / 3.0
-    raise ValueError(f"unknown method {method!r}")
+    val, err = quad(f, lo, om_hi, limit=200)
+    if not np.isfinite(val) or err > 1e-6 * abs(val) + 1e-12:
+        raise RuntimeError(f"quadrature failed: est. error {err}")
+    return math.pi * float(val)
 
 
-def eps_convergence(params: ModelParams,
-                    eps_list=(0.2, 0.1, 0.05, 0.025),
-                    result: FgrResult | None = None) -> BoundReport:
-    """|gamma_eps - gamma_limit| <= C * eps with C read off the data; the
-    honest content is that the per-eps ratios stay bounded (linear decay).
-    ``result`` is a ``golden_rule`` bundle holding every width of
-    ``eps_list``; without one it is computed here."""
-    if result is None:
-        result = golden_rule(params, eps_list)
+def eps_convergence(result: FgrResult) -> BoundReport:
+    """|gamma_eps - gamma_limit| <= C * eps with C read off the data, over
+    the widths of a ``golden_rule`` bundle; the honest content is that the
+    per-eps ratios stay bounded (linear decay)."""
     glim = result.gamma_limit
-    diffs = {e: abs(result.gamma_eps[e] - glim) for e in eps_list}
+    diffs = {e: abs(g - glim) for e, g in result.gamma_eps.items()}
     ratios = np.array([d / e for e, d in diffs.items()])
     big_c = float(ratios.max())
     spread = float(ratios.max() / max(ratios.min(), 1e-300))
@@ -239,14 +229,13 @@ def operator_side_rate(params: ModelParams, eps: float) -> float:
     return float(eps * (s_direct + s_image))
 
 
-def operator_vs_quadrature(params: ModelParams, eps: float,
-                           rel_tol: float = 0.05) -> BoundReport:
+def operator_vs_quadrature(params: ModelParams, eps: float) -> BoundReport:
     """Assembled-operator rate against the quadrature rate."""
     ops = operator_side_rate(params, eps)
     quad_val = gamma_regularized(params, eps)
     rel = abs(ops - quad_val) / abs(quad_val)
     return BoundReport.of(
-        "assembled resolvent rate matches quadrature", rel, "<=", rel_tol,
+        "assembled resolvent rate matches quadrature", rel, "<=", 0.05,
         detail={"operator_side": ops, "quadrature": quad_val, "eps": eps,
                 "n_e": params.n_e, "n_u": params.n_u})
 
@@ -255,18 +244,18 @@ def operator_vs_quadrature(params: ModelParams, eps: float,
 # hypothesis checkers
 # ---------------------------------------------------------------------------
 
-def check_ir_uv(params: ModelParams, n_samples: int = 200) -> BoundReport:
+def check_ir_uv(params: ModelParams) -> BoundReport:
     """Infrared / ultraviolet envelopes of the form factor with its
     derivatives up to fourth order."""
     ff = params.form_factor
     worst = np.inf
     detail = {}
-    low = np.geomspace(1e-6, ff.k1 * (1 - 1e-9), n_samples)
+    low = np.geomspace(1e-6, ff.k1 * (1 - 1e-9), 200)
     for j in range(5):
         margin = ff.k2 * low ** (ff.ir_exponent - j) - np.abs(ff(low, j))
         worst = min(worst, float(margin.min()))
         detail[f"ir_d{j}"] = float(margin.min())
-    high = np.geomspace(ff.big_k1 * (1 + 1e-9), ff.big_k1 * 50, n_samples)
+    high = np.geomspace(ff.big_k1 * (1 + 1e-9), ff.big_k1 * 50, 200)
     for j in range(5):
         margin = ff.big_k2 * high ** (-ff.uv_exponent - j) - np.abs(ff(high, j))
         worst = min(worst, float(margin.min()))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
-from math import comb
 
 import numpy as np
 
@@ -136,15 +135,6 @@ class FockBasis:
     def dim(self) -> int:
         return len(self.states)
 
-    @property
-    def expected_dim(self) -> int:
-        return sum(comb(self.grid.n_u + n - 1, n) for n in range(self.n_max + 1))
-
-    @property
-    def occupation_numbers(self) -> np.ndarray:
-        """Total boson number of each basis state."""
-        return np.array([sum(s) for s in self.states])
-
 
 @dataclass(frozen=True)
 class CompositeBasis:
@@ -176,15 +166,6 @@ class CompositeBasis:
             raise IndexError(f"Fock index {n} out of range")
         return i + dp * j + dp * dp * n
 
-    def unflatten(self, flat: int):
-        dp = self.dim_p
-        if not 0 <= flat < self.dim:
-            raise IndexError(f"flat index {flat} out of range")
-        i = flat % dp
-        j = (flat // dp) % dp
-        n = flat // (dp * dp)
-        return i, j, n
-
     def as_tensor(self, vec: np.ndarray) -> np.ndarray:
         """View a flat vector as a (fock, right, left) tensor."""
         return vec.reshape(self.fock.dim, self.right.dim, self.left.dim)
@@ -202,20 +183,3 @@ def build_bases(params) -> CompositeBasis:
     fb = FockBasis(ugrid, params.n_max)
     return CompositeBasis(pb, pb, fb)
 
-
-def embed_function(f, grid) -> np.ndarray:
-    """Sample f at the grid nodes and scale by sqrt(weight).
-
-    The scaling makes the euclidean norm of the result approximate the
-    continuum L2 norm, so operators assembled against embedded vectors are
-    Hermitian without any weight matrices.
-    """
-    nodes = grid.nodes
-    vals = np.asarray(f(nodes) if callable(f) else f, dtype=complex)
-    if vals.shape != nodes.shape:
-        vals = np.broadcast_to(vals, nodes.shape).astype(complex)
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        where = nodes[bad][0]
-        raise ValueError(f"non-finite sample at node {where}")
-    return vals * np.sqrt(grid.weight)

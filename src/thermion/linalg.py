@@ -49,47 +49,48 @@ class DiagPlus(spla.LinearOperator):
     _matvec, _rmatvec = _matmat, _rmatmat
 
 
-def _start_vector(n: int, seed: int = 12345) -> np.ndarray:
-    return np.random.default_rng(seed).standard_normal(n)
+def _start_vector(n: int) -> np.ndarray:
+    return np.random.default_rng(12345).standard_normal(n)
 
 
-def _power_norm(m, tol: float = 1e-10, max_iter: int = 500) -> float:
-    """Deterministic power iteration on M* M (fallback when ARPACK balks,
-    e.g. on diagonal operators with large kernels)."""
+def _power_norm(m) -> float:
+    """Deterministic power iteration on M* M, at most 500 steps to a
+    relative change of 1e-10 (fallback when ARPACK balks, e.g. on diagonal
+    operators with large kernels)."""
     op = spla.aslinearoperator(m)
     v = _start_vector(m.shape[1]).astype(complex)
     v /= np.linalg.norm(v)
     est = 0.0
-    for _ in range(max_iter):
+    for _ in range(500):
         w = op.rmatvec(op.matvec(v))
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
         new = np.sqrt(nw)
         v = w / nw
-        if abs(new - est) <= tol * max(new, 1.0):
+        if abs(new - est) <= 1e-10 * max(new, 1.0):
             return float(new)
         est = new
     return float(est)
 
 
-def operator_norm(m, tol: float = 1e-9) -> float:
-    """Largest singular value."""
+def operator_norm(m) -> float:
+    """Largest singular value, to ARPACK tolerance 1e-9."""
     try:
-        sv = spla.svds(m, k=1, tol=tol, v0=_start_vector(m.shape[1]),
+        sv = spla.svds(m, k=1, tol=1e-9, v0=_start_vector(m.shape[1]),
                        return_singular_vectors=False)
         return float(sv[0])
     except (spla.ArpackError, spla.ArpackNoConvergence):
         return _power_norm(m)
 
 
-def min_eig_hermitian(m, tol: float = 1e-10, with_vector: bool = False):
+def min_eig_hermitian(m, with_vector: bool = False):
     """Smallest eigenvalue of a Hermitian matrix or LinearOperator by
-    ARPACK, with a shifted retry on non-convergence; the eigenvector is
-    built only when ``with_vector`` asks for it."""
+    ARPACK (tolerance 1e-10), with a shifted retry on non-convergence; the
+    eigenvector is built only when ``with_vector`` asks for it."""
     n, shift = m.shape[0], 0.0
     op = spla.aslinearoperator(m)
-    arpack = dict(k=1, tol=tol, v0=_start_vector(n), maxiter=60 * n,
+    arpack = dict(k=1, tol=1e-10, v0=_start_vector(n), maxiter=60 * n,
                   return_eigenvectors=with_vector)
     try:
         out = spla.eigsh(op, which="SA", **arpack)

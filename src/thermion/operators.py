@@ -41,14 +41,9 @@ def hermitize(m):
     return (m + m.conj().swapaxes(-1, -2)) * 0.5
 
 
-def hermiticity_defect(m) -> float:
-    """max |M - M*| entrywise, exact; the same value in any sparse format
-    (DIA has no max, so the difference goes to CSR, a no-op for CSR)."""
-    d = m - m.conj().T
-    if sp.issparse(d):
-        d = d.tocsr()
-        return float(abs(d).max()) if d.nnz else 0.0
-    return float(np.abs(d).max()) if d.size else 0.0
+def hermiticity_defect(m: np.ndarray) -> float:
+    """max |M - M*| entrywise of a dense matrix, exact."""
+    return float(np.abs(m - m.conj().T).max())
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +185,6 @@ def lowering_op(fb: FockBasis, f: np.ndarray) -> sp.csr_matrix:
             data.append(np.conj(f[k]) * np.sqrt(occ))
     return sp.csr_matrix((data, (rows, cols)), shape=(fb.dim, fb.dim),
                          dtype=complex)
-
-
-def raising_op(fb: FockBasis, f: np.ndarray) -> sp.csr_matrix:
-    """a*(f); adjoint of the truncated a(f), so amplitudes leaving the top
-    occupation sector are dropped (hard cutoff)."""
-    return lowering_op(fb, f).conj().T.tocsr()
 
 
 def field_op(fb: FockBasis, f: np.ndarray) -> sp.csr_matrix:
@@ -498,10 +487,6 @@ class LowRank:
 
     __matmul__ = matvec
 
-    def diagonal(self) -> np.ndarray:
-        """Real, as the diagonal of a Hermitian operator."""
-        return np.real(np.sum((self.u @ self.c) * self.u.conj(), axis=1))
-
     def norm(self) -> float:
         """Spectral norm, from R C R* for the thin QR U = Q R."""
         r = np.linalg.qr(self.u, mode="r")
@@ -583,11 +568,10 @@ def apply_j(basis: CompositeBasis) -> ModularConjugation:
     return ModularConjugation(basis, perm)
 
 
-def check_j(liou: LiouvillianAction, n_vectors: int = 20, seed: int = 7,
-            tol: float = 1e-10) -> BoundReport:
-    """J L J = -L on random vectors (relative to ||L|| ||psi||)."""
+def check_j(liou: LiouvillianAction) -> BoundReport:
+    """J L J = -L on 20 random vectors (relative to ||L|| ||psi||)."""
     conj = apply_j(liou.basis)
-    rng = np.random.default_rng(seed)
+    rng, n_vectors = np.random.default_rng(7), 20
     op_norm = operator_norm(liou.operator)
     worst = 0.0
     for _ in range(n_vectors):
@@ -598,4 +582,4 @@ def check_j(liou: LiouvillianAction, n_vectors: int = 20, seed: int = 7,
         worst = max(worst, res / (op_norm * np.linalg.norm(psi)))
     return BoundReport.of(
         "modular conjugation anticommutes with the Liouvillian", worst, "<=",
-        tol, detail={"vectors": n_vectors, "norm_bound": op_norm})
+        1e-10, detail={"vectors": n_vectors, "norm_bound": op_norm})

@@ -107,7 +107,7 @@ class Kernel:
     ``gamma`` is the bound-to-continuum coupling profile, a
     ``PowerExpProfile``: ``gamma(e, deriv)`` on scalars or arrays, and
     ``gamma.scalar(deriv)`` for quadrature integrands,
-    ``k(e, e', d1, d2)`` the continuum-continuum block (must be Hermitian:
+    ``k(e, e')`` the continuum-continuum block (must be Hermitian:
     conj(k(e, e')) == k(e', e)), and ``g_ee`` the real bound-bound scalar.
     The default is the rank-one choice k(e,e') = gamma(e) gamma(e') with
     g_ee = 1, i.e. the whole coupling matrix is |v><v| for v = (1, gamma).
@@ -117,8 +117,8 @@ class Kernel:
         default_factory=lambda: PowerExpProfile(3.0))
     g_ee: float = 1.0
 
-    def k(self, e, ep, d1: int = 0, d2: int = 0):
-        return self.gamma(e, d1) * self.gamma(ep, d2)
+    def k(self, e, ep):
+        return self.gamma(e) * self.gamma(ep)
 
 
 @dataclass(frozen=True)

@@ -136,10 +136,10 @@ def commutator_expectation_scan(family: RegularizedFamily, l_op,
 
 
 def regularity_check(c_op, p_diag: np.ndarray, b_op,
-                     family: RegularizedFamily,
-                     tol: float = 1e-8) -> BoundReport:
+                     family: RegularizedFamily) -> BoundReport:
     """Given C >= P - B as forms (verified on the family), the limit vector
-    satisfies <B> >= 0 and ||P^{1/2} psi||^2 <= <B> + tol."""
+    satisfies <B> >= 0 and ||P^{1/2} psi||^2 <= <B> + tol, tol = 1e-8."""
+    tol = 1e-8
     psi = family.base
     hyp_worst = np.inf
     for vc in family.vectors:

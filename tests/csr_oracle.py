@@ -55,6 +55,18 @@ def to_csr(op) -> sp.csr_matrix:
     raise TypeError(f"no CSR reference for {type(op).__name__}")
 
 
+def sparse_hermiticity_defect(m) -> float:
+    """max |M - M*| entrywise of a sparse matrix, exact, the same value in
+    any format (DIA has no max, so the difference goes to CSR)."""
+    d = (m - m.conj().T).tocsr()
+    return float(abs(d).max()) if d.nnz else 0.0
+
+
+def lowrank_diagonal(lr: LowRank) -> np.ndarray:
+    """Diagonal of U C U*, real as a Hermitian operator's."""
+    return np.real(np.einsum("ir,rs,is->i", lr.u, lr.c, lr.u.conj()))
+
+
 def liouvillian(liou) -> sp.csr_matrix:
     return to_csr(liou.operator)
 

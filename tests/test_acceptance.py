@@ -69,7 +69,7 @@ def test_criterion_01_commutator_identity_order():
 
         pu = np.exp(-((b.fock.grid.nodes - 0.5)) ** 2)
         fock = product_boson_amplitudes(b.fock, pu)
-        fock[b.fock.occupation_numbers != 2] = 0.0
+        fock[np.array([sum(s) for s in b.fock.states]) != 2] = 0.0
         pe = np.concatenate(([0.0], np.exp(-(b.left.grid.nodes - 1.0) ** 2)))
         psi = (fock[:, None, None] * pe[None, None, :]
                * pe[None, :, None]).ravel().astype(complex)

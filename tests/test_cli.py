@@ -164,15 +164,20 @@ def test_main_refuses_invalid_grid(tmp_path, capsys, override):
     ("virial-scan", "virial-scan.n_pairs=11 model.n_e=1 model.n_u=2"),
     ("dynamics", "dynamics.tol=0"),
     ("feshbach-fuzz", "fuzz.instances=4"),
-    ("feshbach-fuzz", "feshbach-fuzz.instance=4")])
+    ("feshbach-fuzz", "feshbach-fuzz.instance=4"),
+    ("feshbach-fuzz", "run.format=xml"),
+    ("fgr", "fgr.eps_list=[]")])
 def test_main_refuses_pipeline_errors(tmp_path, capsys, kind, override):
     # a ValueError from the pipeline itself is a usage error too (so is
-    # more eigenpairs than ARPACK serves: dim 12 allows 10), and so is an
-    # option scoped to anything but the kind or not declared by it (no
-    # pipeline would read it)
+    # more eigenpairs than ARPACK serves: dim 12 allows 10, and a golden
+    # rule with no width), and so is an option scoped to anything but the
+    # kind or not declared by it (no pipeline would read it), or a report
+    # format other than json or csv; the error names the option
     out = tmp_path / "bad"
     assert main([kind, "--out", str(out), *override.split()]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert override.split("=")[0].rsplit(".", 1)[1] in err
     assert not out.exists()
 
 

@@ -4,7 +4,8 @@ import scipy.sparse as sp
 
 from csr_oracle import (assemble_commutator_set, commutator, conj_full,
                         gjn_constants, gjn_rows, kato_constant, liouvillian,
-                        smooth_test_states, to_csr)
+                        smooth_test_states, sparse_hermiticity_defect,
+                        to_csr)
 from thermion.commutators import (closed_form_commutator,
                                   estimate_small_coupling_bound, gjn_check,
                                   interaction_commutator,
@@ -14,7 +15,7 @@ from thermion.experiments import ExperimentConfig, run
 from thermion.lattice import build_bases
 from thermion.linalg import DiagPlus, min_eig_hermitian, operator_norm
 from thermion.operators import (Truncation, assemble_conjugates,
-                                assemble_liouvillian, hermiticity_defect)
+                                assemble_liouvillian)
 from thermion.params import ModelParams
 
 
@@ -54,7 +55,7 @@ def test_commutator_set_hermitian_and_converging(setup):
     cs = assemble_commutator_set(liou)
     for op in (cs.c1, cs.c2, cs.c3, cs.c1_direct, cs.c2_direct,
                cs.c3_direct):
-        assert hermiticity_defect(op) == 0.0
+        assert sparse_hermiticity_defect(op) == 0.0
     prev = np.array(cs.discrepancies)
     p2 = p.with_(n_e=16, n_u=32)
     liou2 = assemble_liouvillian(p2)

@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from csr_oracle import lowrank_diagonal
 from thermion import commutators, feshbach
+from thermion.cli import main
 from thermion.experiments import ExperimentConfig, _fuzz_instance, run
 from thermion.feshbach import (FeshbachPencil, assemble_bound_operators,
                                chain_recipe, feshbach_woodbury,
@@ -218,23 +222,23 @@ def chain_setup():
 
 def test_bound_operators_reference_block(chain_setup):
     p, liou, conj = chain_setup
-    ops = assemble_bound_operators(liou, conj)
+    ops = assemble_bound_operators(liou, conj, liou.compensation(p.lam))
     k = conj.pi_index
     # limit operator on the reference: -k49 lam^2 + correction block
-    corr = conj.correction_comm.diagonal()[k]
-    assert np.isclose(ops.d_limit[k] + ops.correction.diagonal()[k],
+    corr = lowrank_diagonal(conj.correction_comm)[k]
+    assert np.isclose(ops.d_limit[k] + lowrank_diagonal(ops.correction)[k],
                       -ops.k49 * p.lam ** 2 + corr)
     # at zero coupling the reference block vanishes: dressing is necessary
     p0 = p.with_(lam=0.0)
     liou0 = assemble_liouvillian(p0, liou.trunc)
     conj0 = assemble_conjugates(liou0)
-    ops0 = assemble_bound_operators(liou0, conj0)
-    assert ops0.d_limit[k] + ops0.correction.diagonal()[k] == 0.0
+    ops0 = assemble_bound_operators(liou0, conj0, liou0.compensation(0.0))
+    assert ops0.d_limit[k] + lowrank_diagonal(ops0.correction)[k] == 0.0
 
 
 def test_woodbury_reduction_matches_dense(chain_setup):
     p, liou, conj = chain_setup
-    ops = assemble_bound_operators(liou, conj)
+    ops = assemble_bound_operators(liou, conj, liou.compensation(p.lam))
     k, corr = conj.pi_index, ops.correction
     dense = np.diag(ops.d_limit) + corr.u @ corr.c @ corr.u.conj().T
     keep = np.arange(len(dense)) != k
@@ -312,6 +316,22 @@ def test_probe_and_first_commutator_built_once_per_truncation(monkeypatch):
     calls.update(probe=0, i1=0)
     verify_bound_chain(p, lam=1e-2)
     assert calls == {"probe": 1, "i1": 1}
+
+
+@pytest.mark.xfail(strict=True, reason="ARPACK misses the exact smallest "
+                   "eigenvalue 0 and reports 0.1; the closed-form "
+                   "compensation constant of ROADMAP item 16 makes the "
+                   "domination step exact")
+def test_domination_step_reports_its_exact_zero(tmp_path):
+    # at n_e = 3, n_u = 2, n_max = 1, I_1 vanishes and k49 = 0, so the
+    # domination form is N - 0.9 Pbar: 0 on the vacuum, 0.1 above it
+    main(["bound-chain", "--out", str(tmp_path), "model.n_e=3",
+          "model.n_u=2", "model.n_max=1"])
+    rep = json.loads((tmp_path / "bound-chain.json").read_text())
+    assert rep["stats"]["k49"] == 0.0
+    step = next(c for c in rep["checks"] if c["check"]
+                == "commutator dominates the dressed bound operator")
+    assert step["value"] == 0.0
 
 
 def test_chain_solves_matrix_free_three_times(monkeypatch):

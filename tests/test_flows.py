@@ -118,8 +118,7 @@ def test_generator_flat_weight_formula(profile):
 def test_generator_difference_quotient_first_order(profile):
     nodes = np.linspace(0.05, 12.0, 600)
     psi = np.exp(-((nodes - 3.0) / 0.8) ** 2).astype(complex)
-    rep = generator_check(profile, lambda x: np.ones_like(x), nodes, psi,
-                          times=(1e-2, 1e-3), tol=1e-11)
+    rep = generator_check(profile, lambda x: np.ones_like(x), nodes, psi)
     assert rep.passed, rep
 
 

@@ -1,10 +1,11 @@
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from thermion.lattice import (CompositeBasis, EnergyGrid, FieldGrid,
-                              FockBasis, ParticleBasis, build_bases,
-                              embed_function)
+                              FockBasis, ParticleBasis, build_bases)
 from thermion.params import ModelParams
 
 
@@ -39,7 +40,7 @@ def test_fock_dimension_matches_enumeration():
     # brute-force enumeration oracle: 4 modes, <=2 bosons: 1 + 4 + 10
     fb = FockBasis(FieldGrid(2.0, 4), n_max=2)
     assert fb.dim == 15
-    assert fb.dim == fb.expected_dim
+    assert fb.dim == sum(comb(4 + n - 1, n) for n in range(3))
     assert fb.states[0] == (0, 0, 0, 0)
 
 
@@ -47,7 +48,7 @@ def test_fock_dimension_matches_enumeration():
 @settings(max_examples=20, deadline=None)
 def test_fock_dimension_formula(n_u, n_max):
     fb = FockBasis(FieldGrid(1.0, n_u), n_max=n_max)
-    assert fb.dim == fb.expected_dim
+    assert fb.dim == sum(comb(n_u + n - 1, n) for n in range(n_max + 1))
 
 
 def test_particle_basis_rejects_positive_energy():
@@ -71,9 +72,10 @@ def test_flat_index_convention():
 
 def test_flatten_round_trip_exhaustive():
     b = build_bases(ModelParams(n_e=2, n_u=4, n_max=1))
+    dp = b.dim_p
     assert b.flatten(0, 0, 0) == 0
     for flat in range(b.dim):
-        i, j, n = b.unflatten(flat)
+        i, j, n = flat % dp, (flat // dp) % dp, flat // (dp * dp)
         assert b.flatten(i, j, n) == flat
 
 
@@ -84,47 +86,3 @@ def test_flatten_rejects_out_of_range():
     with pytest.raises(IndexError, match="Fock"):
         b.flatten(0, 0, 10 ** 6)
 
-
-def test_embed_zero_function():
-    g = EnergyGrid(2.0, 8)
-    assert np.allclose(embed_function(lambda e: 0.0 * e, g), 0.0)
-
-
-def test_embed_constant_is_exact():
-    g = EnergyGrid(2.0, 2)
-    v = embed_function(lambda e: np.ones_like(e), g)
-    assert np.isclose(np.linalg.norm(v) ** 2, 2.0)
-
-
-def test_embed_linear_function_quadrature_error():
-    # midpoint samples of f(e)=e on two cells: (0.25 + 2.25) * de = 2.5,
-    # exact integral of e^2 on (0,2) is 8/3; refinement shrinks the gap
-    # at second order
-    g = EnergyGrid(2.0, 2)
-    v = embed_function(lambda e: e, g)
-    assert np.isclose(np.linalg.norm(v) ** 2, 2.5)
-    exact = 8.0 / 3.0
-    errs = []
-    for n in (2, 4, 8):
-        vn = embed_function(lambda e: e, EnergyGrid(2.0, n))
-        errs.append(abs(np.linalg.norm(vn) ** 2 - exact))
-    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
-    assert np.all(orders > 1.9)
-
-
-def test_embed_rejects_non_finite():
-    g = EnergyGrid(2.0, 4)
-    with np.errstate(divide="ignore"):
-        with pytest.raises(ValueError, match="node"):
-            embed_function(lambda e: 1.0 / (e - e[0]), g)
-
-
-@given(a=st.floats(-3, 3), b=st.floats(-3, 3))
-@settings(max_examples=25, deadline=None)
-def test_embed_is_linear(a, b):
-    g = FieldGrid(2.0, 8)
-    f = lambda u: np.sin(u)
-    h = lambda u: np.exp(-u ** 2)
-    lhs = embed_function(lambda u: a * f(u) + b * h(u), g)
-    rhs = a * embed_function(f, g) + b * embed_function(h, g)
-    assert np.allclose(lhs, rhs, atol=1e-12)
