@@ -235,6 +235,7 @@ class ChainReport:
     recipe: ChainRecipe
     steps: list
     measured: dict = field(default_factory=dict)
+    closed_form: dict = field(default_factory=dict)   # sigma^2, n_max = 1
 
     @property
     def passed(self) -> bool:
@@ -269,16 +270,18 @@ def verify_bound_chain(params: ModelParams,
 
     # lower-bound inequality: commutator + correction dominates the
     # dressed operator (equivalently N + lam I1 - 0.9 Pbar + k49 lam^2 >= 0)
-    combo = DiagPlus(trunc.number - 0.9 * (1.0 - trunc.vacuum_proj)
-                     + k49 * lam ** 2, lam, trunc.commutator(1))
     corr = ops.correction
     scale = max(1.0, _max_abs_row_sum(ops.d_scaled, corr))
-    low, vec = min_eig_hermitian(combo, with_vector=True)
-    residual = float(np.linalg.norm(combo @ vec - low * vec))
+    if params.n_max == 1:   # exact, by compensation's secular equation
+        low, detail = (k49 - trunc.compensation(lam)) * lam ** 2, {}
+    else:
+        combo = DiagPlus(trunc.number - 0.9 * (1.0 - trunc.vacuum_proj)
+                         + k49 * lam ** 2, lam, trunc.commutator(1))
+        low, vec = min_eig_hermitian(combo, with_vector=True)
+        detail = {"residual": float(np.linalg.norm(combo @ vec - low * vec))}
     steps.append(BoundReport.of(
         "commutator dominates the dressed bound operator", low, ">=",
-        -1e-8 * scale,
-        detail={"norm_scale": scale, "residual": residual}))
+        -1e-8 * scale, detail={"norm_scale": scale, **detail}))
 
     # complement block strictly above one half
     k_pi = conj.pi_index
@@ -336,7 +339,9 @@ def verify_bound_chain(params: ModelParams,
                 "n_u": params.n_u, "n_max": params.n_max},
         gamma=float(gamma), k49=float(k49), recipe=recipe, steps=steps,
         measured={"mbar_min_eig": mbar_low, "m_min_eig": m_low,
-                  "target": target, "correction_comm_norm": corr_norm})
+                  "target": target, "correction_comm_norm": corr_norm},
+        closed_form={"sigma_sq": trunc.sigma_sq, "k_limit": 10.0
+                     * trunc.sigma_sq} if params.n_max == 1 else {})
 
 
 def scan_lambda0(params: ModelParams, lam_grid, betas=(0.5, 1.0, 2.0),

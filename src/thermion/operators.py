@@ -13,10 +13,10 @@ only combine the parts.  A ``Truncation`` (grids, beta, a, form factor,
 kernel) builds each operator on first use and keeps it: the interaction,
 its commutators with the conjugate operator and with N, and the
 conjugate operator itself in factored form (``KronSum``), the diagonals,
-and the compensation constant per coupling (k49 at the probe coupling).
-No composite matrix is formed.  A ``LiouvillianAction`` is
-L = L0 + lam I over a truncation, and ``assemble_conjugates`` adds the
-theta- and epsilon-dependent finite-rank corrections.
+and the compensation constant per coupling (k49 at the probe coupling;
+closed form at n_max = 1, ARPACK above).  No composite matrix is formed.
+A ``LiouvillianAction`` is L = L0 + lam I over a truncation, and
+``assemble_conjugates`` adds the theta- and epsilon-dependent corrections.
 """
 from __future__ import annotations
 
@@ -417,10 +417,42 @@ class Truncation:
         return KronSum(self.basis, [(None, None, ap), (None, -ap, None),
                                     (self.field.translation_gen, None, None)])
 
+    @cached_property
+    def sigma_sq(self) -> float:
+        """sigma^2 = ||B* B||, B = sum_t b_t x M_t the vacuum-to-one-boson
+        block of I_1 (b_t: term t's Fock factor on the vacuum, M_t = R_t x 1
+        or 1 x L_t).  B* B = sum_st <b_s, b_t> M_s* M_t acts in C^dp x U +
+        V x U-perp, U and V the ranges of the L_t* and R_t*: a small Gram."""
+        terms, dp = self.commutator(1).terms, self.basis.left.dim
+        b = np.array([f[:, 0].toarray().ravel() for f, _, _ in terms])
+        fac = [(l, True) if r is None else (r, False) for _, r, l in terms]
+
+        def ranges(left):   # range of sum m* m over one side, and the rest
+            w, v = np.linalg.eigh(sum(m.conj().T @ m for m, s in fac
+                                      if s == left))
+            on = w > dp * np.finfo(float).eps * w.max()
+            return v[:, on], v[:, ~on]
+
+        def act(m, left, x):    # 1 x m or m x 1 on x: (right, left, n)
+            return m @ x if left else np.tensordot(m, x, 1)
+        (qu, qu_perp), (qv, _) = ranges(True), ranges(False)
+        q = np.hstack([np.kron(np.eye(dp), qu), np.kron(qv, qu_perp)])
+        # B* B q = sum_s M_s* W_s, W_s = sum_t <b_s, b_t> M_t q; q* B* B q by
+        # einsum, as a threaded gemm's last bit follows the BLAS thread count
+        w = np.tensordot(b.conj() @ b.T, [act(m, s, q.reshape(dp, dp, -1))
+                                          for m, s in fac], 1)
+        bq = sum(act(m.conj().T, s, x) for (m, s), x in zip(fac, w))
+        gram = np.einsum("kn,km->nm", q.conj(), bq.reshape(dp * dp, -1))
+        return float(np.linalg.eigvalsh(gram).max(initial=0.0))
+
     def compensation(self, lam: float) -> float:
-        """The small-coupling compensation constant at coupling lam
-        (``estimate_small_coupling_bound`` with the factored I_1, solved
-        matrix-free: no CSR of I_1 is built), once per lam."""
+        """Smallest k with +-lam I_1 <= 0.1 N Pbar + k lam^2.  At n_max = 1,
+        I_1 = [[0, B*], [B, 0]] on the vacuum and one-boson sectors, so k =
+        sigma^2 / (sqrt(0.0025 + lam^2 sigma^2) + 0.05); above, ARPACK's
+        ``estimate_small_coupling_bound``, once per lam."""
+        if self.params.n_max == 1:
+            s2 = self.sigma_sq if lam else 0.0
+            return float(s2 / (np.sqrt(0.0025 + lam ** 2 * s2) + 0.05))
         from .commutators import estimate_small_coupling_bound
         if lam not in self._compensation:
             self._compensation[lam] = estimate_small_coupling_bound(
@@ -429,8 +461,8 @@ class Truncation:
 
     @property
     def k49(self) -> float:
-        """The compensation constant at the probe coupling lam = 1e-4 (it
-        only shrinks with the coupling)."""
+        """k at the probe coupling lam = 1e-4 (it only shrinks with the
+        coupling): closed form at n_max = 1, ARPACK above."""
         return self.compensation(1e-4)
 
 

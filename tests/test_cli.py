@@ -220,20 +220,39 @@ def test_cli_import_leaves_scipy_interpolate_unloaded():
     assert proc.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("kind", ["gjn", "feshbach-fuzz", "fgr"])
+@pytest.mark.parametrize("kind", ["gjn", "feshbach-fuzz", "fgr",
+                                  "bound-chain", "lambda0-scan"])
 def test_report_bytes_do_not_depend_on_blas_threads(tmp_path, kind):
     # default gjn once varied in its number_commutator constants with the
     # BLAS thread count (complex svds); its norms now run in float64.
     # feshbach-fuzz evaluates stacks of reduced blocks through batched
     # matmul and det. fgr's midpoint oracle sums its Lorentzian matrix as
-    # an FFT correlation, which no BLAS thread count may move
+    # an FFT correlation, which no BLAS thread count may move.  bound-chain
+    # and lambda0-scan take their compensation constant from a Gram
+    # eigenvalue; both exit 2 at defaults, on the chain's failing steps
     src = str(Path(thermion.__file__).resolve().parents[1])
-    texts = []
+    texts, codes = [], []
     for threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
                    OMP_NUM_THREADS=threads)
-        subprocess.run([sys.executable, "-m", "thermion.cli", kind,
-                        "--out", str(tmp_path / threads)],
-                       env=env, capture_output=True, timeout=300, check=True)
+        proc = subprocess.run([sys.executable, "-m", "thermion.cli", kind,
+                               "--out", str(tmp_path / threads)],
+                              env=env, capture_output=True, timeout=300)
+        codes.append(proc.returncode)
         texts.append((tmp_path / threads / f"{kind}.json").read_bytes())
+    assert codes[0] == codes[1] and codes[0] in (0, 2), codes
     assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("n_e", [1, 2])
+def test_gjn_coupling_bound_stable_where_i1_vanishes(tmp_path, n_e):
+    # at n_u = 2 (and n_e <= 3) I_1 = 0, so k = 0 exactly at every dilation
+    # scale; ARPACK returned about 1e-75 for one of them, and the ratio
+    # read 1e29 and more, a FAIL
+    main(["gjn", "--out", str(tmp_path), f"model.n_e={n_e}", "model.n_u=2",
+          "model.n_max=1"])
+    rep = json.loads((tmp_path / "gjn.json").read_text())
+    check = next(c for c in rep["checks"] if c["check"]
+                 == "coupling bound stable across dilation scales")
+    assert check["detail"]["k_values"] == [0.0, 0.0, 0.0]
+    assert check["value"] == 1.0 and check["passed"]

@@ -252,6 +252,35 @@ def test_boson_parity_anticommutes_with_interaction_terms(order):
         assert np.array_equal(parity * (x @ (parity * v)), -(x @ v))
 
 
+@pytest.mark.parametrize("complex_coupling", [False, True])
+@pytest.mark.parametrize("n_e, n_u", [(4, 4), (6, 8)])
+def test_closed_form_compensation_matches_arpack(n_e, n_u, complex_coupling):
+    # at n_max = 1 the closed form on sigma^2 is the constant ARPACK finds,
+    # for a real coupling and for a Hermitian g + i S (S real antisymmetric)
+    trunc = Truncation(ModelParams(n_e=n_e, n_u=n_u, n_max=1, e_max=4.0,
+                                   u_max=4.0))
+    if complex_coupling:
+        g = trunc.coupling
+        s = np.random.default_rng(2).standard_normal(g.shape)
+        trunc.coupling = g + 0.3j * (s - s.T)   # I_1 is built from it
+    i1 = trunc.commutator(1)
+    assert i1.dtype == (np.complex128 if complex_coupling else np.float64)
+    assert trunc.sigma_sq > 0.0
+    for lam in (1e-4, 1e-2, 0.1):
+        ref = estimate_small_coupling_bound(trunc.params.with_(lam=lam),
+                                            trunc, i1)
+        assert abs(trunc.compensation(lam) - ref) <= 1e-9 * ref
+
+
+@pytest.mark.parametrize("n_e", [1, 3])
+def test_closed_form_compensation_is_exactly_zero_where_i1_vanishes(n_e):
+    # at n_u = 2 the field derivative vanishes, and at n_e <= 3 so does the
+    # particle flow generator: I_1 = 0, and sigma^2 and k are exactly 0
+    trunc = Truncation(ModelParams(n_e=n_e, n_u=2, n_max=1))
+    assert trunc.sigma_sq == 0.0
+    assert trunc.compensation(1e-4) == 0.0 and trunc.compensation(0.1) == 0.0
+
+
 def test_small_coupling_bound_zero_cases(setup):
     p, liou, conj = setup
     i1 = to_csr(liou.trunc.commutator(1))

@@ -11,7 +11,7 @@ from thermion.experiments import ExperimentConfig, _fuzz_instance, run
 from thermion.feshbach import (FeshbachPencil, assemble_bound_operators,
                                chain_recipe, feshbach_woodbury,
                                scan_lambda0, verify_bound_chain)
-from thermion.operators import (LowRank, assemble_conjugates,
+from thermion.operators import (LowRank, Truncation, assemble_conjugates,
                                 assemble_liouvillian)
 from thermion.params import ModelParams
 
@@ -292,9 +292,23 @@ def test_chain_degenerate_at_zero_coupling():
     assert abs(rep.measured["m_min_eig"]) < 1e-12
 
 
+def _count_sigma_builds(monkeypatch) -> list:
+    """The truncations whose sigma^2 gets built, one entry per build."""
+    built, build = [], Truncation.sigma_sq.func
+
+    def counted(trunc):
+        built.append(trunc)
+        return build(trunc)
+
+    monkeypatch.setattr(Truncation.sigma_sq, "func", counted)
+    return built
+
+
 def test_probe_and_first_commutator_built_once_per_truncation(monkeypatch):
     # the k49 probe is the compensation constant at lam = 1e-4 (off the
-    # lam grid here), I_1 the order-1 interaction commutator
+    # lam grid here), I_1 the order-1 interaction commutator.  At n_max = 1
+    # the probe is the closed form on sigma^2, built once per truncation;
+    # at n_max = 2 it is ARPACK's
     calls = {"probe": 0, "i1": 0}
     bound = commutators.estimate_small_coupling_bound
     build = commutators.interaction_commutator
@@ -310,18 +324,24 @@ def test_probe_and_first_commutator_built_once_per_truncation(monkeypatch):
     monkeypatch.setattr(commutators, "estimate_small_coupling_bound",
                         counted_bound)
     monkeypatch.setattr(commutators, "interaction_commutator", counted_build)
+    built = _count_sigma_builds(monkeypatch)
     p = ModelParams(n_e=4, n_u=4, n_max=1, e_max=4.0, u_max=4.0)
     scan_lambda0(p, (1e-3, 1e-2, 1e-1), betas=(0.5, 1.0, 2.0))
-    assert calls == {"probe": 3, "i1": 3}
+    assert calls == {"probe": 0, "i1": 3}
+    assert len(built) == len(set(built)) == 3
     calls.update(probe=0, i1=0)
     verify_bound_chain(p, lam=1e-2)
-    assert calls == {"probe": 1, "i1": 1}
+    assert calls == {"probe": 0, "i1": 1} and len(built) == 4
+
+    built.clear()
+    calls.update(probe=0, i1=0)
+    scan_lambda0(p.with_(n_max=2), (1e-3, 1e-2, 1e-1), betas=(0.5, 1.0, 2.0))
+    assert calls == {"probe": 3, "i1": 3}
+    calls.update(probe=0, i1=0)
+    verify_bound_chain(p.with_(n_max=2), lam=1e-2)
+    assert calls == {"probe": 1, "i1": 1} and built == []
 
 
-@pytest.mark.xfail(strict=True, reason="ARPACK misses the exact smallest "
-                   "eigenvalue 0 and reports 0.1; the closed-form "
-                   "compensation constant of ROADMAP item 16 makes the "
-                   "domination step exact")
 def test_domination_step_reports_its_exact_zero(tmp_path):
     # at n_e = 3, n_u = 2, n_max = 1, I_1 vanishes and k49 = 0, so the
     # domination form is N - 0.9 Pbar: 0 on the vacuum, 0.1 above it
@@ -335,9 +355,10 @@ def test_domination_step_reports_its_exact_zero(tmp_path):
 
 
 def test_chain_solves_matrix_free_three_times(monkeypatch):
-    # the k49 probe, k at the run coupling and the domination step each
-    # run one eigensolve on the factored I_1 (that no composite matrix is
-    # built is test_cli's guard)
+    # at n_max = 2 the k49 probe, k at the run coupling and the domination
+    # step each run one eigensolve on the factored I_1 (that no composite
+    # matrix is built is test_cli's guard); at n_max = 1 the closed form on
+    # sigma^2 runs none
     calls = {"min_eig": 0}
     solve = feshbach.min_eig_hermitian
 
@@ -347,14 +368,17 @@ def test_chain_solves_matrix_free_three_times(monkeypatch):
 
     for module in (commutators, feshbach):
         monkeypatch.setattr(module, "min_eig_hermitian", counted_solve)
+    built = _count_sigma_builds(monkeypatch)
     p = ModelParams(n_e=4, n_u=4, n_max=1, e_max=4.0, u_max=4.0)
     verify_bound_chain(p, lam=1e-2)
-    assert calls == {"min_eig": 3}
+    assert calls == {"min_eig": 0} and len(built) == 1
+    verify_bound_chain(p.with_(n_max=2), lam=1e-2)
+    assert calls == {"min_eig": 3} and len(built) == 1
 
 
 def test_chain_eigensolves_run_in_float64(monkeypatch):
-    # the k49 probe, k at the run coupling and the domination step hand
-    # ARPACK real symmetric operators
+    # at n_max = 2 the k49 probe, k at the run coupling and the domination
+    # step hand ARPACK real symmetric operators; n_max = 1 hands it none
     import scipy.sparse.linalg as spla
     real, dtypes = spla.eigsh, []
 
@@ -363,8 +387,11 @@ def test_chain_eigensolves_run_in_float64(monkeypatch):
         return real(op, *args, **kwargs)
 
     monkeypatch.setattr(spla, "eigsh", recorded)
+    built = _count_sigma_builds(monkeypatch)
     p = ModelParams(n_e=4, n_u=4, n_max=1, e_max=4.0, u_max=4.0)
     verify_bound_chain(p, lam=1e-2)
+    assert dtypes == [] and len(built) == 1
+    verify_bound_chain(p.with_(n_max=2), lam=1e-2)
     assert dtypes == [np.float64] * 3
 
 

@@ -240,17 +240,25 @@ def test_complex_coupling_keeps_the_complex_path(n_e, n_u):
 
 
 def test_chain_asks_arpack_for_the_domination_vector_only(monkeypatch):
-    # the two compensation solves read only the eigenvalue; the domination
-    # step reads its vector for the residual
+    # at n_max = 2 the two compensation solves read only the eigenvalue;
+    # the domination step reads its vector for the residual.  At n_max = 1
+    # the closed form on sigma^2 asks for nothing and has no residual
     from thermion.feshbach import verify_bound_chain
-    real, asked = spla.eigsh, []
+    from thermion.operators import Truncation
+    real, asked, built = spla.eigsh, [], []
+    sigma = Truncation.sigma_sq.func
 
     def recorded(*args, **kwargs):
         asked.append(kwargs.get("return_eigenvectors", True))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(spla, "eigsh", recorded)
+    monkeypatch.setattr(Truncation.sigma_sq, "func",
+                        lambda trunc: built.append(trunc) or sigma(trunc))
     p = ModelParams(n_e=12, n_u=12, n_max=1, e_max=4.0, u_max=4.0)
     rep = verify_bound_chain(p, lam=1e-2)
-    assert asked == [False, False, True]
+    assert asked == [] and len(built) == 1
+    assert rep.steps[0].detail.keys() == {"norm_scale"}
+    rep = verify_bound_chain(p.with_(n_e=6, n_u=6, n_max=2), lam=1e-2)
+    assert asked == [False, False, True] and len(built) == 1
     assert rep.steps[0].detail["residual"] <= 1e-8

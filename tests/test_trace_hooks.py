@@ -4,7 +4,7 @@
 would silently zero its metrics.  These install the tracer in a fresh
 process, run tiny CLI pipelines (``dynamics`` and ``bound-chain``, then
 ``virial-scan``) and check that the matvec, commutator-build, eigensolve
-and family counters see calls.
+and family counters see calls; the script counts sigma^2 builds itself.
 """
 import json
 import os
@@ -22,10 +22,13 @@ from layer_trace import Tracer
 tracer = Tracer()
 tracer.install()
 import thermion.cli
+from thermion.operators import Truncation
+sigma, built = Truncation.sigma_sq.func, []
+Truncation.sigma_sq.func = lambda trunc: built.append(trunc) or sigma(trunc)
 for args in json.loads(sys.argv[2]):
     thermion.cli.main([*args, "--out", sys.argv[1]])
-print(json.dumps({name: f["calls"]
-                  for name, f in tracer.summary()["functions"].items()}))
+calls = {name: f["calls"] for name, f in tracer.summary()["functions"].items()}
+print(json.dumps({**calls, "Truncation.sigma_sq": len(built)}))
 """
 
 
@@ -46,9 +49,17 @@ def test_layer_tracer_counts_matvecs_and_commutator_builds(tmp_path):
          "dynamics.n_times=10"],
         ["bound-chain", "model.n_e=6", "model.n_u=6", "model.n_max=1"]])
     assert calls["operators.LiouvillianAction.matvec"] > 0
-    # the chain's probe and run share one truncation: I_1 is built once
+    # the chain's probe and run share one truncation: I_1 and sigma^2 are
+    # built once, and at n_max = 1 their closed form runs no eigensolve
     assert calls["commutators.interaction_commutator"] == 1
-    # the k49 probe, k at the run coupling and the domination step
+    assert calls["Truncation.sigma_sq"] == 1
+    assert calls["linalg.min_eig_hermitian"] == 0
+    # at n_max = 2: the k49 probe, k at the run coupling and the domination
+    # step
+    calls = _traced_calls(tmp_path, [
+        ["bound-chain", "model.n_e=4", "model.n_u=4", "model.n_max=2"]])
+    assert calls["commutators.interaction_commutator"] == 1
+    assert calls["Truncation.sigma_sq"] == 0
     assert calls["linalg.min_eig_hermitian"] == 3
 
 
