@@ -124,13 +124,11 @@ def kato_half_power_bound(x, number_diag: np.ndarray,
 
 def estimate_small_coupling_bound(params: ModelParams, trunc: Truncation,
                                   i1) -> float:
-    """Smallest k with +-lam * I_1 <= (1/10) N P_vac-bar + k lam^2 on the
-    truncation (I_1 any Hermitian operator with @, e.g. a ``KronSum``), by
-    ARPACK: ``Truncation.compensation``'s path at n_max >= 2 (n_max = 1
-    has a closed form).  One solve covers both signs: P = (-1)^N commutes
-    with N P_vac-bar, and each Fock factor of I_1 is a field operator
-    phi(f), moving N by exactly +-1, so P I_1 P = -I_1 and the two forms
-    are unitarily equivalent."""
+    """Smallest k with +-lam * I_1 <= (1/10) N P_vac-bar + k lam^2 by ARPACK
+    (``Truncation.compensation`` at n_max >= 2; I_1 any Hermitian operator
+    with @).  One solve covers both signs: P = (-1)^N commutes with
+    N P_vac-bar, and each Fock factor of I_1 is a field operator phi(f),
+    moving N by exactly +-1, so P I_1 P = -I_1: the forms are equivalent."""
     if params.lam == 0.0:
         return 0.0
     n_comp = 0.1 * trunc.number * (1.0 - trunc.vacuum_proj)

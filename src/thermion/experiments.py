@@ -115,7 +115,6 @@ def run_bound_chain(cfg: ExperimentConfig) -> Report:
         epsilon=cfg.opt("epsilon", None),
         lam=cfg.opt("lam", None),
         gamma=cfg.opt("gamma", None))
-    # k_limit = 10 sigma^2 is the lam -> 0 limit of k, which k49 approaches
     stats = {"gamma": rep.gamma, "k49": rep.k49, **rep.closed_form,
              "recipe": asdict(rep.recipe), "measured": rep.measured,
              "run_params": rep.params}

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fgr import gamma_limit
-from .linalg import DiagPlus, min_eig_diag_plus_lowrank, min_eig_hermitian
+from .linalg import min_eig_diag_plus_lowrank
 from .operators import (ConjugateOps, LiouvillianAction, LowRank, Truncation,
                         assemble_conjugates, assemble_liouvillian, hermitize,
                         pair_diag)
@@ -235,7 +235,7 @@ class ChainReport:
     recipe: ChainRecipe
     steps: list
     measured: dict = field(default_factory=dict)
-    closed_form: dict = field(default_factory=dict)   # sigma^2, n_max = 1
+    closed_form: dict = field(default_factory=dict)   # k_limit: k(0+)
 
     @property
     def passed(self) -> bool:
@@ -272,13 +272,7 @@ def verify_bound_chain(params: ModelParams,
     # dressed operator (equivalently N + lam I1 - 0.9 Pbar + k49 lam^2 >= 0)
     corr = ops.correction
     scale = max(1.0, _max_abs_row_sum(ops.d_scaled, corr))
-    if params.n_max == 1:   # exact, by compensation's secular equation
-        low, detail = (k49 - trunc.compensation(lam)) * lam ** 2, {}
-    else:
-        combo = DiagPlus(trunc.number - 0.9 * (1.0 - trunc.vacuum_proj)
-                         + k49 * lam ** 2, lam, trunc.commutator(1))
-        low, vec = min_eig_hermitian(combo, with_vector=True)
-        detail = {"residual": float(np.linalg.norm(combo @ vec - low * vec))}
+    low, detail = trunc.domination_floor(lam, k49)
     steps.append(BoundReport.of(
         "commutator dominates the dressed bound operator", low, ">=",
         -1e-8 * scale, detail={"norm_scale": scale, **detail}))
@@ -341,7 +335,7 @@ def verify_bound_chain(params: ModelParams,
         measured={"mbar_min_eig": mbar_low, "m_min_eig": m_low,
                   "target": target, "correction_comm_norm": corr_norm},
         closed_form={"sigma_sq": trunc.sigma_sq, "k_limit": 10.0
-                     * trunc.sigma_sq} if params.n_max == 1 else {})
+                     * trunc.sigma_sq} if trunc.k_exact else {})
 
 
 def scan_lambda0(params: ModelParams, lam_grid, betas=(0.5, 1.0, 2.0),

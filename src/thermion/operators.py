@@ -28,7 +28,7 @@ import scipy.sparse as sp
 
 from .lattice import CompositeBasis, FieldGrid, FockBasis, build_bases
 from .flows import saturating_profile
-from .linalg import DiagPlus, operator_norm
+from .linalg import DiagPlus, min_eig_hermitian, operator_norm
 from .params import ModelParams
 from .reports import BoundReport
 
@@ -324,6 +324,7 @@ class Truncation:
 
     def __init__(self, params: ModelParams):
         self.params = params
+        self.k_exact = params.n_max == 1   # k in closed form: compensation
         self._commutators, self._compensation = {}, {}
 
     def check(self, params: ModelParams):
@@ -419,10 +420,9 @@ class Truncation:
 
     @cached_property
     def sigma_sq(self) -> float:
-        """sigma^2 = ||B* B||, B = sum_t b_t x M_t the vacuum-to-one-boson
-        block of I_1 (b_t: term t's Fock factor on the vacuum, M_t = R_t x 1
-        or 1 x L_t).  B* B = sum_st <b_s, b_t> M_s* M_t acts in C^dp x U +
-        V x U-perp, U and V the ranges of the L_t* and R_t*: a small Gram."""
+        """||B* B||, B = sum_t b_t x M_t I_1's vacuum-to-one-boson block (b_t:
+        term t's Fock factor on the vacuum, M_t = R_t x 1 or 1 x L_t), on the
+        range C^dp x U + V x U-perp of B* B (U, V: L_t*, R_t* ranges)."""
         terms, dp = self.commutator(1).terms, self.basis.left.dim
         b = np.array([f[:, 0].toarray().ravel() for f, _, _ in terms])
         fac = [(l, True) if r is None else (r, False) for _, r, l in terms]
@@ -437,8 +437,8 @@ class Truncation:
             return m @ x if left else np.tensordot(m, x, 1)
         (qu, qu_perp), (qv, _) = ranges(True), ranges(False)
         q = np.hstack([np.kron(np.eye(dp), qu), np.kron(qv, qu_perp)])
-        # B* B q = sum_s M_s* W_s, W_s = sum_t <b_s, b_t> M_t q; q* B* B q by
-        # einsum, as a threaded gemm's last bit follows the BLAS thread count
+        # q* B* B q, B* B = sum_st <b_s, b_t> M_s* M_t, ends in an einsum: a
+        # threaded gemm's bits would follow the BLAS thread count
         w = np.tensordot(b.conj() @ b.T, [act(m, s, q.reshape(dp, dp, -1))
                                           for m, s in fac], 1)
         bq = sum(act(m.conj().T, s, x) for (m, s), x in zip(fac, w))
@@ -446,11 +446,11 @@ class Truncation:
         return float(np.linalg.eigvalsh(gram).max(initial=0.0))
 
     def compensation(self, lam: float) -> float:
-        """Smallest k with +-lam I_1 <= 0.1 N Pbar + k lam^2.  At n_max = 1,
-        I_1 = [[0, B*], [B, 0]] on the vacuum and one-boson sectors, so k =
-        sigma^2 / (sqrt(0.0025 + lam^2 sigma^2) + 0.05); above, ARPACK's
-        ``estimate_small_coupling_bound``, once per lam."""
-        if self.params.n_max == 1:
+        """Smallest k with +-lam I_1 <= 0.1 N Pbar + k lam^2.  ``k_exact``
+        (n_max = 1): I_1 = [[0, B*], [B, 0]] on the vacuum and one-boson
+        sectors, so k = sigma^2 / (sqrt(0.0025 + lam^2 sigma^2) + 0.05);
+        else ARPACK's ``estimate_small_coupling_bound``, once per lam."""
+        if self.k_exact:
             s2 = self.sigma_sq if lam else 0.0
             return float(s2 / (np.sqrt(0.0025 + lam ** 2 * s2) + 0.05))
         from .commutators import estimate_small_coupling_bound
@@ -461,9 +461,18 @@ class Truncation:
 
     @property
     def k49(self) -> float:
-        """k at the probe coupling lam = 1e-4 (it only shrinks with the
-        coupling): closed form at n_max = 1, ARPACK above."""
+        """k at the probe lam = 1e-4 (k shrinks with lam): exact if k_exact."""
         return self.compensation(1e-4)
+
+    def domination_floor(self, lam: float, k: float) -> tuple[float, dict]:
+        """Min eig of N + lam I_1 - 0.9 Pbar + k lam^2, and a detail: by
+        construction (k - compensation(lam)) lam^2 if k_exact; else ARPACK."""
+        if self.k_exact:   # compensation's secular equation, no eigenvector
+            return (k - self.compensation(lam)) * lam ** 2, {}
+        op = DiagPlus(self.number - 0.9 * (1.0 - self.vacuum_proj)
+                      + k * lam ** 2, lam, self.commutator(1))
+        low, vec = min_eig_hermitian(op, with_vector=True)
+        return low, {"residual": float(np.linalg.norm(op @ vec - low * vec))}
 
 
 class LiouvillianAction:

@@ -253,10 +253,11 @@ def test_boson_parity_anticommutes_with_interaction_terms(order):
 
 
 @pytest.mark.parametrize("complex_coupling", [False, True])
-@pytest.mark.parametrize("n_e, n_u", [(4, 4), (6, 8)])
+@pytest.mark.parametrize("n_e, n_u", [(4, 4), (6, 8), (24, 24)])
 def test_closed_form_compensation_matches_arpack(n_e, n_u, complex_coupling):
     # at n_max = 1 the closed form on sigma^2 is the constant ARPACK finds,
-    # for a real coupling and for a Hermitian g + i S (S real antisymmetric)
+    # for a real coupling and for a Hermitian g + i S (S real antisymmetric);
+    # (24, 24) is the shipped chain's truncation (configs/chain.cfg)
     trunc = Truncation(ModelParams(n_e=n_e, n_u=n_u, n_max=1, e_max=4.0,
                                    u_max=4.0))
     if complex_coupling:

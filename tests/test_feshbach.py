@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg as sla
 
 from csr_oracle import lowrank_diagonal
-from thermion import commutators, feshbach
+from thermion import commutators, feshbach, operators
 from thermion.cli import main
 from thermion.experiments import ExperimentConfig, _fuzz_instance, run
 from thermion.feshbach import (FeshbachPencil, assemble_bound_operators,
@@ -360,13 +360,13 @@ def test_chain_solves_matrix_free_three_times(monkeypatch):
     # matrix is built is test_cli's guard); at n_max = 1 the closed form on
     # sigma^2 runs none
     calls = {"min_eig": 0}
-    solve = feshbach.min_eig_hermitian
+    solve = operators.min_eig_hermitian
 
     def counted_solve(*args, **kwargs):
         calls["min_eig"] += 1
         return solve(*args, **kwargs)
 
-    for module in (commutators, feshbach):
+    for module in (commutators, operators):
         monkeypatch.setattr(module, "min_eig_hermitian", counted_solve)
     built = _count_sigma_builds(monkeypatch)
     p = ModelParams(n_e=4, n_u=4, n_max=1, e_max=4.0, u_max=4.0)
