@@ -9,6 +9,12 @@ first width; the width-to-zero limit is adaptive here, and its midpoint
 oracle lives in the tests.  The regularized oracle puts both variables on
 one spacing, so its inner sum is one FFT correlation.
 
+The adaptive quadrature is thermion's own batched G10K21: QUADPACK's
+21-point Gauss-Kronrod rule and error estimate, globally adaptive, over a
+batch of integrals whose pending subintervals are evaluated in one array
+call per round.  The inner integrals of the regularized form at all outer
+nodes of a round are one batch, and so are the kernel integrals.
+
 Note the exact zero-width limit carries a factor pi from the Lorentzian
 mass: integral of w / ((x)^2 + w^2) dx = pi.  Without it the two forms
 would not converge to each other at rate O(width).
@@ -19,12 +25,100 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .params import ModelParams
 from .reports import BoundReport
 
 TINY_REL = 1e-16
+
+# QUADPACK's qk21 (Piessens et al. 1983): the 21-point Kronrod nodes on
+# [0, 1] and their weights, and the weights of the 10-point Gauss rule on
+# the odd-indexed ones
+_XGK = (0.9956571630258081, 0.9739065285171717, 0.9301574913557082,
+        0.8650633666889845, 0.7808177265864169, 0.6794095682990244,
+        0.5627571346686047, 0.4333953941292472, 0.2943928627014602,
+        0.14887433898163122, 0.0)
+_WGK = (0.011694638867371874, 0.032558162307964725, 0.054755896574351995,
+        0.07503967481091996, 0.0931254545836976, 0.10938715880229764,
+        0.12349197626206584, 0.13470921731147334, 0.14277593857706009,
+        0.14773910490133849, 0.1494455540029169)
+_WG = (0.06667134430868814, 0.1494513491505806, 0.21908636251598204,
+       0.26926671930999635, 0.29552422471475287)
+# the same on [-1, 1], nodes ascending; the Gauss weights are 0 off its nodes
+_NODES = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
+_W_KRONROD = np.array(_WGK[:-1] + _WGK[::-1])
+_W_GAUSS = np.zeros(21)
+_W_GAUSS[1:10:2] = _W_GAUSS[19:10:-2] = _WG
+# the tolerances of every adaptive integral here (QUADPACK's defaults in
+# scipy.integrate.quad) and the most subintervals one integral may use
+EPSABS = EPSREL = 1.49e-8
+LIMIT = 200
+
+
+def _gk21(f, a, b, owner):
+    """The 21-point Kronrod sums and QUADPACK's error estimate on the
+    intervals [a, b] at once.  f(x, owner) evaluates each interval's batch
+    member at its nodes x, shape (n, 21); it may return trailing columns,
+    shape (n, 21, c), which are integrated alongside the first (the error
+    estimate reads only the first).  Returns sums (n, c) and errors (n,)."""
+    centre, half = 0.5 * (a + b), 0.5 * (b - a)
+    fx = f(centre[:, None] + half[:, None] * _NODES, owner)
+    fx = fx.reshape(fx.shape[:2] + (-1,))
+    # elementwise contractions, so no BLAS thread count moves the bits
+    resk = np.einsum("ijc,j->ic", fx, _W_KRONROD)
+    f0, k0 = fx[:, :, 0], resk[:, 0]
+    resg = np.einsum("ij,j->i", f0, _W_GAUSS)
+    resabs = np.einsum("ij,j->i", np.abs(f0), _W_KRONROD) * half
+    resasc = np.einsum("ij,j->i", np.abs(f0 - 0.5 * k0[:, None]),
+                       _W_KRONROD) * half
+    err = np.abs((k0 - resg) * half)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    err = np.where((resasc != 0) & (err != 0), scaled, err)
+    eps = np.finfo(float).eps
+    err = np.where(resabs > np.finfo(float).tiny / (50 * eps),
+                   np.maximum(50 * eps * resabs, err), err)
+    return resk * half[:, None], err
+
+
+def _integrate(f, a, b, owner, n_members):
+    """Globally adaptive G10K21 over a batch: member k integrates f over
+    the intervals [a[i], b[i]] (a < b) with owner[i] == k; breakpoints go
+    between them.
+
+    Each round evaluates every new subinterval of every member in one call
+    of f (see ``_gk21``).  A member has converged when its summed error
+    estimate is at most max(EPSABS, EPSREL |value|); until then each of its
+    subintervals whose estimate exceeds that tolerance over its interval
+    count is bisected.  A member that would need more than LIMIT
+    subintervals is refused.  Returns values (n_members, c) and errors
+    (n_members,).
+    """
+    a, b, k = np.asarray(a, float), np.asarray(b, float), np.asarray(owner)
+    res, err = _gk21(f, a, b, k)
+    while True:
+        val = np.stack([np.bincount(k, col, n_members) for col in res.T], -1)
+        tot_err = np.bincount(k, err, n_members)
+        tol = np.maximum(EPSABS, EPSREL * np.abs(val[:, 0]))
+        count = np.bincount(k, minlength=n_members)
+        split = (tot_err > tol)[k] & (err > (tol / count)[k])
+        if not split.any():
+            return val, tot_err
+        over = count + np.bincount(k[split], minlength=n_members) > LIMIT
+        if over.any():
+            raise RuntimeError(
+                f"adaptive quadrature: batch member {int(np.argmax(over))} "
+                f"needs more than {LIMIT} subintervals")
+        keep, mid = ~split, 0.5 * (a[split] + b[split])
+        a_new = np.concatenate([a[split], mid])
+        b_new = np.concatenate([mid, b[split]])
+        k_new = np.tile(k[split], 2)
+        res_new, err_new = _gk21(f, a_new, b_new, k_new)
+        a = np.concatenate([a[keep], a_new])
+        b = np.concatenate([b[keep], b_new])
+        k = np.concatenate([k[keep], k_new])
+        res = np.concatenate([res[keep], res_new])
+        err = np.concatenate([err[keep], err_new])
 
 
 @dataclass
@@ -84,20 +178,26 @@ def gamma_regularized(params: ModelParams, eps: float) -> float:
         raise ValueError("eps must be positive")
     lo, om_hi = _freq_range(params)
     e_hi = _energy_cutoff(params) + om_hi
-    gamma, eps2 = params.kernel.gamma.scalar(0), eps ** 2
+    gamma, eps2 = params.kernel.gamma, eps ** 2
 
-    def inner(omega):
-        x = params.bound_energy + omega
+    def outer(omega, _owner):
+        # one inner integral per node, each split at max(x, 0); returns
+        # w times the inner values and w times their error estimates
+        x = params.bound_energy + omega.ravel()
+        bp, n = np.maximum(x, 0.0), x.size
+        cut = np.flatnonzero(bp > 0)
 
-        def f(e):
-            return eps / ((e - x) ** 2 + eps2) * abs(gamma(e)) ** 2
-        val, _ = quad(f, 0.0, e_hi, points=[max(x, 0.0)], limit=200)
-        return val
+        def inner(e, k):
+            return eps / ((e - x[k, None]) ** 2 + eps2) * np.abs(gamma(e)) ** 2
+        val, err = _integrate(inner, np.concatenate([np.zeros(cut.size), bp]),
+                              np.concatenate([bp[cut], np.full(n, e_hi)]),
+                              np.concatenate([cut, np.arange(n)]), n)
+        w = _freq_weight(params, omega)[..., None]
+        return w * np.stack([val[:, 0], err], -1).reshape(omega.shape + (2,))
 
-    def outer(omega):
-        return _freq_weight(params, omega) * inner(omega)
-
-    val, err = quad(outer, lo, om_hi, limit=200)
+    ((val, inner_err),), (err,) = _integrate(outer, [lo], [om_hi], [0], 1)
+    # the inner errors, integrated by the outer rule, count against the gate
+    err += inner_err
     if not np.isfinite(val) or err > 1e-6 * abs(val) + 1e-12:
         raise RuntimeError(f"outer quadrature failed: est. error {err}")
     return float(val)
@@ -122,8 +222,6 @@ def _gamma_reg_midpoint(params: ModelParams, eps, lo, om_hi, e_hi,
     nfft >= m + m_e - 1 keeps the lags read from wrapping around; the sum
     takes O(m log m) time and O(m + m_e) memory.
     """
-    from scipy.fft import next_fast_len
-
     def riemann(m):
         h = (om_hi - lo) / m
         m_e = math.ceil(e_hi / h)
@@ -135,7 +233,7 @@ def _gamma_reg_midpoint(params: ModelParams, eps, lo, om_hi, e_hi,
         # m_e - 1 + i is then sum_j lor(j - i) ge2[j]
         d = np.arange(m_e - 1, -m, -1) * h - (params.bound_energy + lo)
         lor = eps / (d * d + eps ** 2)
-        nfft = next_fast_len(m + m_e - 1, real=True)
+        nfft = _fast_len(m + m_e - 1)
         conv = np.fft.irfft(np.fft.rfft(lor, nfft) * np.fft.rfft(ge2, nfft),
                             nfft)
         return float(wj @ conv[m_e - 1:m_e - 1 + m]) * h * h
@@ -143,6 +241,20 @@ def _gamma_reg_midpoint(params: ModelParams, eps, lo, om_hi, e_hi,
     s1 = riemann(n // 2)
     s2 = riemann(n)
     return (4.0 * s2 - s1) / 3.0
+
+
+def _fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, the length scipy.fft.next_fast_len
+    picks for a real transform."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least power of two times p35 that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def gamma_limit(params: ModelParams) -> float:
@@ -154,11 +266,11 @@ def gamma_limit(params: ModelParams) -> float:
     """
     lo, om_hi = _freq_range(params)
 
-    def f(omega):
+    def f(omega, _owner):
         return (_freq_weight(params, omega)
                 * np.abs(params.kernel.gamma(params.bound_energy + omega))**2)
 
-    val, err = quad(f, lo, om_hi, limit=200)
+    ((val,),), (err,) = _integrate(f, [lo], [om_hi], [0], 1)
     if not np.isfinite(val) or err > 1e-6 * abs(val) + 1e-12:
         raise RuntimeError(f"quadrature failed: est. error {err}")
     return math.pi * float(val)
@@ -272,17 +384,19 @@ def check_kernel_integrals(params: ModelParams) -> BoundReport:
     energy-weighted block."""
     ker = params.kernel
     e_hi = _energy_cutoff(params)
-    columns = {}
-    for m1 in range(4):
-        for m2 in range(4 - m1):
-            gamma = ker.gamma.scalar(m2)
+    # e^(-2 m1) |Gamma^(m2)(e)|^2 for m1 + m2 <= 3, then e^2 |Gamma(e)|^2,
+    # as one batch
+    orders = [(m1, m2) for m1 in range(4) for m2 in range(4 - m1)] + [(-1, 0)]
+    m1, m2 = (np.array(v) for v in zip(*orders))
 
-            def f(e):
-                return (e ** (-2 * m1)) * abs(gamma(e)) ** 2
-            columns[f"w{m1}_d{m2}"] = float(quad(f, 0.0, e_hi, limit=200)[0])
-    v_pl = columns["w0_d0"]
-    gamma = ker.gamma.scalar(0)
-    v_en, _ = quad(lambda e: e ** 2 * abs(gamma(e)) ** 2, 0.0, e_hi)
+    def f(e, owner):
+        d2 = np.abs(np.stack([ker.gamma(e, m) for m in range(4)])) ** 2
+        return e ** (-2 * m1[owner, None]) * d2[m2[owner], np.arange(len(e))]
+    n = len(orders)
+    vals, _ = _integrate(f, np.zeros(n), np.full(n, e_hi), np.arange(n), n)
+    columns = {f"w{m1}_d{m2}": float(v)
+               for (m1, m2), v in zip(orders[:-1], vals[:-1, 0])}
+    v_pl, v_en = columns["w0_d0"], float(vals[-1, 0])
     # separable double integrals for the default rank-one block
     blocks = {k: v * v_pl for k, v in columns.items()}
     detail = {**{f"column_{k}": v for k, v in columns.items()},

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .reports import BoundReport
 
@@ -93,6 +92,8 @@ def integrate_flow(field: VectorField, x, t: float,
                    tol: float = 1e-10) -> FlowResult:
     """Solve dx/dt = xi(x) together with the sensitivity equation
     d(phi')/dt = xi'(x(t)) phi' for every start point in x at once."""
+    from scipy.integrate import solve_ivp
+
     if tol <= 0:
         raise ValueError("tol must be positive")
     x = np.asarray(x, float)

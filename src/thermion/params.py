@@ -32,11 +32,11 @@ class PowerExpProfile:
     with negative exponent only ever get evaluated at x > 0.  ``scalar(d)``
     is the order-d derivative as a function of one number: the Leibniz sum
     in ``math`` arithmetic, returning a float; where a float ``**``
-    overflows, the array path gives the inf/nan instead.  Quadrature
-    integrands bind it once; calling the profile on a scalar x (a Python or
-    NumPy float/int) goes through it too.  The Leibniz terms of each order
-    are memoised outside the fields (in ``__dict__``); the evaluators are
-    not stored, so pickling, copies, ``==`` and ``hash`` see the fields only.
+    overflows, the array path gives the inf/nan instead.  Calling the
+    profile on a scalar x (a Python or NumPy float/int) goes through it.
+    The Leibniz terms of each order are memoised outside the fields (in
+    ``__dict__``); the evaluators are not stored, so pickling, copies,
+    ``==`` and ``hash`` see the fields only.
     """
 
     power: float
@@ -105,8 +105,7 @@ class Kernel:
     """Particle-space coupling in the energy representation.
 
     ``gamma`` is the bound-to-continuum coupling profile, a
-    ``PowerExpProfile``: ``gamma(e, deriv)`` on scalars or arrays, and
-    ``gamma.scalar(deriv)`` for quadrature integrands,
+    ``PowerExpProfile``: ``gamma(e, deriv)`` on scalars or arrays,
     ``k(e, e')`` the continuum-continuum block (must be Hermitian:
     conj(k(e, e')) == k(e', e)), and ``g_ee`` the real bound-bound scalar.
     The default is the rank-one choice k(e,e') = gamma(e) gamma(e') with

@@ -208,16 +208,38 @@ def test_run_refuses_undeclared_options():
         run(ExperimentConfig(kind="gjn", options={"tol": 1e-3}))
 
 
-def test_cli_import_leaves_scipy_interpolate_unloaded():
-    # only flow-check's splines need scipy.interpolate; every other kind
-    # should not pay for importing it
+# scipy.integrate alone pulled in scipy.optimize, scipy.special, scipy.fft
+# and scipy.spatial, about a third of every run's start-up
+LAZY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.special",
+              "scipy.fft")
+
+
+def _loaded_after(script, *args):
     src = str(Path(thermion.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, thermion.cli; "
-         "print('scipy.interpolate' in sys.modules)"],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-        text=True, timeout=120, check=True)
-    assert proc.stdout.strip() == "False"
+        [sys.executable, "-c", script + "\nprint(sorted(m for m in "
+         f"{LAZY_SCIPY + ('scipy.interpolate',)!r} if m in sys.modules))",
+         *args], env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=300, check=True)
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_leaves_scipy_interpolate_unloaded():
+    # only flow-check's splines need scipy.interpolate, and only its flows
+    # scipy.integrate; every other kind should not pay for importing them
+    assert _loaded_after("import sys, thermion.cli") == "[]"
+
+
+def test_runs_leave_lazy_scipy_modules_unloaded(tmp_path):
+    # fgr and bound-chain compute the golden-rule constant inside main(),
+    # so a scipy module imported there would land in their run time
+    script = "\n".join([
+        "import sys; from thermion.cli import main; out = sys.argv[1]",
+        "small = ['model.n_e=4', 'model.n_u=4', 'model.n_max=1']",
+        "assert main(['fgr', '--out', out, 'fgr.eps_list=[0.2]']) == 0",
+        *(f"main(['{kind}', '--out', out, *small])"
+          for kind in ("bound-chain", "dynamics", "virial-scan"))])
+    assert _loaded_after(script, str(tmp_path)) == "[]"
 
 
 @pytest.mark.parametrize("kind, code", [
@@ -229,7 +251,9 @@ def test_report_bytes_do_not_depend_on_blas_threads(tmp_path, kind, code):
     # BLAS thread count (complex svds); its norms now run in float64.
     # feshbach-fuzz evaluates stacks of reduced blocks through batched
     # matmul and det. fgr's midpoint oracle sums its Lorentzian matrix as
-    # an FFT correlation, which no BLAS thread count may move.  bound-chain
+    # an FFT correlation, and its adaptive quadrature contracts with einsum
+    # (fgr, bound-chain and lambda0-scan read gamma from it), which no BLAS
+    # thread count may move.  bound-chain
     # and lambda0-scan take their compensation constant from a Gram
     # eigenvalue; both exit 2 at defaults, on the chain's failing steps
     src = str(Path(thermion.__file__).resolve().parents[1])

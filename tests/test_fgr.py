@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -204,8 +205,8 @@ def test_run_fgr_builds_each_leibniz_sum_once(monkeypatch):
 
 
 def test_run_fgr_binds_the_kernel_evaluator_per_quadrature(monkeypatch):
-    # quadrature nodes call a bound scalar evaluator, not __call__; a call
-    # per node made 131,169 over the same run
+    # the adaptive quadratures hand the profiles all nodes of a round as
+    # one array; a call per node made 131,169 over the same run
     calls = [0]
 
     def counted(self, *args, _fn=PowerExpProfile.__call__, **kwargs):
@@ -245,22 +246,21 @@ def _broadcast_midpoint(p, eps, lo, om_hi, e_hi, n):
 
 
 def test_golden_rule_values_bit_identical():
-    # adaptive values pinned bit for bit: the integrands QUADPACK sees are
-    # unchanged, so its subdivisions and sums are too
+    # adaptive values pinned bit for bit: the batched G10K21 integrator's
+    # subdivisions and sums are deterministic, so a change to the
+    # integrands or the rule shows here
     p = ModelParams()
-    assert gamma_regularized(p, 0.2) == 23.463023622123746
-    assert gamma_regularized(p, 0.1) == 23.728094515755746
-    assert gamma_limit(p) == 23.943859418141738
+    assert gamma_regularized(p, 0.2) == 23.46302362212374
+    assert gamma_regularized(p, 0.1) == 23.728094515755725
+    assert gamma_limit(p) == 23.94385941814173
     assert gamma_regularized_midpoint(p, 0.2) == 23.463023622124187
     detail = check_kernel_integrals(p).detail
-    pinned = {"column_w0_d0": 5.625, "column_w0_d1": 1.1249999999999998,
+    pinned = {"column_w0_d0": 5.625, "column_w0_d1": 1.125,
               "column_w0_d2": 1.125, "column_w0_d3": 5.625000000000002,
-              "column_w1_d0": 0.7499999999999999,
-              "column_w1_d1": 0.7499999999999999,
-              "column_w1_d2": 8.250000000000002, "column_w2_d0": 0.25,
-              "column_w2_d1": 3.2500000000000004,
-              "column_w3_d0": 0.5000000000000001,
-              "energy_weighted_block": 442.96874999999966}
+              "column_w1_d0": 0.7499999999999998, "column_w1_d1": 0.75,
+              "column_w1_d2": 8.25, "column_w2_d0": 0.25,
+              "column_w2_d1": 3.25, "column_w3_d0": 0.5000000000000001,
+              "energy_weighted_block": 442.9687499999996}
     assert {k: detail[k] for k in pinned} == pinned
     # the FFT midpoint sum against the broadcast one. At (1, 9, 24.25) and
     # n = 32 the Richardson pair needs m + m_e - 1 = 64 and 128 lags, both
@@ -308,3 +308,143 @@ def test_power_exp_memo_is_invisible():
         for d in range(5):
             np.testing.assert_array_equal(clone(x, d), prof(x, d))
             assert clone(1.5, d) == prof(1.5, d) == clone.scalar(d)(1.5)
+
+
+# ---------------------------------------------------------------------------
+# the batched G10K21 integrator
+# ---------------------------------------------------------------------------
+
+def test_gk21_rule_exact_on_polynomials_to_degree_31():
+    # one interval, no adaptivity: the Kronrod sum integrates t^d, t the
+    # interval's own coordinate on [-1, 1], exactly for d <= 31 (3 * 10 + 1)
+    # and misses t^32; t^d has sup 1, so roundoff is absolute
+    a, b = np.array([-0.3]), np.array([1.7])
+    for d in range(33):
+        res, _ = fgr._gk21(lambda x, _k: (x - 0.7) ** d, a, b,
+                           np.zeros(1, int))
+        miss = abs(res[0, 0] - (1 - (-1) ** (d + 1)) / (d + 1))
+        assert miss <= 2e-15 if d <= 31 else miss > 1e-12, d
+
+
+def test_integrator_batch_of_polynomials_and_a_kink():
+    # members 0-31 are x^d on [-0.3, 1.7]; member 32 has a kink at c, split
+    # there, and member 33 is the same kink left to bisection
+    c, n = 1 / 3, 34
+    exact = [(1.7 ** (d + 1) - (-0.3) ** (d + 1)) / (d + 1) for d in range(32)]
+    exact = np.array(exact + [2 - math.exp(-c) - math.exp(c - 1)] * 2)
+
+    def f(x, owner):
+        d = owner[:, None]
+        return np.where(d < 32, x ** np.minimum(d, 31), np.exp(-abs(x - c)))
+    a = [-0.3] * 32 + [0.0, c, 0.0]
+    b = [1.7] * 32 + [c, 1.0, 1.0]
+    owner = list(range(32)) + [32, 32, 33]
+    val, err = fgr._integrate(f, a, b, owner, n)
+    assert val.shape == (n, 1) and err.shape == (n,)
+    miss = np.abs(val[:, 0] - exact)
+    assert np.all(miss[:33] <= 1e-14 * np.abs(exact[:33]))
+    # split at the kink the rule is exact on each side; bisection towards
+    # it stops at the tolerance, and the estimate bounds the miss
+    assert err[32] < 1e-13 and 0 < miss[33] <= err[33]
+    assert np.all(err <= np.maximum(fgr.EPSABS, fgr.EPSREL * np.abs(exact)))
+
+
+def test_integrator_zero_integrand_gives_exact_zero():
+    val, err = fgr._integrate(lambda x, _k: np.zeros_like(x), [0.0, 1.0],
+                              [1.0, 5.0], [0, 1], 2)
+    assert val.tolist() == [[0.0], [0.0]] and err.tolist() == [0.0, 0.0]
+
+
+def test_integrator_refuses_a_member_past_the_limit():
+    # member 1, sin(1/x) near 0, needs more than LIMIT subintervals; the
+    # refusal names it
+    def f(x, owner):
+        return np.where(owner[:, None] == 1, np.sin(1 / x), x)
+    with pytest.raises(RuntimeError, match=r"batch member 1 needs more than "
+                                           r"200 subintervals"):
+        fgr._integrate(f, [0.0, 1e-4], [1.0, 1.0], [0, 1], 2)
+
+
+def test_integrator_carries_trailing_columns_on_the_same_intervals():
+    # a second column is integrated by the rule on the intervals the first
+    # column's error estimate picks
+    def f(x, _k):
+        return np.stack([np.exp(-abs(x)), x ** 2], -1)
+    val, err = fgr._integrate(f, [-1.0], [2.0], [0], 1)
+    assert abs(val[0, 0] - (2 - math.exp(-1) - math.exp(-2))) <= err[0]
+    assert val[0, 1] == pytest.approx(3.0, rel=1e-14)
+
+
+def test_fast_len_matches_scipy_next_fast_len():
+    from scipy.fft import next_fast_len
+    ns = range(1, (1 << 17) + 1)
+    assert [fgr._fast_len(n) for n in ns] == [next_fast_len(n, real=True)
+                                             for n in ns]
+
+
+# QUADPACK, through scipy.integrate.quad, as the oracle of the adaptive
+# integrals: the scalar integrands and settings these integrals used to run
+# with (limit 200, QUADPACK's default tolerances)
+
+def _quadpack_limit(p):
+    from scipy.integrate import quad
+    lo, om_hi = fgr._freq_range(p)
+    gamma = p.kernel.gamma.scalar(0)
+    return math.pi * quad(lambda w: fgr._freq_weight(p, w)
+                          * gamma(p.bound_energy + w) ** 2,
+                          lo, om_hi, limit=200)[0]
+
+
+def _quadpack_regularized(p, eps):
+    from scipy.integrate import quad
+    lo, om_hi = fgr._freq_range(p)
+    e_hi = fgr._energy_cutoff(p) + om_hi
+    gamma = p.kernel.gamma.scalar(0)
+
+    def outer(w):
+        x = p.bound_energy + w
+        inner = quad(lambda e: eps / ((e - x) ** 2 + eps ** 2) * gamma(e) ** 2,
+                     0.0, e_hi, points=[max(x, 0.0)], limit=200)[0]
+        return fgr._freq_weight(p, w) * inner
+    return quad(outer, lo, om_hi, limit=200)[0]
+
+
+def test_golden_rule_matches_quadpack():
+    p = ModelParams()
+    assert gamma_limit(p) == pytest.approx(_quadpack_limit(p), rel=1e-12)
+    for eps in (0.2, 0.1, 0.05):
+        assert gamma_regularized(p, eps) == pytest.approx(
+            _quadpack_regularized(p, eps), rel=1e-12)
+
+
+def _kernel_column_closed_form(m1, m2, power=3):
+    # d^m2/de^m2 (e^p e^-e) = e^-e sum_k c_k e^(p-k); the square times
+    # e^(-2 m1) integrates term by term: int_0^inf e^q e^-2e de = q!/2^(q+1)
+    coeff = {power - k: Fraction(math.comb(m2, k) * math.perm(power, k)
+                                 * (-1) ** (m2 - k)) for k in range(m2 + 1)}
+    total = Fraction(0)
+    for i, ci in coeff.items():
+        for j, cj in coeff.items():
+            q = i + j - 2 * m1
+            total += ci * cj * Fraction(math.factorial(q), 2 ** (q + 1))
+    return float(total)
+
+
+def test_kernel_columns_match_quadpack_and_closed_forms():
+    from scipy.integrate import quad
+    p = ModelParams()
+    detail = check_kernel_integrals(p).detail
+    e_hi = fgr._energy_cutoff(p)
+    for m1 in range(4):
+        for m2 in range(4 - m1):
+            gamma = p.kernel.gamma.scalar(m2)
+            oracle = quad(lambda e: e ** (-2 * m1) * gamma(e) ** 2, 0.0, e_hi,
+                          limit=200)[0]
+            col = detail[f"column_w{m1}_d{m2}"]
+            assert col == pytest.approx(oracle, rel=1e-12)
+            assert col == pytest.approx(_kernel_column_closed_form(m1, m2),
+                                        rel=1e-12)
+    assert _kernel_column_closed_form(0, 0) == 5.625      # 6! / 2^7
+    # int e^2 |Gamma|^2 = 8! / 2^9 times column_w0_d0
+    assert detail["energy_weighted_block"] == pytest.approx(
+        math.factorial(8) / 2 ** 9 * 5.625, rel=1e-12)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
+import scipy.integrate
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 from scipy.special import wrightomega
 
-from thermion import flows
 from thermion.experiments import ExperimentConfig, run
 from thermion.flows import (FlowResult, VectorField, generator_apply,
                             generator_check, induced_unitary_apply,
@@ -202,7 +202,9 @@ def test_flow_check_integrates_each_start_array_once(monkeypatch):
         calls.append(args[1])
         return solve_ivp(*args, **kwargs)
 
-    monkeypatch.setattr(flows, "solve_ivp", counting)
+    # integrate_flow imports solve_ivp when called, so the patch goes on
+    # scipy.integrate
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", counting)
     rep = run(ExperimentConfig(kind="flow-check", seed=0))
     assert rep.all_passed
     # 11 for the group laws, 4 unitaries, 3 generator times and 8 nonzero
