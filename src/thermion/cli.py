@@ -20,7 +20,7 @@ import time
 from pathlib import Path
 
 from .experiments import PIPELINES, ExperimentConfig, run
-from .params import FormFactor, Kernel, ModelParams, PowerExpProfile
+from .params import Kernel, ModelParams, PowerExpProfile
 from .reports import Report, report_to_json, series_to_csv, table_to_csv
 
 MODEL_KEYS = {"beta", "lam", "theta", "epsilon", "a", "bound_energy",
@@ -84,10 +84,8 @@ def build_config(kind: str, entries: dict) -> ExperimentConfig:
             raise ValueError(f"unknown key {key!r}: keys are model.NAME, "
                              f"run.NAME or {kind}.NAME")
 
-    ff = FormFactor(g=PowerExpProfile(
-        power=float(special.get("form_power", 2.5)),
-        scale=float(special.get("form_scale", 1.0))),
-        ir_exponent=float(special.get("form_power", 2.5)))
+    ff = PowerExpProfile(power=float(special.get("form_power", 2.5)),
+                         scale=float(special.get("form_scale", 1.0)))
     ker = Kernel(gamma=PowerExpProfile(
         power=float(special.get("kernel_power", 3.0)),
         scale=float(special.get("kernel_scale", 1.0))),

@@ -36,14 +36,9 @@ def _profile_diag(nodes: np.ndarray, a: float, profile: VectorField,
         vals = xi
     elif order == 2:
         vals = dxi * xi / a
-    elif order == 3:
-        if profile.d2xi is None:
-            raise ValueError("third commutator needs the second derivative "
-                             "of the profile")
+    else:
         d2 = np.asarray(profile.d2xi(s), float)
         vals = (d2 * xi ** 2 + dxi ** 2 * xi) / a ** 2
-    else:
-        raise ValueError("order must be 1, 2 or 3")
     return np.concatenate(([0.0], vals))
 
 

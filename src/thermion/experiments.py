@@ -57,8 +57,8 @@ def _pmap(fn, items, jobs: int):
 def _config_echo(cfg: ExperimentConfig) -> dict:
     echo = asdict(cfg.params)
     echo["form_factor"] = {
-        "kind": "power_exp", "power": cfg.params.form_factor.g.power,
-        "scale": cfg.params.form_factor.g.scale}
+        "kind": "power_exp", "power": cfg.params.form_factor.power,
+        "scale": cfg.params.form_factor.scale}
     echo["kernel"] = {
         "kind": "rank_one_power_exp",
         "power": cfg.params.kernel.gamma.power,
@@ -85,7 +85,9 @@ def run_fgr(cfg: ExperimentConfig) -> Report:
 
     adaptive = res.gamma_eps[eps_list[0]]
     midpoint = fgr.gamma_regularized_midpoint(p, eps_list[0])
-    rel = abs(adaptive - midpoint) / abs(adaptive)
+    # a zero rate (zero form factor or kernel) agrees only with a zero
+    rel = (abs(adaptive - midpoint) / abs(adaptive) if adaptive
+           else 0.0 if midpoint == 0 else np.inf)
     checks.append(BoundReport.of(
         "independent quadratures agree", rel, "<=", 1e-6,
         detail={"adaptive": adaptive, "midpoint": midpoint,

@@ -40,9 +40,7 @@ class FeshbachResult:
 
     @property
     def f_value(self) -> float:
-        """Scalar value for rank-one projections."""
-        if self.f_matrix.shape != (1, 1):
-            raise ValueError("reduced block is not scalar")
+        """Scalar value for rank-one projections (a 1 x 1 block)."""
         return float(np.real(self.f_matrix[0, 0]))
 
 

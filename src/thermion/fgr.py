@@ -22,7 +22,7 @@ would not converge to each other at rate O(width).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,7 +81,7 @@ def _gk21(f, a, b, owner):
     return resk * half[:, None], err
 
 
-def _integrate(f, a, b, owner, n_members):
+def _integrate(f, a, b, owner, n_members, refuse=True):
     """Globally adaptive G10K21 over a batch: member k integrates f over
     the intervals [a[i], b[i]] (a < b) with owner[i] == k; breakpoints go
     between them.
@@ -91,24 +91,30 @@ def _integrate(f, a, b, owner, n_members):
     estimate is at most max(EPSABS, EPSREL |value|); until then each of its
     subintervals whose estimate exceeds that tolerance over its interval
     count is bisected.  A member that would need more than LIMIT
-    subintervals is refused.  Returns values (n_members, c) and errors
-    (n_members,).
+    subintervals is refused; with ``refuse`` false it stops there and its
+    values read nan.  Returns values (n_members, c) and errors (n_members,).
     """
     a, b, k = np.asarray(a, float), np.asarray(b, float), np.asarray(owner)
     res, err = _gk21(f, a, b, k)
+    stopped = np.zeros(n_members, bool)
     while True:
         val = np.stack([np.bincount(k, col, n_members) for col in res.T], -1)
         tot_err = np.bincount(k, err, n_members)
         tol = np.maximum(EPSABS, EPSREL * np.abs(val[:, 0]))
         count = np.bincount(k, minlength=n_members)
-        split = (tot_err > tol)[k] & (err > (tol / count)[k])
+        split = (tot_err > tol)[k] & (err > (tol / count)[k]) & ~stopped[k]
         if not split.any():
+            val[stopped] = np.nan
             return val, tot_err
         over = count + np.bincount(k[split], minlength=n_members) > LIMIT
         if over.any():
-            raise RuntimeError(
-                f"adaptive quadrature: batch member {int(np.argmax(over))} "
-                f"needs more than {LIMIT} subintervals")
+            if refuse:
+                raise RuntimeError(
+                    f"adaptive quadrature: batch member "
+                    f"{int(np.argmax(over))} needs more than {LIMIT} "
+                    f"subintervals")
+            stopped |= over
+            continue
         keep, mid = ~split, 0.5 * (a[split] + b[split])
         a_new = np.concatenate([a[split], mid])
         b_new = np.concatenate([mid, b[split]])
@@ -125,7 +131,7 @@ def _integrate(f, a, b, owner, n_members):
 class FgrResult:
     gamma_eps: dict            # width -> value
     gamma_limit: float
-    cutoffs: dict = field(default_factory=dict)
+    cutoffs: dict
 
 
 def thermal_factor(omega, beta):
@@ -294,9 +300,9 @@ def eps_convergence(result: FgrResult) -> BoundReport:
 
 def golden_rule(params: ModelParams,
                 eps_list=(0.2, 0.1, 0.05, 0.025)) -> FgrResult:
-    res = FgrResult(gamma_eps={}, gamma_limit=gamma_limit(params))
-    res.cutoffs = {"omega": _freq_cutoff(params),
-                   "energy": _energy_cutoff(params)}
+    res = FgrResult(gamma_eps={}, gamma_limit=gamma_limit(params),
+                    cutoffs={"omega": _freq_cutoff(params),
+                             "energy": _energy_cutoff(params)})
     for e in eps_list:
         res.gamma_eps[e] = gamma_regularized(params, e)
     return res
@@ -356,26 +362,36 @@ def operator_vs_quadrature(params: ModelParams, eps: float) -> BoundReport:
 # hypothesis checkers
 # ---------------------------------------------------------------------------
 
+# the envelope constants of check_ir_uv
+UV_EXPONENT = 4.0
+K1, K2 = 0.5, 4.0
+BIG_K1, BIG_K2 = 8.0, 2.0e6
+
+
 def check_ir_uv(params: ModelParams) -> BoundReport:
-    """Infrared / ultraviolet envelopes of the form factor with its
-    derivatives up to fourth order."""
+    """Infrared / ultraviolet envelopes of the form factor g and its
+    derivatives j = 0..4: |g^(j)(w)| <= K2 w^(p-j) below K1 = 0.5 (K2 = 4)
+    and <= BIG_K2 w^(-q-j) above BIG_K1 = 8 (BIG_K2 = 2e6, q = UV_EXPONENT
+    = 4).  The infrared exponent p is the profile's power; the hypotheses
+    need p > 2, and q > 3.5, which q = 4 meets."""
     ff = params.form_factor
+    p = ff.power
     worst = np.inf
     detail = {}
-    low = np.geomspace(1e-6, ff.k1 * (1 - 1e-9), 200)
+    low = np.geomspace(1e-6, K1 * (1 - 1e-9), 200)
     for j in range(5):
-        margin = ff.k2 * low ** (ff.ir_exponent - j) - np.abs(ff(low, j))
+        margin = K2 * low ** (p - j) - np.abs(ff(low, j))
         worst = min(worst, float(margin.min()))
         detail[f"ir_d{j}"] = float(margin.min())
-    high = np.geomspace(ff.big_k1 * (1 + 1e-9), ff.big_k1 * 50, 200)
+    high = np.geomspace(BIG_K1 * (1 + 1e-9), BIG_K1 * 50, 200)
     for j in range(5):
-        margin = ff.big_k2 * high ** (-ff.uv_exponent - j) - np.abs(ff(high, j))
+        margin = BIG_K2 * high ** (-UV_EXPONENT - j) - np.abs(ff(high, j))
         worst = min(worst, float(margin.min()))
         detail[f"uv_d{j}"] = float(margin.min())
-    detail.update(ir_exponent=ff.ir_exponent, uv_exponent=ff.uv_exponent)
+    detail.update(ir_exponent=p, uv_exponent=UV_EXPONENT)
     return BoundReport.of(
         "form factor infrared/ultraviolet envelopes", -worst, "<=", 0.0,
-        also=ff.ir_exponent > 2 and ff.uv_exponent > 3.5, detail=detail)
+        also=p > 2, detail=detail)
 
 
 def check_kernel_integrals(params: ModelParams) -> BoundReport:
@@ -393,15 +409,22 @@ def check_kernel_integrals(params: ModelParams) -> BoundReport:
         d2 = np.abs(np.stack([ker.gamma(e, m) for m in range(4)])) ** 2
         return e ** (-2 * m1[owner, None]) * d2[m2[owner], np.arange(len(e))]
     n = len(orders)
-    vals, _ = _integrate(f, np.zeros(n), np.full(n, e_hi), np.arange(n), n)
-    columns = {f"w{m1}_d{m2}": float(v)
-               for (m1, m2), v in zip(orders[:-1], vals[:-1, 0])}
+    # bisection towards a divergence at 0 needs more than LIMIT subintervals
+    # (the member reads nan) or overflows the weight (inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals, _ = _integrate(f, np.zeros(n), np.full(n, e_hi), np.arange(n),
+                             n, refuse=False)
+    names = [f"w{i}_d{j}" for i, j in orders[:-1]] + ["energy_weighted"]
+    columns = dict(zip(names[:-1], vals[:-1, 0].tolist()))
     v_pl, v_en = columns["w0_d0"], float(vals[-1, 0])
     # separable double integrals for the default rank-one block
     blocks = {k: v * v_pl for k, v in columns.items()}
     detail = {**{f"column_{k}": v for k, v in columns.items()},
               **{f"block_{k}": v for k, v in blocks.items()},
               "energy_weighted_block": float(v_en * v_pl)}
+    not_finite = [k for k, v in zip(names, vals[:, 0]) if not np.isfinite(v)]
+    if not_finite:
+        detail["not_finite"] = not_finite
     worst_val = max(0.0, *(abs(v) for v in columns.values()))
     worst_finite = np.all(np.isfinite([*columns.values(), *blocks.values(),
                                        v_en]))

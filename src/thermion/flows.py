@@ -33,9 +33,6 @@ class VectorField:
     dxi: Callable
     d2xi: Callable | None = None
 
-    def __call__(self, x):
-        return self.xi(x)
-
     def scaled(self, a: float) -> "VectorField":
         """x -> xi(x / a); each derivative picks up 1/a."""
         if a <= 0:

@@ -3,7 +3,9 @@
 The full space is (bound + continuum) x (bound + continuum) x Fock, where
 both continua are midpoint grids (no node at the origin) and the Fock layer
 holds symmetric occupation states over the frequency modes with a hard cap
-on the total occupation number.
+on the total occupation number.  ``build_bases`` builds them from a
+``ModelParams``, which has validated every grid input, so they check
+nothing again.
 """
 from __future__ import annotations
 
@@ -19,10 +21,6 @@ class EnergyGrid:
 
     e_max: float
     n_e: int
-
-    def __post_init__(self):
-        if self.e_max <= 0 or self.n_e < 1:
-            raise ValueError("need e_max > 0 and n_e >= 1")
 
     @property
     def weight(self) -> float:
@@ -46,12 +44,6 @@ class FieldGrid:
     u_max: float
     n_u: int
     angular_weight: float = 4.0 * np.pi
-
-    def __post_init__(self):
-        if self.u_max <= 0:
-            raise ValueError("need u_max > 0")
-        if self.n_u % 2 != 0 or self.n_u < 2:
-            raise ValueError("n_u must be even and >= 2")
 
     @property
     def du(self) -> float:
@@ -83,10 +75,6 @@ class ParticleBasis:
 
     bound_energy: float
     grid: EnergyGrid
-
-    def __post_init__(self):
-        if self.bound_energy >= 0:
-            raise ValueError("bound state energy must be negative")
 
     @property
     def dim(self) -> int:
@@ -123,8 +111,6 @@ class FockBasis:
     index: dict = field(init=False)
 
     def __post_init__(self):
-        if self.n_max < 0:
-            raise ValueError("n_max must be >= 0")
         states = tuple(_occupations(self.grid.n_u, self.n_max))
         object.__setattr__(self, "states", states)
         object.__setattr__(
@@ -138,10 +124,10 @@ class FockBasis:
 
 @dataclass(frozen=True)
 class CompositeBasis:
-    """Left particle x right particle x Fock, with flat index maps.
+    """Left particle x right particle x Fock.
 
-    Flat convention: flat = i + dim_p * j + dim_p**2 * n  (left particle
-    index i fastest, Fock index n slowest).
+    Flat convention: flat = i + d * j + d**2 * n with d = left.dim (left
+    particle index i fastest, Fock index n slowest).
     """
 
     left: ParticleBasis
@@ -149,30 +135,18 @@ class CompositeBasis:
     fock: FockBasis
 
     @property
-    def dim_p(self) -> int:
-        return self.left.dim
-
-    @property
     def dim(self) -> int:
         return self.left.dim * self.right.dim * self.fock.dim
-
-    def flatten(self, i: int, j: int, n: int) -> int:
-        dp = self.dim_p
-        if not 0 <= i < self.left.dim:
-            raise IndexError(f"left particle index {i} out of range")
-        if not 0 <= j < self.right.dim:
-            raise IndexError(f"right particle index {j} out of range")
-        if not 0 <= n < self.fock.dim:
-            raise IndexError(f"Fock index {n} out of range")
-        return i + dp * j + dp * dp * n
 
     def as_tensor(self, vec: np.ndarray) -> np.ndarray:
         """View a flat vector as a (fock, right, left) tensor."""
         return vec.reshape(self.fock.dim, self.right.dim, self.left.dim)
 
     def vacuum_bound_index(self) -> int:
-        """Flat index of bound x bound x vacuum (the invariant reference)."""
-        return self.flatten(0, 0, 0)
+        """Flat index of bound x bound x vacuum (the invariant reference):
+        0, because the bound state and the vacuum come first in their
+        bases."""
+        return 0
 
 
 def build_bases(params) -> CompositeBasis:

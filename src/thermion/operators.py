@@ -41,11 +41,6 @@ def hermitize(m):
     return (m + m.conj().swapaxes(-1, -2)) * 0.5
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """max |M - M*| entrywise of a dense matrix, exact."""
-    return float(np.abs(m - m.conj().T).max())
-
-
 # ---------------------------------------------------------------------------
 # particle-space operators
 # ---------------------------------------------------------------------------
@@ -65,22 +60,19 @@ def central_difference(nodes: np.ndarray, spacing: float) -> np.ndarray:
 
 def coupling_matrix(params: ModelParams, basis: CompositeBasis) -> np.ndarray:
     """Discrete particle coupling: bound-bound scalar, bound-continuum
-    column Gamma(e) sqrt(de), continuum block K(e, e') de."""
+    column Gamma(e) sqrt(de), continuum block Gamma(e) Gamma(e') de.  Gamma
+    is real, so the block is an outer product with a * b == b * a and the
+    matrix is Hermitian bit for bit."""
     grid = basis.left.grid
-    e = grid.nodes
     de = grid.weight
     ker = params.kernel
     dp = basis.left.dim
     g = np.zeros((dp, dp), dtype=complex)
     g[0, 0] = ker.g_ee
-    col = np.asarray(ker.gamma(e), dtype=complex)
-    g[1:, 0] = col * np.sqrt(de)
-    g[0, 1:] = np.conj(col) * np.sqrt(de)
-    kblock = np.asarray(ker.k(e[:, None], e[None, :]), dtype=complex)
-    g[1:, 1:] = kblock * de
-    if hermiticity_defect(g) > 1e-12 * max(1.0, np.abs(g).max()):
-        raise ValueError("kernel violates Hermitian symmetry")
-    return hermitize(g)
+    col = ker.gamma(grid.nodes)
+    g[1:, 0] = g[0, 1:] = col * np.sqrt(de)
+    g[1:, 1:] = np.outer(col, col) * de
+    return g
 
 
 @dataclass(frozen=True)

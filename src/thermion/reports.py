@@ -64,8 +64,6 @@ class TimeSeries:
 
     def ergodic_mean(self) -> np.ndarray:
         """Running Cesaro average (1/T) integral_0^T, trapezoidal."""
-        if len(self.times) < 2:
-            return np.asarray(self.values, float).copy()
         v = np.real(self.values)
         t = self.times
         cum = np.concatenate(
@@ -87,7 +85,7 @@ class Report:
     series: list = field(default_factory=list)
     tables: dict = field(default_factory=dict)
     stats: dict = field(default_factory=dict)
-    schema: str = SCHEMA_VERSION
+    schema: str = field(default=SCHEMA_VERSION, init=False)
 
     @property
     def all_passed(self) -> bool:
@@ -109,13 +107,9 @@ def _jsonable(obj):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
     if obj is None or isinstance(obj, str):
         return obj
-    if callable(obj):
-        return getattr(obj, "__name__", repr(type(obj).__name__))
-    return str(obj)
+    raise TypeError(f"no JSON form for {type(obj).__name__}")
 
 
 def report_to_json(report: Report) -> str:

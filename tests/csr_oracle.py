@@ -55,6 +55,11 @@ def to_csr(op) -> sp.csr_matrix:
     raise TypeError(f"no CSR reference for {type(op).__name__}")
 
 
+def hermiticity_defect(m: np.ndarray) -> float:
+    """max |M - M*| entrywise of a dense matrix, exact."""
+    return float(np.abs(m - m.conj().T).max())
+
+
 def sparse_hermiticity_defect(m) -> float:
     """max |M - M*| entrywise of a sparse matrix, exact, the same value in
     any format (DIA has no max, so the difference goes to CSR)."""

@@ -150,7 +150,8 @@ def test_operator_kinds_build_no_kronecker_product(tmp_path, monkeypatch):
 @pytest.mark.parametrize("override", ["model.n_e=0", "model.n_e=2.5",
                                       "model.n_max=-1", "model.n_max=0",
                                       "model.e_max=0",
-                                      "model.u_max=-2.0"])
+                                      "model.u_max=-2.0",
+                                      "model.bound_energy=0.5"])
 def test_main_refuses_invalid_grid(tmp_path, capsys, override):
     out = tmp_path / "bad"
     assert main(["dynamics", "--out", str(out), override]) == 1
@@ -179,6 +180,27 @@ def test_main_refuses_pipeline_errors(tmp_path, capsys, kind, override):
     assert err.startswith("error:")
     assert override.split("=")[0].rsplit(".", 1)[1] in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("override, failed, not_finite", [
+    ("model.kernel_power=2", "kernel weighted integrals finite (orders <= 3)",
+     ["w1_d2", "w2_d1", "w3_d0"]),
+    ("model.kernel_power=2.5",
+     "kernel weighted integrals finite (orders <= 3)",
+     ["w0_d3", "w1_d2", "w2_d1", "w3_d0"]),
+    ("model.form_scale=0", "golden-rule constant strictly positive", None),
+    ("model.kernel_scale=0", "golden-rule constant strictly positive", None)])
+def test_main_reports_a_divergent_kernel_and_a_zero_rate(
+        tmp_path, override, failed, not_finite):
+    # a weighted kernel integral that diverges (e^-6 |Gamma|^2 ~ e^-2 near
+    # 0 at power 2) and a zero rate are findings, not crashes: the report
+    # is written, that one check fails and names what diverged
+    assert main(["fgr", "--out", str(tmp_path), "fgr.eps_list=[0.2]",
+                 override]) == 2
+    rep = json.loads((tmp_path / "fgr.json").read_text())
+    assert [c["check"] for c in rep["checks"] if not c["passed"]] == [failed]
+    kernel = next(c for c in rep["checks"] if c["check"].startswith("kernel"))
+    assert kernel["detail"].get("not_finite") == not_finite
 
 
 def test_virial_scan_report_is_strict_json_when_the_scan_vanishes(tmp_path):

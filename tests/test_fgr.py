@@ -7,18 +7,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from thermion import experiments, fgr, params
+from thermion import experiments, fgr
 from thermion.fgr import (check_hypotheses, check_ir_uv,
                           check_kernel_integrals, eps_convergence,
                           gamma_limit, gamma_regularized,
                           gamma_regularized_midpoint, golden_rule,
                           operator_vs_quadrature, thermal_factor)
-from thermion.params import (FormFactor, Kernel, ModelParams,
-                             PowerExpProfile, falling_product)
+from thermion.params import (Kernel, ModelParams, PowerExpProfile,
+                             falling_product)
 
 
 def test_zero_form_factor_gives_zero_rate():
-    p = ModelParams(form_factor=FormFactor(g=PowerExpProfile(2.5, 0.0)))
+    p = ModelParams(form_factor=PowerExpProfile(2.5, 0.0))
     assert gamma_limit(p) == 0.0
     assert gamma_regularized(p, 0.1) == 0.0
 
@@ -74,7 +74,7 @@ def test_rate_vanishes_without_resonant_support():
             base = PowerExpProfile(2.5)(w, deriv)
             return np.where(w < 0.9, base, 0.0)
 
-    p = ModelParams(form_factor=FormFactor(g=Cut()))
+    p = ModelParams(form_factor=Cut())
     assert gamma_limit(p) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -97,8 +97,7 @@ def test_ir_uv_envelopes_pass_for_default():
 
 def test_ir_check_fails_for_slow_infrared():
     # exponent 1 violates the > 2 requirement
-    ff = FormFactor(g=PowerExpProfile(1.0), ir_exponent=1.0)
-    rep = check_ir_uv(ModelParams(form_factor=ff))
+    rep = check_ir_uv(ModelParams(form_factor=PowerExpProfile(1.0)))
     assert not rep.passed
 
 
@@ -135,27 +134,24 @@ SPECIAL_X = (-1.0, 0.0, np.nan, np.inf, 1e-320, 800.0, 1e200)
 def test_power_exp_scalar_path_matches_array_path(prof, deriv):
     x = np.concatenate([np.geomspace(1e-6, 700.0, 2001),
                         np.linspace(0.01, 12.0, 1200)])
+    # a scalar x is a 0-d array to the evaluator and comes back a float
     with np.errstate(all="ignore"):
         arr = prof(x, deriv)
-        value = prof.scalar(deriv)
         scal = np.array([prof(v, deriv) for v in x.tolist()])
-        bound = np.array([value(v) for v in x.tolist()])
         special = [prof(v, deriv) for v in SPECIAL_X]
-        special_bound = [value(v) for v in SPECIAL_X]
-    # NumPy's SIMD pow and exp each differ from libm's by up to one ulp,
-    # and the derivatives' Leibniz sums cancel near their zeros, so the
-    # paths are compared in ulps of the sum of the terms' magnitudes
+    # NumPy's SIMD pow and exp on an array may differ from the 0-d loop by
+    # up to one ulp each, and the derivatives' Leibniz sums cancel near
+    # their zeros, so the paths are compared in ulps of the sum of the
+    # terms' magnitudes
     mag = abs(prof.scale) * np.exp(-x) * sum(
         math.comb(deriv, k) * abs(falling_product(prof.power, k))
         * x ** (prof.power - k) for k in range(deriv + 1))
     assert np.all(np.abs(scal - arr) <= 4 * np.spacing(mag))
-    assert np.all(np.abs(bound - arr) <= 4 * np.spacing(mag))
-    assert all(type(v) is float for v in special + special_bound)
+    assert all(type(v) is float for v in special)
     with np.errstate(all="ignore"):
         ref = prof(np.array(SPECIAL_X), deriv)
     np.testing.assert_array_equal(np.array(special), ref)
-    np.testing.assert_array_equal(np.array(special_bound), ref)
-    # Python int and NumPy scalars take the scalar path too
+    # Python int and NumPy scalars come back floats too
     for v in (2, np.int64(2), np.float64(2.0)):
         assert type(prof(v, deriv)) is float
         assert prof(v, deriv) == prof(2.0, deriv)
@@ -187,21 +183,6 @@ def test_run_fgr_integrates_each_width_once(monkeypatch):
     by_name = {c.check: c for c in rep.checks}
     alone = eps_convergence(golden_rule(ModelParams(), eps_list))
     assert by_name[alone.check] == alone
-
-
-def test_run_fgr_builds_each_leibniz_sum_once(monkeypatch):
-    # one build per distinct (profile, order): the form factor at orders
-    # 0-4 (15 falling products) and the kernel at orders 0-3 (10); a
-    # rebuild per call made 132,617 over the same run
-    calls = []
-
-    def counted(p, k, _fn=params.falling_product):
-        calls.append((p, k))
-        return _fn(p, k)
-    monkeypatch.setattr(params, "falling_product", counted)
-    experiments.run_fgr(experiments.ExperimentConfig(
-        kind="fgr", options={"eps_list": [0.2, 0.1]}))
-    assert len(calls) <= 25
 
 
 def test_run_fgr_binds_the_kernel_evaluator_per_quadrature(monkeypatch):
@@ -275,14 +256,14 @@ def test_golden_rule_values_bit_identical():
 
 
 def test_power_exp_memo_is_invisible():
+    # evaluation stores nothing on the profile: equality, hash, copies and
+    # replace see the fields only
     x = np.linspace(0.05, 12.0, 241)
     prof, fresh = PowerExpProfile(2.5), PowerExpProfile(2.5)
     p, q = ModelParams(), ModelParams()
     key = (hash(prof), hash(p))
     for d in (0, 3, 0, 4):
         prof(1.5, d)
-        prof.scalar(d)(2.5)
-        p.kernel.gamma.scalar(d)
         p.kernel.gamma(x, d)
         p.form_factor(1.5, d)
     assert prof == fresh and p == q
@@ -307,7 +288,7 @@ def test_power_exp_memo_is_invisible():
         assert clone == prof and hash(clone) == hash(prof)
         for d in range(5):
             np.testing.assert_array_equal(clone(x, d), prof(x, d))
-            assert clone(1.5, d) == prof(1.5, d) == clone.scalar(d)(1.5)
+            assert clone(1.5, d) == prof(1.5, d)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +370,7 @@ def test_fast_len_matches_scipy_next_fast_len():
 def _quadpack_limit(p):
     from scipy.integrate import quad
     lo, om_hi = fgr._freq_range(p)
-    gamma = p.kernel.gamma.scalar(0)
+    gamma = p.kernel.gamma
     return math.pi * quad(lambda w: fgr._freq_weight(p, w)
                           * gamma(p.bound_energy + w) ** 2,
                           lo, om_hi, limit=200)[0]
@@ -399,7 +380,7 @@ def _quadpack_regularized(p, eps):
     from scipy.integrate import quad
     lo, om_hi = fgr._freq_range(p)
     e_hi = fgr._energy_cutoff(p) + om_hi
-    gamma = p.kernel.gamma.scalar(0)
+    gamma = p.kernel.gamma
 
     def outer(w):
         x = p.bound_energy + w
@@ -437,8 +418,8 @@ def test_kernel_columns_match_quadpack_and_closed_forms():
     e_hi = fgr._energy_cutoff(p)
     for m1 in range(4):
         for m2 in range(4 - m1):
-            gamma = p.kernel.gamma.scalar(m2)
-            oracle = quad(lambda e: e ** (-2 * m1) * gamma(e) ** 2, 0.0, e_hi,
+            oracle = quad(lambda e: e ** (-2 * m1)
+                          * p.kernel.gamma(e, m2) ** 2, 0.0, e_hi,
                           limit=200)[0]
             col = detail[f"column_w{m1}_d{m2}"]
             assert col == pytest.approx(oracle, rel=1e-12)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thermion.lattice import (CompositeBasis, EnergyGrid, FieldGrid,
-                              FockBasis, ParticleBasis, build_bases)
+from thermion.lattice import EnergyGrid, FieldGrid, FockBasis, build_bases
 from thermion.params import ModelParams
 
 
@@ -31,11 +30,6 @@ def test_field_grid_reflection_is_involution():
     assert np.array_equal(r[r], np.arange(g.n_u))
 
 
-def test_field_grid_rejects_odd_count():
-    with pytest.raises(ValueError):
-        FieldGrid(u_max=1.0, n_u=3)
-
-
 def test_fock_dimension_matches_enumeration():
     # brute-force enumeration oracle: 4 modes, <=2 bosons: 1 + 4 + 10
     fb = FockBasis(FieldGrid(2.0, 4), n_max=2)
@@ -51,38 +45,20 @@ def test_fock_dimension_formula(n_u, n_max):
     assert fb.dim == sum(comb(n_u + n - 1, n) for n in range(n_max + 1))
 
 
-def test_particle_basis_rejects_positive_energy():
-    with pytest.raises(ValueError):
-        ParticleBasis(0.5, EnergyGrid(1.0, 2))
-
-
 def test_build_bases_rejects_odd_modes():
     with pytest.raises(ValueError):
         ModelParams(n_u=5)
 
 
 def test_flat_index_convention():
+    # flat = i + d j + d^2 n, left particle index i fastest; the bound state
+    # and the vacuum come first, so the reference sits at flat index 0
     b = build_bases(ModelParams(n_e=2, n_u=4, n_max=2))
-    dp = b.dim_p
-    for i in range(b.left.dim):
-        for j in range(b.right.dim):
-            for n in range(b.fock.dim):
-                assert b.flatten(i, j, n) == i + dp * j + dp * dp * n
-
-
-def test_flatten_round_trip_exhaustive():
-    b = build_bases(ModelParams(n_e=2, n_u=4, n_max=1))
-    dp = b.dim_p
-    assert b.flatten(0, 0, 0) == 0
-    for flat in range(b.dim):
-        i, j, n = flat % dp, (flat // dp) % dp, flat // (dp * dp)
-        assert b.flatten(i, j, n) == flat
-
-
-def test_flatten_rejects_out_of_range():
-    b = build_bases(ModelParams(n_e=2, n_u=4, n_max=1))
-    with pytest.raises(IndexError, match="left"):
-        b.flatten(99, 0, 0)
-    with pytest.raises(IndexError, match="Fock"):
-        b.flatten(0, 0, 10 ** 6)
-
+    d = b.left.dim
+    t = b.as_tensor(np.arange(b.dim))
+    for n in range(b.fock.dim):
+        for j in range(d):
+            for i in range(d):
+                assert t[n, j, i] == i + d * j + d * d * n
+    assert b.left.energies[0] == -1.0 and not any(b.fock.states[0])
+    assert b.vacuum_bound_index() == t[0, 0, 0] == 0

@@ -1,4 +1,5 @@
 import ast
+import textwrap
 from collections import Counter, defaultdict
 from pathlib import Path
 
@@ -86,14 +87,35 @@ def _names(nodes) -> Counter:
                    if isinstance(node, (ast.Name, ast.Attribute)))
 
 
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any((_call_name(d) if isinstance(d, ast.Call) else
+                getattr(d, "id", None)) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def _init_fields(cls: ast.ClassDef) -> list:
+    """(name, position, defaulted) of each field ``__init__`` takes."""
+    fields = [node for node in cls.body if isinstance(node, ast.AnnAssign)
+              and isinstance(node.target, ast.Name)]
+    fields = [node for node in fields if not (
+        isinstance(node.value, ast.Call) and _call_name(node.value) == "field"
+        and any(k.arg == "init" and getattr(k.value, "value", True) is False
+                for k in node.value.keywords))]
+    return [(node.target.id, i, node.value is not None)
+            for i, node in enumerate(fields)]
+
+
 def unreached(src: Path) -> list:
     """What nothing in ``src`` reaches, matched by name: each module-level
     function, method or property (dunders exempt) with no reference outside
-    its own definition, and each defaulted parameter of one that no call
-    outside its definition passes, by keyword or by position."""
+    its own definition, each defaulted parameter of one that no call
+    outside its definition passes, by keyword or by position, and each
+    defaulted dataclass field that no construction (a call of the class,
+    or of ``cls`` inside it) sets, by keyword, by position or through
+    ``*``/``**``, and no keyword of a ``replace`` or ``with_`` call names."""
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(src.glob("*.py"))}
-    defs = []
+    defs, classes = [], []
     for mod, tree in trees.items():
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
@@ -103,6 +125,8 @@ def unreached(src: Path) -> list:
                          for fn in node.body
                          if isinstance(fn, ast.FunctionDef)
                          and not fn.name.startswith("__")]
+                if _is_dataclass(node):
+                    classes.append((f"{mod}.{node.name}", node))
     nodes = [node for tree in trees.values() for node in ast.walk(tree)]
     names, calls = _names(nodes), defaultdict(list)
     for node in nodes:
@@ -128,6 +152,19 @@ def unreached(src: Path) -> list:
                        or any(k.arg in (arg.arg, None) for k in call.keywords)
                        for call in outside):
                 out.append(f"{qual}({arg.arg})")
+    renamed = {k.arg for call in calls["replace"] + calls["with_"]
+               for k in call.keywords}
+    for qual, cls in classes:
+        built = calls[cls.name] + [
+            node for node in ast.walk(cls)
+            if isinstance(node, ast.Call) and _call_name(node) == "cls"]
+        for name, index, defaulted in _init_fields(cls):
+            if defaulted and name not in renamed and not any(
+                    len(call.args) > index
+                    or any(isinstance(a, ast.Starred) for a in call.args)
+                    or any(k.arg in (name, None) for k in call.keywords)
+                    for call in built):
+                out.append(f"{qual}.{name}")
     return out
 
 
@@ -149,6 +186,33 @@ def test_nothing_in_src_is_reached_only_from_outside():
     assert [u for u in found if u not in REACHED_FROM_OUTSIDE] == []
     assert sorted(REACHED_FROM_OUTSIDE) == sorted(
         u for u in found if u in REACHED_FROM_OUTSIDE)
+
+
+def test_unreached_finds_defaulted_fields_no_construction_sets(tmp_path):
+    (tmp_path / "m.py").write_text(textwrap.dedent("""
+        from dataclasses import dataclass, field, replace
+
+        @dataclass
+        class A:
+            x: int
+            by_position: int = 0
+            by_keyword: int = 0
+            by_replace: int = 0
+            unset: int = 0
+            fixed: int = field(default=1, init=False)
+
+            @classmethod
+            def make(cls):
+                return cls(1, 2, by_keyword=3)
+
+        @dataclass(frozen=True)
+        class B:
+            y: int = 0
+
+        def build():
+            return replace(A.make(), by_replace=4), B(**{})
+        """))
+    assert unreached(tmp_path) == ["m.build", "m.A.unset"]
 
 
 def test_json_writes_bools_as_true_and_false():
