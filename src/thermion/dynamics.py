@@ -70,7 +70,8 @@ def decay_rate(series: TimeSeries, window: tuple | None = None) -> DecayFit:
     def fit(win):
         mask = (t >= win[0]) & (t <= win[1]) & (v > 0)
         if mask.sum() < 3:
-            raise ValueError("fit window holds fewer than 3 samples")
+            raise ValueError("fit window holds fewer than 3 samples: raise "
+                             "dynamics.n_times or widen dynamics.fit_window")
         coeff, res = np.polyfit(t[mask], np.log(v[mask]), 1, cov=False), None
         pred = np.polyval(coeff, t[mask])
         residual = float(np.sqrt(np.mean((pred - np.log(v[mask])) ** 2)))

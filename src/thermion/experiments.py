@@ -278,6 +278,8 @@ def run_dynamics(cfg: ExperimentConfig) -> Report:
     t_rec = dyn.recurrence_time(p)
     t_max = float(cfg.opt("t_max", 0.9 * t_rec))
     n_t = int(cfg.opt("n_times", 60))
+    if n_t < 2:
+        raise ValueError(f"dynamics.n_times must be at least 2, got {n_t}")
     tol = float(cfg.opt("tol", 1e-8))
     times = np.linspace(0.0, t_max, n_t)
 

@@ -165,14 +165,15 @@ def assemble_bound_operators(liou: LiouvillianAction, conj: ConjugateOps,
 
 def _max_abs_row_sum(d: np.ndarray, lr: LowRank) -> float:
     """max_i sum_j |(diag(d) + U C U*)_ij|: |d_i| off the support of U, on
-    it the dense rows 256 at a time."""
+    it the dense rows 64 at a time (256 stalled on two BLAS threads)."""
     sums, on = np.abs(d), np.flatnonzero(np.any(lr.u != 0, axis=1))
-    chunk = 256
+    chunk = 64
     uc, uh = lr.u[on] @ lr.c, lr.u[on].conj().T
+    mod = np.empty((chunk, len(on)))
     for i in range(0, len(on), chunk):
         block = uc[i:i + chunk] @ uh
         block[:, i:i + chunk] += np.diag(d[on[i:i + chunk]])
-        sums[on[i:i + chunk]] = np.abs(block).sum(axis=1)
+        sums[on[i:i + chunk]] = np.abs(block, out=mod[:len(block)]).sum(1)
     return float(sums.max())
 
 

@@ -102,7 +102,8 @@ def _integrate(f, a, b, owner, n_members, refuse=True):
         tot_err = np.bincount(k, err, n_members)
         tol = np.maximum(EPSABS, EPSREL * np.abs(val[:, 0]))
         count = np.bincount(k, minlength=n_members)
-        split = (tot_err > tol)[k] & (err > (tol / count)[k]) & ~stopped[k]
+        # ~(e <= tol) rather than e > tol: a nan estimate is unconverged
+        split = ~(tot_err <= tol)[k] & ~(err <= (tol / count)[k]) & ~stopped[k]
         if not split.any():
             val[stopped] = np.nan
             return val, tot_err
@@ -204,7 +205,7 @@ def gamma_regularized(params: ModelParams, eps: float) -> float:
     ((val, inner_err),), (err,) = _integrate(outer, [lo], [om_hi], [0], 1)
     # the inner errors, integrated by the outer rule, count against the gate
     err += inner_err
-    if not np.isfinite(val) or err > 1e-6 * abs(val) + 1e-12:
+    if not np.isfinite(val) or not err <= 1e-6 * abs(val) + 1e-12:
         raise RuntimeError(f"outer quadrature failed: est. error {err}")
     return float(val)
 
@@ -277,7 +278,7 @@ def gamma_limit(params: ModelParams) -> float:
                 * np.abs(params.kernel.gamma(params.bound_energy + omega))**2)
 
     ((val,),), (err,) = _integrate(f, [lo], [om_hi], [0], 1)
-    if not np.isfinite(val) or err > 1e-6 * abs(val) + 1e-12:
+    if not np.isfinite(val) or not err <= 1e-6 * abs(val) + 1e-12:
         raise RuntimeError(f"quadrature failed: est. error {err}")
     return math.pi * float(val)
 
@@ -425,7 +426,8 @@ def check_kernel_integrals(params: ModelParams) -> BoundReport:
     not_finite = [k for k, v in zip(names, vals[:, 0]) if not np.isfinite(v)]
     if not_finite:
         detail["not_finite"] = not_finite
-    worst_val = max(0.0, *(abs(v) for v in columns.values()))
+    # np.max keeps a nan column, which max() would drop behind a number
+    worst_val = float(np.max(np.abs(list(columns.values())), initial=0.0))
     worst_finite = np.all(np.isfinite([*columns.values(), *blocks.values(),
                                        v_en]))
     return BoundReport.of(

@@ -192,8 +192,12 @@ def lanczos_functions(apply_op, v: np.ndarray, fns, tol: float,
         while len(alpha) < m and not exact:
             basis += [q] if vectors else []
             w = apply_op(q)
+            # updated in place: copied if it is q, or too narrow for q
+            if np.may_share_memory(w, q) or w.dtype != np.result_type(w, q):
+                w = w.astype(np.result_type(w, q))
             alpha.append(float(np.vdot(q, w).real))
-            w = w - alpha[-1] * q - b_prev * q_prev
+            w -= alpha[-1] * q
+            w -= b_prev * q_prev
             beta.append(float(np.linalg.norm(w)))
             exact = beta[-1] <= 1e-13 * (abs(alpha[-1]) + b_prev)
             q_prev, q, b_prev = q, w / (beta[-1] or 1.0), beta[-1]

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -164,6 +165,8 @@ def test_main_refuses_invalid_grid(tmp_path, capsys, override):
     ("virial-scan", "virial-scan.n_pairs=0"),
     ("virial-scan", "virial-scan.n_pairs=11 model.n_e=1 model.n_u=2"),
     ("dynamics", "dynamics.tol=0"),
+    ("dynamics", "dynamics.n_times=0"),
+    ("dynamics", "dynamics.n_times=1"),
     ("feshbach-fuzz", "fuzz.instances=4"),
     ("feshbach-fuzz", "feshbach-fuzz.instance=4"),
     ("feshbach-fuzz", "run.format=xml"),
@@ -201,6 +204,13 @@ def test_main_reports_a_divergent_kernel_and_a_zero_rate(
     assert [c["check"] for c in rep["checks"] if not c["passed"]] == [failed]
     kernel = next(c for c in rep["checks"] if c["check"].startswith("kernel"))
     assert kernel["detail"].get("not_finite") == not_finite
+    if not_finite:
+        # each divergent column bisects to the subinterval limit and reads
+        # nan, a nan error estimate counting as unconverged (w3_d0's
+        # overflows to one), and the check's value keeps the nan
+        assert all(math.isnan(kernel["detail"][f"column_{c}"])
+                   for c in not_finite)
+        assert math.isnan(kernel["value"])
 
 
 def test_virial_scan_report_is_strict_json_when_the_scan_vanishes(tmp_path):
@@ -267,7 +277,8 @@ def test_runs_leave_lazy_scipy_modules_unloaded(tmp_path):
 @pytest.mark.parametrize("kind, code", [
     pytest.param(kind, code, id=kind) for kind, code in [
         ("gjn", 0), ("feshbach-fuzz", 0), ("fgr", 0), ("bound-chain", 2),
-        ("lambda0-scan", 2)]])
+        ("lambda0-scan", 2), ("dynamics", 2), ("virial-scan", 2),
+        ("flow-check", 0)]])
 def test_report_bytes_do_not_depend_on_blas_threads(tmp_path, kind, code):
     # default gjn once varied in its number_commutator constants with the
     # BLAS thread count (complex svds); its norms now run in float64.
@@ -277,7 +288,10 @@ def test_report_bytes_do_not_depend_on_blas_threads(tmp_path, kind, code):
     # (fgr, bound-chain and lambda0-scan read gamma from it), which no BLAS
     # thread count may move.  bound-chain
     # and lambda0-scan take their compensation constant from a Gram
-    # eigenvalue; both exit 2 at defaults, on the chain's failing steps
+    # eigenvalue; both exit 2 at defaults, on the chain's failing steps.
+    # dynamics and virial-scan run Lanczos on the factored operators, whose
+    # left factors are gemms small enough that OpenBLAS runs each on one
+    # thread; flow-check integrates its flows by solve_ivp
     src = str(Path(thermion.__file__).resolve().parents[1])
     texts, codes = [], []
     for threads in ("1", "2"):

@@ -346,6 +346,24 @@ def test_integrator_refuses_a_member_past_the_limit():
         fgr._integrate(f, [0.0, 1e-4], [1.0, 1.0], [0, 1], 2)
 
 
+def test_integrator_treats_a_nan_estimate_as_unconverged(monkeypatch):
+    # nan > tol is False, so a nan error estimate would pass for converged:
+    # member 1 is nan on [0, 0.5) and bisects to the limit instead, where it
+    # reads nan (or is refused); member 0 is unaffected
+    def f(x, owner):
+        return np.where((owner[:, None] == 1) & (x < 0.5), np.nan, 1.0)
+    val, _ = fgr._integrate(f, [0.0, 0.0], [1.0, 1.0], [0, 1], 2,
+                            refuse=False)
+    assert val[0, 0] == pytest.approx(1.0, rel=1e-14) and np.isnan(val[1, 0])
+    with pytest.raises(RuntimeError, match="batch member 1 needs more"):
+        fgr._integrate(f, [0.0, 0.0], [1.0, 1.0], [0, 1], 2)
+    # the zero-width limit refuses a nan estimate rather than return it
+    monkeypatch.setattr(fgr, "_integrate", lambda *a, **k: (
+        np.array([[1.0]]), np.array([np.nan])))
+    with pytest.raises(RuntimeError, match="est. error nan"):
+        gamma_limit(ModelParams())
+
+
 def test_integrator_carries_trailing_columns_on_the_same_intervals():
     # a second column is integrated by the rule on the intervals the first
     # column's error estimate picks

@@ -61,6 +61,29 @@ def test_vector_form_matches_dense_spectral_calculus(dense_liouvillian):
     assert np.max(np.linalg.norm(res.values - exact, axis=1)) < 1e-12
 
 
+def test_lanczos_step_copies_an_output_it_does_not_own(dense_liouvillian):
+    # the three-term step updates the operator's output in place; an op
+    # that returns its input (the identity) must not have q overwritten,
+    # and a real output for a complex q is widened first
+    dense, _ = dense_liouvillian
+    v = 2.0 * _random_unit(len(dense), 3)
+    res = lanczos_functions(lambda x: x, v, lambda th: np.exp(th)[None],
+                            1e-12, vectors=True)
+    assert res.krylov_dim == 1 and res.error == 0.0
+    assert np.linalg.norm(res.values[0] - np.e * v) <= 1e-15 * np.e * 2.0
+    real = np.real(dense + dense.T) / 2
+    u = np.random.default_rng(5).standard_normal(len(dense))
+    w, vecs = eigh(real)
+
+    def fns(theta):
+        return np.cos(np.outer((1.0, 0.3), theta)) * np.exp(-0.1 * theta ** 2)
+    exact = (vecs @ (fns(w) * (vecs.T @ u)).T).T
+    for start, op in ((u, lambda x: real @ x),
+                      (u.astype(complex), lambda x: real @ x.real)):
+        res = lanczos_functions(op, start, fns, 1e-13, vectors=True)
+        assert np.max(np.linalg.norm(res.values - exact, axis=1)) < 1e-12
+
+
 def test_eigenvector_start_gives_survival_exactly_one(small):
     # the reference state is an eigenvector of the uncoupled Liouvillian:
     # the first step breaks down and the tridiagonal matrix is exact

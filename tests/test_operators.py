@@ -380,6 +380,31 @@ def test_factored_conjugate_and_number_commutator_match_csr(small):
                 want)
 
 
+@pytest.mark.parametrize("n_max", [1, 2])
+def test_every_kron_sum_matches_its_csr(n_max):
+    # one contraction serves vectors and blocks, real and complex: each
+    # KronSum a truncation builds against the CSR of its factors (A's
+    # particle terms have no Fock factor); the 64-column block spans more
+    # than one row block of the left factors' gemms
+    p = ModelParams(n_e=4, n_u=8, n_max=n_max, e_max=4.0, u_max=4.0, lam=0.1)
+    trunc = Truncation(p)
+    dim, nf, dp = trunc.basis.dim, trunc.basis.fock.dim, trunc.basis.left.dim
+    assert nf * 64 * dp > 2 ** 16 // dp ** 2
+    assert any(f is None for f, _, _ in trunc.conj_full.terms)
+    rng = np.random.default_rng(11)
+    inputs = [rng.standard_normal(dim), rng.standard_normal((dim, 64))]
+    inputs += [v + 1j * rng.standard_normal(v.shape) for v in inputs]
+    for x in (trunc.interaction, trunc.number_comm, trunc.conj_full,
+              *(trunc.commutator(n) for n in (1, 2, 3))):
+        csr = to_csr(x)
+        for v in inputs:
+            got, want = x @ v, csr @ v
+            assert got.shape == v.shape
+            assert got.dtype == np.result_type(v, x.dtype)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(
+                want)
+
+
 def test_block_action_matches_column_by_column(small):
     # a (dim, k) block is contracted at once (svds applies its (dim, 1)
     # eigenvector block this way); each column is the vector action on
