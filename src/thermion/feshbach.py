@@ -165,7 +165,8 @@ def assemble_bound_operators(liou: LiouvillianAction, conj: ConjugateOps,
 
 def _max_abs_row_sum(d: np.ndarray, lr: LowRank) -> float:
     """max_i sum_j |(diag(d) + U C U*)_ij|: |d_i| off the support of U, on
-    it the dense rows 64 at a time (256 stalled on two BLAS threads)."""
+    it the dense rows 64 at a time (256 stalled on two OpenBLAS threads on
+    a 2-vCPU host; other hosts are unmeasured)."""
     sums, on = np.abs(d), np.flatnonzero(np.any(lr.u != 0, axis=1))
     chunk = 64
     uc, uh = lr.u[on] @ lr.c, lr.u[on].conj().T

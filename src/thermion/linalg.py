@@ -36,8 +36,15 @@ class DiagPlus(spla.LinearOperator):
                          else np.result_type(d, x.dtype, lam), (len(d),) * 2)
 
     def _apply(self, v, lam):
-        out = (self.d * v.T).T
-        return out if self.x is None else out + lam * (self.x @ v)
+        dv = (self.d * v.T).T
+        if self.x is None:
+            return dv
+        out = self.x @ v
+        if out.dtype != np.result_type(out, dv, lam):
+            return dv + lam * out
+        out *= lam      # X @ v is new: in place, the same operations
+        out += dv
+        return out
 
     def _matmat(self, v):
         return self._apply(v, self.lam)

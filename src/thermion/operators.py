@@ -262,33 +262,29 @@ class KronSum:
             else m.real for m in term) for term in terms)
         self.dtype = np.result_type(*(m.dtype for term in self.terms
                                       for m in term if m is not None))
-        self._fock = sp.hstack([sp.identity(basis.fock.dim) if f is None else f
-                                for f, _, _ in self.terms], format="csr")
 
     def matvec(self, psi: np.ndarray) -> np.ndarray:
         """Tensor contraction; no composite matrix is formed.  A (dim, k)
-        block is contracted at once, its columns a batch axis: a 2-D gemm per
-        left factor, and one sparse product of [F_1 ... F_T] with the
-        stacked parts sums the terms."""
+        block is contracted at once, its columns a batch axis: a left factor
+        is one 2-D gemm on the rows of the reshaped input."""
         nf, dp, cols = self.basis.fock.dim, self.basis.left.dim, psi.shape[1:]
         t = np.ascontiguousarray(psi.reshape(nf, dp * dp, *cols).swapaxes(
             1, -1), np.result_type(psi, self.dtype)).reshape(-1, dp)
-        parts = np.empty((len(self.terms),) + t.shape, t.dtype)
-        # gemms of at most 2^16 multiply-adds: OpenBLAS threads complex ones
-        # above, which slowed A's matvec at dim 9,537 twofold on 2 vCPUs
+        # in row blocks of at most 2^16 multiply-adds: on a 2-vCPU host
+        # OpenBLAS threaded complex gemms above that, and A's matvec at dim
+        # 9,537 ran twofold slower; the bound is untested on other hosts
         rows = max(1, 2 ** 16 // dp ** 2)
-        for part, (_, right, left) in zip(parts, self.terms):
+        out = None
+        for fock, right, left in self.terms:
             s = t
             if left is not None:
+                s = np.empty_like(t)
                 for i in range(0, len(t), rows):
-                    np.matmul(t[i:i + rows], left.T, out=part[i:i + rows])
-                s = part
-            if right is not None:
-                np.matmul(right, s.reshape(-1, dp, dp),
-                          out=part.reshape(-1, dp, dp))
-            elif left is None:
-                part[...] = t
-        out = self._fock @ parts.reshape(len(self.terms) * nf, -1)
+                    np.matmul(t[i:i + rows], left.T, out=s[i:i + rows])
+            s = s if right is None else np.matmul(right, s.reshape(-1, dp, dp))
+            s = s.reshape(nf, -1)
+            s = s if fock is None else fock @ s
+            out = s if out is None else np.add(out, s, out=out)
         return out.reshape(nf, *cols, dp * dp).swapaxes(1, -1).reshape(
             psi.shape)
 
@@ -498,10 +494,8 @@ class LiouvillianAction:
                         self.trunc.interaction)
 
     def matvec(self, psi: np.ndarray) -> np.ndarray:
-        """L psi for a vector psi, bypassing the ``LinearOperator``."""
-        out = self.trunc.interaction @ psi
-        out *= self.params.lam
-        return np.add(out, self.trunc.l0_diag * psi, out=out)
+        """L psi, without ``LinearOperator.matvec``'s checks."""
+        return self.operator._matvec(psi)
 
 
 def assemble_liouvillian(params: ModelParams,

@@ -236,6 +236,20 @@ def test_min_eig_of_operator_shifted_retry(arpack_sized, monkeypatch):
     assert calls == ["SA", "LM"]
 
 
+def test_diag_plus_widens_a_real_product_for_a_complex_lam(small):
+    # diag(d) + lam X scales X @ v in place only when its dtype holds the
+    # result: lam = i lam' on the real [I, N] (phase i) needs complex
+    trunc = Truncation(small)
+    op = DiagPlus(trunc.number, 0.1j, trunc.number_comm)
+    dense = to_csr(op).toarray()
+    v = np.random.default_rng(3).standard_normal((op.shape[0], 2))
+    for u, got in ((v[:, 0], op.matvec(v[:, 0])), (v, op.matmat(v)),
+                   (v[:, 0], op.rmatvec(v[:, 0]))):
+        assert got.dtype == np.complex128
+        assert np.linalg.norm(got - dense @ u) <= 1e-13 * np.linalg.norm(
+            dense @ u)
+
+
 @pytest.mark.parametrize("n_e, n_u", [(6, 8), (10, 12)])
 def test_complex_coupling_keeps_the_complex_path(n_e, n_u):
     # a Hermitian coupling g + i S (S real antisymmetric) has a genuinely
