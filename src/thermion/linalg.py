@@ -126,8 +126,10 @@ def min_eig_diag_plus_lowrank(d: np.ndarray, lr) -> tuple[float, float]:
     below s as neg(D - s) + neg(-J - W* (D - s)^-1 W) - neg(-J) (Golub's
     secular equation), O(dim r^2) a count; pivots d_i - s below |W_i|^2
     keep their exact shifts in a small block, so s may sit on an entry of
-    d.  s is bisected to adjacent floats; d off the support of W is exact.
-    Returns the lower end of the bracket, a lower bound up to rounding.
+    d.  s is bisected to adjacent floats, counting only in a window that
+    counts certify around a candidate root: plain bisection's bracket where
+    the count is monotone.  d off the support of W is exact.  Returns the
+    lower end of the bracket, a lower bound up to rounding.
     """
     w, q = np.linalg.eigh(lr.c)
     nz = np.abs(w) > len(w) * np.finfo(float).eps * np.abs(w).max(initial=0)
@@ -159,8 +161,35 @@ def min_eig_diag_plus_lowrank(d: np.ndarray, lr) -> tuple[float, float]:
     # Weyl: the lowest eigenvalue is within ||W||_F^2 of min(ds)
     lo = np.nextafter(ds.min() - sq.sum(), -np.inf)
     hi = np.nextafter(ds.min() + sq.sum(), np.inf)
+    a, b, s = lo, hi, ds.min()
+    in_p = ds <= s + 2.0 * sq.sum()
+    if np.count_nonzero(in_p) <= 64:
+        # candidate: s <- lowest eigenvalue of D_P + W_P M(s) W_P* on the near
+        # block P, the rest Q eliminated by Woodbury: S = W_Q* (D_Q - s)^-1 W_Q
+        # and M = J - J (S - S (J + S)^-1 S) J, shifted by min(ds) for accuracy
+        wp, wq, dq, j, d0 = ws[in_p], ws[~in_p], ds[~in_p], np.diag(sign), s
+        for _ in range(8):
+            sm = (wq.conj().T / (dq - s)) @ wq
+            m = j - np.outer(sign, sign) * (sm - sm @ np.linalg.solve(j + sm,
+                                                                     sm))
+            new = d0 + np.linalg.eigvalsh(np.diag(ds[in_p] - d0)
+                                          + wp @ m @ wp.conj().T)[0]
+            if not lo < new < hi or new == s:
+                break
+            s = new
+        # the window: s -+ 4 ulps (eps^2 ||W||_F^2 at s = 0), each end
+        # widened x64 until count(a) = 0 and count(b) >= 1, or the bracket
+        ulps = 4.0 * np.spacing(max(abs(s), np.finfo(float).eps * sq.sum()))
+        step = ulps
+        while (a := s - step) > lo and below(a) >= 1:
+            step *= 64.0
+        step = ulps
+        while (b := s + step) < hi and below(b) < 1:
+            step *= 64.0
+    # bisection to adjacent floats, counting only inside the window
     while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        lo, hi = (lo, mid) if below(mid) >= 1 else (mid, hi)
+        up = mid >= b or (mid > a and below(mid) >= 1)
+        lo, hi = (lo, mid) if up else (mid, hi)
     if off_min < lo:
         return off_min, 0.0
     return float(lo), float(min(hi, off_min) - lo)

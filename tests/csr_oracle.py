@@ -6,7 +6,9 @@ those actions with complex CSR matrices built here from the *factors*:
 each Kronecker term is a ``scipy.sparse.kron`` of its factors, never a
 product of the matvec under test.  The direct iterated commutators that
 cross-check the closed forms, and the CSR form of the relative-bound
-constants, live here too.
+constants, live here too, as do the plain forms of the chain's two exact
+solves: the inertia bracket bisected with a count at every midpoint, and
+the row-sum scale summed over every row of the support.
 """
 from __future__ import annotations
 
@@ -218,3 +220,56 @@ def gjn_rows(liou) -> list:
               kato_constant(op, trunc.number, trunc.vacuum_proj), np.nan]
              for name, op in (("number_commutator", d), ("c3", c3))]
     return rows
+
+
+def bisection_min_eig(d: np.ndarray, lr: LowRank) -> tuple[float, float]:
+    """``linalg.min_eig_diag_plus_lowrank`` as plain bisection: the same
+    inertia count at every midpoint of the Weyl bracket, down to adjacent
+    floats."""
+    w, q = np.linalg.eigh(lr.c)
+    nz = np.abs(w) > len(w) * np.finfo(float).eps * np.abs(w).max(initial=0)
+    wmat = (lr.u @ q[:, nz]) * np.sqrt(np.abs(w[nz]))
+    on = np.any(wmat != 0, axis=1)
+    off_min = float(np.min(d[~on], initial=np.inf))
+    if not on.any():
+        return off_min, 0.0
+    ds, ws, sign = d[on], wmat[on], np.sign(w[nz])
+    sq = np.sum(np.abs(ws) ** 2, axis=1)
+
+    def below(s):
+        sh = ds - s
+        near = np.abs(sh) < sq
+        far = ~near
+        wn, wf = ws[near], ws[far]
+        border = -np.diag(sign) - (wf.conj().T / sh[far]) @ wf
+        evals = np.linalg.eigvalsh(border)
+        if near.any() and np.abs(evals).min() > 1e-8 * np.abs(evals).max():
+            schur = np.diag(sh[near]) - wn @ np.linalg.solve(border,
+                                                             wn.conj().T)
+            evals = np.r_[evals, np.linalg.eigvalsh(schur)]
+        elif near.any():
+            evals = np.linalg.eigvalsh(np.block([[np.diag(sh[near]), wn],
+                                                 [wn.conj().T, border]]))
+        return (np.count_nonzero(sh[far] < 0) - np.count_nonzero(sign > 0)
+                + np.count_nonzero(evals < 0))
+
+    lo = np.nextafter(ds.min() - sq.sum(), -np.inf)
+    hi = np.nextafter(ds.min() + sq.sum(), np.inf)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (lo, mid) if below(mid) >= 1 else (mid, hi)
+    if off_min < lo:
+        return off_min, 0.0
+    return float(lo), float(min(hi, off_min) - lo)
+
+
+def all_rows_max_abs_row_sum(d: np.ndarray, lr: LowRank) -> float:
+    """``feshbach._max_abs_row_sum`` with every row of the support summed
+    densely, 64 at a time."""
+    sums, on = np.abs(d), np.flatnonzero(np.any(lr.u != 0, axis=1))
+    chunk = 64
+    uc, uh = lr.u[on] @ lr.c, lr.u[on].conj().T
+    for i in range(0, len(on), chunk):
+        block = uc[i:i + chunk] @ uh
+        block[:, i:i + chunk] += np.diag(d[on[i:i + chunk]])
+        sums[on[i:i + chunk]] = np.abs(block).sum(1)
+    return float(sums.max())

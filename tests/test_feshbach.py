@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from csr_oracle import lowrank_diagonal
+from csr_oracle import all_rows_max_abs_row_sum, lowrank_diagonal
 from thermion import commutators, feshbach, operators
 from thermion.cli import main
 from thermion.experiments import ExperimentConfig, _fuzz_instance, run
@@ -436,3 +436,57 @@ def test_real_coupling_runs_the_chain_in_float64():
         == feshbach._max_abs_row_sum(ops.d_scaled, corr)
     assert min_eig_diag_plus_lowrank(ops.d_limit, cast) \
         == min_eig_diag_plus_lowrank(ops.d_limit, corr)
+
+
+def _row_sum_instance(rng, real, d_on, d_off):
+    """diag(d) + U C U* with U small on the rows of d_on and zero on the
+    rows of d_off."""
+    n, r = len(d_on), 4
+    u = np.zeros((n + len(d_off), r), float if real else complex)
+    u[:n] = 0.01 * rng.standard_normal((n, r))
+    if not real:
+        u[:n] += 0.01j * rng.standard_normal((n, r))
+    a = rng.standard_normal((r, r)) + (0 if real else
+                                       1j * rng.standard_normal((r, r)))
+    return np.r_[d_on, d_off], LowRank(u, a + a.conj().T)
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_row_sum_matches_all_rows(real):
+    # the triangle bound settles every row (|d| off the support is largest),
+    # some (rows with |d| near or above 3 stay open), or none (0.1 off the
+    # support, or no row off it): 150 rows, three blocks
+    rng = np.random.default_rng(4)
+    for d_on, d_off in ((rng.uniform(-1, 1, 150), np.r_[3.0, -2.0, 1.0]),
+                        (rng.uniform(-5, 5, 150), np.r_[3.0, -2.0]),
+                        (rng.uniform(-1, 1, 150), np.r_[0.1]),
+                        (rng.uniform(-1, 1, 150), np.empty(0))):
+        d, lr = _row_sum_instance(rng, real, d_on, d_off)
+        assert feshbach._max_abs_row_sum(d, lr) \
+            == all_rows_max_abs_row_sum(d, lr)
+    settled, lr = _row_sum_instance(rng, real, rng.uniform(-1, 1, 150),
+                                    np.r_[3.0, -2.0])
+    assert feshbach._max_abs_row_sum(settled, lr) == 3.0
+
+
+def test_chain_workload_brackets_take_few_evaluations(monkeypatch):
+    # each inertia bracket of the chain workload (bound-chain at n_e = n_u =
+    # 24, n_max = 1) takes at most 20 eigvalsh evaluations, counting the
+    # candidate's steps; plain bisection took 53 and 109 (32 and 61 counts)
+    calls, per = [0], []
+    eigvalsh, bracket = np.linalg.eigvalsh, feshbach.min_eig_diag_plus_lowrank
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return eigvalsh(*args, **kwargs)
+
+    def tallied(d, lr):
+        calls[0] = 0
+        out = bracket(d, lr)
+        per.append(calls[0])
+        return out
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(feshbach, "min_eig_diag_plus_lowrank", tallied)
+    verify_bound_chain(ModelParams(n_e=24, n_u=24, n_max=1))
+    assert len(per) == 2 and max(per) <= 20

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh, expm
 
-from csr_oracle import liouvillian, to_csr
+from csr_oracle import bisection_min_eig, liouvillian, to_csr
 from thermion.linalg import (DiagPlus, eig_pairs_smallest, lanczos_functions,
                              min_eig_diag_plus_lowrank, min_eig_hermitian,
                              operator_norm)
@@ -147,6 +147,8 @@ def test_diag_plus_lowrank_min_eig_off_support():
     lr = LowRank(u, np.diag([0.3, -0.2]).astype(complex))
     assert min_eig_diag_plus_lowrank(d, lr) == (-2.0, 0.0)
     assert _dense_eigs(d, lr)[0] == pytest.approx(-2.0, abs=1e-14)
+    for form in (lr, LowRank(u.real, lr.c.real)):     # complex and real
+        assert min_eig_diag_plus_lowrank(d, form) == bisection_min_eig(d, form)
 
 
 def test_diag_plus_lowrank_min_eig_zero_correction():
@@ -155,11 +157,13 @@ def test_diag_plus_lowrank_min_eig_zero_correction():
     lr = LowRank(rng.standard_normal((20, 3)).astype(complex),
                  np.zeros((3, 3), dtype=complex))
     assert min_eig_diag_plus_lowrank(d, lr) == (d.min(), 0.0)
+    for form in (lr, LowRank(lr.u.real, lr.c.real)):  # complex and real
+        assert min_eig_diag_plus_lowrank(d, form) == bisection_min_eig(d, form)
 
 
 def test_diag_plus_lowrank_min_eig_lifted_by_indefinite_correction():
     # a positive direction on the minimal entry and a weak negative one
-    # elsewhere: the minimum rises above min(d)
+    # elsewhere: the minimum rises above min(d), into the pole region
     d = np.arange(12, dtype=float)
     e0 = np.eye(12)[0]
     v = np.linspace(0.0, 0.3, 12)
@@ -170,6 +174,103 @@ def test_diag_plus_lowrank_min_eig_lifted_by_indefinite_correction():
     assert val > d.min() + 0.5
     assert abs(val - exact) <= 1e-12 * 12.0
     assert width <= 1e-15 * 12.0
+    for form in (lr, LowRank(lr.u.real, lr.c.real)):  # complex and real
+        assert min_eig_diag_plus_lowrank(d, form) == bisection_min_eig(d, form)
+
+
+def _lowrank(rng, dim, rank, scale, real, r=4):
+    """u (dim x r) of the given scale, C Hermitian of the given rank with
+    mixed signs; float64 when ``real``, else complex."""
+    def draw(*shape):
+        x = rng.standard_normal(shape)
+        return x if real else x + 1j * rng.standard_normal(shape)
+    a = draw(r, rank)
+    return LowRank(scale * draw(dim, r),
+                   (a * rng.choice([-1.0, 1.0], rank)) @ a.conj().T)
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_bracket_matches_plain_bisection(real):
+    # the windowed bisection counts only inside its certified window; where
+    # the count is monotone outside it (its rounding, about eps ||W||_F^2 a
+    # count, below the window's 4 ulps), its bracket is plain bisection's
+    rng = np.random.default_rng(7)
+    for trial in range(40):
+        dim = int(rng.integers(8, 80))
+        d = rng.standard_normal(dim)
+        if trial % 2:
+            d = np.round(2.0 * d)       # ties, and entries of d at 0
+        lr = _lowrank(rng, dim, 1 + trial % 4, 0.1, real)
+        assert min_eig_diag_plus_lowrank(d, lr) == bisection_min_eig(d, lr)
+
+
+def _tied_minimum(rng, psd, real):
+    """A 24-fold minimum of d under a rank-4 correction of norm ~1e-7:
+    20 eigenvalues stay on it, the root within an ulp of that pole."""
+    d = np.r_[np.full(24, 0.9), 0.9 + rng.uniform(0.5, 2.0, 40)]
+    lr = _lowrank(rng, len(d), 4, 1e-4, real)
+    if psd:
+        lr = LowRank(lr.u, lr.c @ lr.c.conj().T)
+    return d, lr
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("psd", [True, False])
+def test_bracket_at_a_tied_minimum(psd, real):
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        d, lr = _tied_minimum(rng, psd, real)
+        val, width = min_eig_diag_plus_lowrank(d, lr)
+        assert (val, width) == bisection_min_eig(d, lr)
+        assert abs(val - 0.9) <= 2 * np.spacing(0.9) if psd else val < 0.9
+
+
+def test_bracket_with_the_root_on_an_entry_of_d():
+    # rank one on a triple entry 1.0 leaves 1.0 an eigenvalue, and the
+    # lowest: the bisection pivots exactly on that entry of d
+    rng = np.random.default_rng(3)
+    d = np.r_[1.0, 1.0, 1.0, 1.5 + rng.uniform(0.0, 1.0, 20)]
+    u = np.zeros((len(d), 1))
+    u[:3, 0], u[3:, 0] = rng.uniform(0.5, 1.0, 3), 0.01
+    lr = LowRank(u, np.eye(1))
+    val, width = min_eig_diag_plus_lowrank(d, lr)
+    assert (val, width) == bisection_min_eig(d, lr)
+    assert 1.0 in (val, val + width)
+
+
+def test_bracket_falls_back_over_the_near_block_cap(monkeypatch):
+    # 100 entries within 2 ||W||_F^2 of min(d): no candidate, so the window
+    # is the whole Weyl bracket and every midpoint is counted, as before
+    rng = np.random.default_rng(5)
+    d = np.linspace(0.0, 0.01, 100)
+    lr = _lowrank(rng, len(d), 2, 0.1, False)
+    calls, eigvalsh = [], np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    assert min_eig_diag_plus_lowrank(d, lr) == bisection_min_eig(d, lr)
+    assert len(calls) % 2 == 0 and len(calls) > 40
+    assert calls[:len(calls) // 2] == calls[len(calls) // 2:]
+
+
+def test_bracket_in_a_noisy_count_stays_in_its_band():
+    # a correction some 100 times the spread of d makes the rounded count
+    # flip back and forth over tens of ulps: the window may then stop at
+    # another flip than plain bisection, inside the same band
+    rng = np.random.default_rng(1)
+    for trial in range(24):
+        dim = int(rng.integers(8, 60))
+        d = rng.standard_normal(dim)
+        lr = _lowrank(rng, dim, 1 + trial % 4, 1.0, False)
+        val, width = min_eig_diag_plus_lowrank(d, lr)
+        plain = bisection_min_eig(d, lr)
+        exact = _dense_eigs(d, lr)[0]
+        scale = np.abs(_dense_eigs(d, lr)).max()
+        assert abs(val - plain[0]) <= 1e-12 * scale
+        assert abs(val - exact) <= 1e-12 * scale and width == plain[1]
 
 
 def _chain_form(n_e, n_u, lam=0.1):
