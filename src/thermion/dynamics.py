@@ -72,7 +72,7 @@ def decay_rate(series: TimeSeries, window: tuple | None = None) -> DecayFit:
         if mask.sum() < 3:
             raise ValueError("fit window holds fewer than 3 samples: raise "
                              "dynamics.n_times or widen dynamics.fit_window")
-        coeff, res = np.polyfit(t[mask], np.log(v[mask]), 1, cov=False), None
+        coeff = np.polyfit(t[mask], np.log(v[mask]), 1)
         pred = np.polyval(coeff, t[mask])
         residual = float(np.sqrt(np.mean((pred - np.log(v[mask])) ** 2)))
         return -float(coeff[0]), residual, mask

@@ -75,8 +75,10 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
 def run_fgr(cfg: ExperimentConfig) -> Report:
     p = cfg.params
     eps_list = tuple(cfg.opt("eps_list", (0.2, 0.1, 0.05, 0.025)))
-    if not eps_list:
-        raise ValueError("fgr.eps_list must hold at least one width")
+    op_eps = float(cfg.opt("operator_eps", 0.5))
+    if not eps_list or min(eps_list) <= 0 or not op_eps > 0:
+        raise ValueError("fgr.eps_list and operator_eps need positive "
+                         f"widths, got {list(eps_list)} and {op_eps}")
     res = fgr.golden_rule(p, eps_list)
     checks = [BoundReport.of(
         "golden-rule constant strictly positive", res.gamma_limit, ">", 0.0,
@@ -97,8 +99,7 @@ def run_fgr(cfg: ExperimentConfig) -> Report:
     checks.extend(fgr.check_hypotheses(p))
 
     if cfg.opt("operator_check", False):
-        checks.append(fgr.operator_vs_quadrature(
-            p, float(cfg.opt("operator_eps", 0.5))))
+        checks.append(fgr.operator_vs_quadrature(p, op_eps))
 
     tables = {"gamma_vs_eps": {
         "columns": ["eps", "gamma_eps", "gamma_limit"],
@@ -148,6 +149,9 @@ def _fuzz_instance(args):
 def run_feshbach_fuzz(cfg: ExperimentConfig) -> Report:
     n = int(cfg.opt("instances", 200))
     dim_max = int(cfg.opt("dim_max", 20))
+    if n < 1 or dim_max < 6:
+        raise ValueError("feshbach-fuzz.instances must be >= 1 and dim_max "
+                         f">= 6, got {n} and {dim_max}")
     results = _pmap(_fuzz_instance,
                     [(cfg.seed, i, dim_max) for i in range(n)], cfg.jobs)
     worst = max(r[0] for r in results)
@@ -174,6 +178,8 @@ def run_flow_check(cfg: ExperimentConfig) -> Report:
     prof.certify()
     tol = float(cfg.opt("tol", 1e-10))
     n_pts = int(cfg.opt("n_points", 50))
+    if n_pts < 1:
+        raise ValueError(f"flow-check.n_points must be >= 1, got {n_pts}")
     rng = _instance_rng(cfg.seed, 0)
     xs = rng.uniform(0.05, 8.0, n_pts)
     ts = np.linspace(-2.0, 2.0, 9)
@@ -222,6 +228,10 @@ def run_flow_check(cfg: ExperimentConfig) -> Report:
 def run_virial_scan(cfg: ExperimentConfig) -> Report:
     p = cfg.params
     n_pairs = int(cfg.opt("n_pairs", 10))
+    alphas = tuple(cfg.opt("alphas",
+                             (0.4, 0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625)))
+    if not alphas:
+        raise ValueError("virial-scan.alphas must hold at least one width")
     trunc = Truncation(p)
     dim = trunc.basis.dim
     if not 1 <= n_pairs <= dim - 2:
@@ -236,8 +246,6 @@ def run_virial_scan(cfg: ExperimentConfig) -> Report:
     checks = [virial.eigenpair_residual_check(l_op, a_full, vecs)]
 
     psi = vecs[:, 0]
-    alphas = tuple(cfg.opt("alphas",
-                             (0.4, 0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625)))
     family = virial.build_regularized_family(psi, a_op, trunc.number, alphas)
     checks.extend(virial.family_checks(family))
 
@@ -278,8 +286,9 @@ def run_dynamics(cfg: ExperimentConfig) -> Report:
     t_rec = dyn.recurrence_time(p)
     t_max = float(cfg.opt("t_max", 0.9 * t_rec))
     n_t = int(cfg.opt("n_times", 60))
-    if n_t < 2:
-        raise ValueError(f"dynamics.n_times must be at least 2, got {n_t}")
+    if n_t < 2 or not t_max > 0:
+        raise ValueError("dynamics.n_times must be at least 2 and "
+                         f"dynamics.t_max positive, got {n_t} and {t_max}")
     tol = float(cfg.opt("tol", 1e-8))
     times = np.linspace(0.0, t_max, n_t)
 

@@ -138,7 +138,7 @@ def feshbach_woodbury(d: np.ndarray, lr: LowRank, k: int, m: float,
     if not resid <= 1e-10 * np.linalg.norm(b):
         _refuse(m, dist)
     f = d[k] + u_k @ lr.c @ u_k.conj() - np.vdot(b, s)
-    return FeshbachResult(m, hermitize(np.array([[f]])), float(dist))
+    return FeshbachResult(m, np.array([[f.real]]), float(dist))
 
 
 # ---------------------------------------------------------------------------

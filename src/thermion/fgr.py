@@ -328,13 +328,11 @@ def operator_side_rate(params: ModelParams, eps: float) -> float:
     t = basis.as_tensor(trunc.interaction @ e_pi)
     l0 = basis.as_tensor(trunc.l0_diag)
 
-    # single-boson frequency of each Fock state (nan on other sectors)
-    u = basis.fock.grid.nodes
+    # single-boson frequency of each Fock state (nan on other sectors): the
+    # sources of the annihilations into the vacuum
+    r, c, k, _ = basis.fock.annihilations.T
     freq = np.full(basis.fock.dim, np.nan)
-    for idx, state in enumerate(basis.fock.states):
-        occ = np.flatnonzero(state)
-        if len(occ) == 1 and state[occ[0]] == 1:
-            freq[idx] = u[occ[0]]
+    freq[c[r == 0]] = basis.fock.grid.nodes[k[r == 0]]
 
     e_bound = params.bound_energy
     with np.errstate(invalid="ignore"):

@@ -86,36 +86,41 @@ class ParticleBasis:
 
 
 def _occupations(n_modes: int, n_max: int):
-    """All occupation tuples with total <= n_max, vacuum first.
+    """All occupation tuples with total <= n_max, vacuum first, and their
+    annihilation table (see ``FockBasis``).
 
     Enumerated sector by sector so that the boson number is monotone in the
     basis index.
     """
-    states = []
+    states, rows, index = [], [], {}
     for n in range(n_max + 1):
         for combo in combinations_with_replacement(range(n_modes), n):
+            c = index[combo] = len(states)
             occ = [0] * n_modes
             for m in combo:
                 occ[m] += 1
             states.append(tuple(occ))
-    return states
+            # combo is sorted: drop the first copy of each occupied mode
+            rows += [(index[combo[:i] + combo[i + 1:]], c, k, occ[k])
+                     for i, k in enumerate(combo) if k not in combo[:i]]
+    return tuple(states), np.array(rows, dtype=np.int64).reshape(-1, 4)
 
 
 @dataclass(frozen=True)
 class FockBasis:
-    """Occupation basis over the field modes, total occupation <= n_max."""
+    """Occupation basis over the field modes, total occupation <= n_max.
+    Every Fock-space operator reads ``annihilations``: its rows (r, c, k,
+    occ), by source c and then mode k, say a_k e_c = sqrt(occ) e_r."""
 
     grid: FieldGrid
     n_max: int
     states: tuple = field(init=False)
-    index: dict = field(init=False)
+    annihilations: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
-        states = tuple(_occupations(self.grid.n_u, self.n_max))
+        states, table = _occupations(self.grid.n_u, self.n_max)
         object.__setattr__(self, "states", states)
-        object.__setattr__(
-            self, "index", {s: i for i, s in enumerate(states)}
-        )
+        object.__setattr__(self, "annihilations", table)
 
     @property
     def dim(self) -> int:

@@ -3,10 +3,11 @@
 Matrix conventions: a flat composite index is i + dim_p * j + dim_p^2 * n
 (left particle fastest), so a composite operator built from per-factor
 matrices is kron(fock_op, kron(right_op, left_op)), kept factored as a
-``KronSum``.  Every factor flagged Hermitian is symmetrized bit-exactly
-after assembly.  Functions embedded on
-a grid carry sqrt(weight), which makes the euclidean inner product the
-discrete L2 product and keeps every assembled matrix weight-free.
+``KronSum``.  Every factor flagged Hermitian is Hermitian by
+construction, tested; every Fock-space factor is read off the basis's
+annihilation table.  Functions embedded on a grid carry sqrt(weight),
+which makes the euclidean inner product the discrete L2 product and
+keeps every assembled matrix weight-free.
 
 Every operator is assembled once per truncation; lam, theta and epsilon
 only combine the parts.  A ``Truncation`` (grids, beta, a, form factor,
@@ -33,11 +34,9 @@ from .params import ModelParams
 from .reports import BoundReport
 
 
-def hermitize(m):
-    """(M + M*) / 2; bit-level Hermitian because float addition commutes.
-    A dense stack is symmetrised over its last two axes."""
-    if sp.issparse(m):
-        return ((m + m.conj().T) * 0.5).tocsr()
+def hermitize(m: np.ndarray) -> np.ndarray:
+    """(M + M*) / 2 over the last two axes of a dense stack; bit-level
+    Hermitian because float addition commutes."""
     return (m + m.conj().swapaxes(-1, -2)) * 0.5
 
 
@@ -100,7 +99,6 @@ def assemble_particle_ops(params: ModelParams,
     a_cont = 0.5j * (np.diag(xs) @ d + d @ np.diag(xs))
     flow_gen = np.zeros((dp, dp), dtype=complex)
     flow_gen[1:, 1:] = a_cont
-    flow_gen = hermitize(flow_gen)
     return ParticleOps(energies, cont, comparison, xi_diag, flow_gen)
 
 
@@ -160,57 +158,48 @@ def reflect_conjugate(values: np.ndarray, grid: FieldGrid) -> np.ndarray:
 
 def lowering_op(fb: FockBasis, f: np.ndarray) -> sp.csr_matrix:
     """Smeared annihilator a(f) = sum_k conj(f_k) a_k on the truncated
-    occupation basis (maps the N = n sector into N = n - 1)."""
+    occupation basis (maps the N = n sector into N = n - 1): one entry per
+    row of the annihilation table whose mode has f_k != 0."""
     f = np.asarray(f, dtype=complex)
     if f.shape != (fb.grid.n_u,):
         raise ValueError("smearing vector lives on the wrong grid")
-    rows, cols, data = [], [], []
-    for c, state in enumerate(fb.states):
-        for k, occ in enumerate(state):
-            if occ == 0 or f[k] == 0.0:
-                continue
-            target = list(state)
-            target[k] -= 1
-            r = fb.index[tuple(target)]
-            rows.append(r)
-            cols.append(c)
-            data.append(np.conj(f[k]) * np.sqrt(occ))
-    return sp.csr_matrix((data, (rows, cols)), shape=(fb.dim, fb.dim),
-                         dtype=complex)
+    r, c, k, occ = fb.annihilations[f[fb.annihilations[:, 2]] != 0].T
+    return sp.csr_matrix((np.conj(f[k]) * np.sqrt(occ), (r, c)),
+                         shape=(fb.dim, fb.dim), dtype=complex)
 
 
 def field_op(fb: FockBasis, f: np.ndarray) -> sp.csr_matrix:
-    """phi(f) = (a*(f) + a(f)) / sqrt(2), Hermitian on the truncation."""
+    """phi(f) = (a*(f) + a(f)) / sqrt(2), Hermitian on the truncation: the
+    two parts have disjoint supports and each entry meets its conjugate."""
     low = lowering_op(fb, f)
-    return hermitize((low + low.conj().T) / np.sqrt(2.0))
+    return (low + low.conj().T) / np.sqrt(2.0)
 
 
 def second_quantized_diag(fb: FockBasis, mode_values: np.ndarray) -> np.ndarray:
-    """Diagonal of dGamma(diag(m)): sum_k occ_k m_k per basis state."""
-    mv = np.asarray(mode_values, float)
-    return np.array([float(np.dot(state, mv)) for state in fb.states])
+    """Diagonal of dGamma(diag(m)): sum_k occ_k m_k per basis state, over
+    its occupied modes in order."""
+    _, c, k, occ = fb.annihilations.T
+    return np.bincount(c, occ * np.asarray(mode_values, float)[k],
+                       minlength=fb.dim)
 
 
 def second_quantized(fb: FockBasis, one_mode: sp.spmatrix) -> sp.csr_matrix:
-    """dGamma(B) = sum_{kl} B[k,l] a*_k a_l for a general one-mode matrix."""
-    b = sp.coo_matrix(one_mode)
-    by_col = {}
-    for k, l, v in zip(b.row, b.col, b.data):
-        by_col.setdefault(l, []).append((k, v))
-    rows, cols, data = [], [], []
-    for c, state in enumerate(fb.states):
-        for l, occ in enumerate(state):
-            if occ == 0 or l not in by_col:
-                continue
-            for k, v in by_col[l]:
-                target = list(state)
-                target[l] -= 1
-                amp = np.sqrt(occ) * np.sqrt(target[k] + 1)
-                target[k] += 1
-                rows.append(fb.index[tuple(target)])
-                cols.append(c)
-                data.append(v * amp)
-    return sp.csr_matrix((data, (rows, cols)), shape=(fb.dim, fb.dim),
+    """dGamma(B) = sum_{kl} B[k,l] a*_k a_l for a general one-mode matrix:
+    each table row a_l e_c = sqrt(o) e_m meets each entry B[k, l] of its
+    mode's column, and a*_k e_m = sqrt(o') e_r is read off the row that
+    annihilates mode k from r into m."""
+    m, c, l, o = fb.annihilations.T
+    b = sp.csc_matrix(one_mode)
+    # pair table row `row` with entry j of B, for each entry of column l_row
+    count = np.diff(b.indptr)[l]
+    row = np.repeat(np.arange(len(l)), count)
+    first = np.cumsum(count) - count
+    j = b.indptr[l][row] + np.arange(len(row)) - first[row]
+    hop = np.zeros((m.max(initial=0) + 1, fb.grid.n_u), np.int64)
+    hop[m, l] = np.arange(len(m))     # the row annihilating mode l into m
+    hit = hop[m[row], b.indices[j]]
+    data = b.data[j] * (np.sqrt(o[row]) * np.sqrt(o[hit]))
+    return sp.csr_matrix((data, (c[hit], c[row])), shape=(fb.dim, fb.dim),
                          dtype=complex)
 
 
@@ -229,7 +218,7 @@ def assemble_field_ops(fb: FockBasis) -> FieldOps:
     dgamma_u = second_quantized_diag(fb, grid.nodes)
     comparison = second_quantized_diag(fb, grid.nodes ** 2 + 1.0) + 1.0
     d = central_difference(grid.nodes, grid.du)
-    a_f = hermitize(second_quantized(fb, sp.csr_matrix(1j * d)))
+    a_f = second_quantized(fb, sp.csr_matrix(1j * d))
     return FieldOps(number, dgamma_u, comparison, a_f, d)
 
 
@@ -580,7 +569,6 @@ class ModularConjugation:
     """Antiunitary involution: swap the particle factors, reflect every
     boson frequency, conjugate all coefficients."""
 
-    basis: CompositeBasis
     perm: np.ndarray
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
@@ -594,10 +582,9 @@ class ModularConjugation:
 def apply_j(basis: CompositeBasis) -> ModularConjugation:
     fb = basis.fock
     refl = fb.grid.reflection
-    fock_perm = np.empty(fb.dim, dtype=np.int64)
-    for idx, state in enumerate(fb.states):
-        reflected = tuple(np.asarray(state)[refl])
-        fock_perm[idx] = fb.index[reflected]
+    index = {state: i for i, state in enumerate(fb.states)}
+    fock_perm = np.array([index[tuple(np.asarray(state)[refl])]
+                          for state in fb.states], dtype=np.int64)
 
     dp = basis.left.dim
     i = np.arange(dp)
@@ -608,7 +595,7 @@ def apply_j(basis: CompositeBasis) -> ModularConjugation:
     target = (jj + dp * ii + dp * dp * fock_perm[nn]).ravel()
     perm = np.empty(basis.dim, dtype=np.int64)
     perm[flat] = target
-    return ModularConjugation(basis, perm)
+    return ModularConjugation(perm)
 
 
 def check_j(liou: LiouvillianAction) -> BoundReport:

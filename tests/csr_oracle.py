@@ -8,7 +8,9 @@ product of the matvec under test.  The direct iterated commutators that
 cross-check the closed forms, and the CSR form of the relative-bound
 constants, live here too, as do the plain forms of the chain's two exact
 solves: the inertia bracket bisected with a count at every midpoint, and
-the row-sum scale summed over every row of the support.
+the row-sum scale summed over every row of the support.  So do the Fock
+operators built by a loop over the occupation states, which the builds
+from the annihilation table must match bit for bit.
 """
 from __future__ import annotations
 
@@ -21,8 +23,13 @@ import scipy.sparse as sp
 from thermion.commutators import closed_form_commutator
 from thermion.lattice import CompositeBasis
 from thermion.linalg import DiagPlus, operator_norm
-from thermion.operators import (KronSum, LowRank, diag_commutator,
-                                hermitize)
+from thermion.operators import KronSum, LowRank, diag_commutator
+
+
+def symmetrize(m) -> sp.csr_matrix:
+    """(M + M*) / 2 of a sparse matrix as CSR; bit-level Hermitian because
+    float addition commutes."""
+    return ((m + m.conj().T) * 0.5).tocsr()
 
 
 def kron3(fock_op, right_op, left_op) -> sp.csr_matrix:
@@ -45,15 +52,15 @@ def to_csr(op) -> sp.csr_matrix:
                 for term in op.terms]
         while len(mats) > 1:
             mats = [sum(mats[i:i + 2]) for i in range(0, len(mats), 2)]
-        return hermitize(op.phase * mats[0]) / op.phase
+        return symmetrize(op.phase * mats[0]) / op.phase
     if isinstance(op, DiagPlus):
         diag = sp.diags(op.d.astype(complex))
-        return hermitize(diag if op.x is None
-                         else diag + op.lam * to_csr(op.x))
+        return symmetrize(diag if op.x is None
+                          else diag + op.lam * to_csr(op.x))
     if isinstance(op, LowRank):
         # exact zeros of u stay structural
-        return hermitize(sp.csr_matrix(op.u)
-                         @ sp.csr_matrix(op.c @ op.u.conj().T))
+        return symmetrize(sp.csr_matrix(op.u)
+                          @ sp.csr_matrix(op.c @ op.u.conj().T))
     raise TypeError(f"no CSR reference for {type(op).__name__}")
 
 
@@ -89,9 +96,9 @@ def conj_full(trunc) -> sp.csr_matrix:
     ap = sp.csr_matrix(trunc.particle.flow_gen)
     ident_p = sp.identity(trunc.basis.left.dim, format="csr", dtype=complex)
     ident_f = sp.identity(trunc.basis.fock.dim, format="csr", dtype=complex)
-    return hermitize(kron3(ident_f, ident_p, ap)
-                     - kron3(ident_f, ap, ident_p)
-                     + kron3(trunc.field.translation_gen, ident_p, ident_p))
+    return symmetrize(kron3(ident_f, ident_p, ap)
+                      - kron3(ident_f, ap, ident_p)
+                      + kron3(trunc.field.translation_gen, ident_p, ident_p))
 
 
 def commutator(x, y):
@@ -99,7 +106,7 @@ def commutator(x, y):
     result."""
     if x.shape != y.shape:
         raise ValueError("operands live on different bases")
-    return hermitize(1j * (x @ y - y @ x))
+    return symmetrize(1j * (x @ y - y @ x))
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +201,7 @@ def gjn_constants(x: sp.spmatrix, comparison_diag: np.ndarray) -> tuple:
     lam = np.asarray(comparison_diag, float)
     k_norm = operator_norm(x @ sp.diags(1.0 / lam))
     half = sp.diags(1.0 / np.sqrt(lam))
-    sandwiched = hermitize(half @ (1j * diag_commutator(x, lam)) @ half)
+    sandwiched = symmetrize(half @ (1j * diag_commutator(x, lam)) @ half)
     return k_norm, operator_norm(sandwiched)
 
 
@@ -273,3 +280,55 @@ def all_rows_max_abs_row_sum(d: np.ndarray, lr: LowRank) -> float:
         block[:, i:i + chunk] += np.diag(d[on[i:i + chunk]])
         sums[on[i:i + chunk]] = np.abs(block).sum(1)
     return float(sums.max())
+
+
+# ---------------------------------------------------------------------------
+# Fock operators by a loop over the occupation states
+# ---------------------------------------------------------------------------
+
+def loop_lowering_op(fb, f: np.ndarray) -> sp.csr_matrix:
+    """``operators.lowering_op`` state by state."""
+    f = np.asarray(f, dtype=complex)
+    index = {state: i for i, state in enumerate(fb.states)}
+    rows, cols, data = [], [], []
+    for c, state in enumerate(fb.states):
+        for k, occ in enumerate(state):
+            if occ == 0 or f[k] == 0.0:
+                continue
+            target = list(state)
+            target[k] -= 1
+            rows.append(index[tuple(target)])
+            cols.append(c)
+            data.append(np.conj(f[k]) * np.sqrt(occ))
+    return sp.csr_matrix((data, (rows, cols)), shape=(fb.dim, fb.dim),
+                         dtype=complex)
+
+
+def loop_second_quantized_diag(fb, mode_values: np.ndarray) -> np.ndarray:
+    """``operators.second_quantized_diag`` state by state."""
+    mv = np.asarray(mode_values, float)
+    return np.array([float(np.dot(state, mv)) for state in fb.states])
+
+
+def loop_second_quantized(fb, one_mode) -> sp.csr_matrix:
+    """``operators.second_quantized`` state by state."""
+    b = sp.coo_matrix(one_mode)
+    by_col = {}
+    for k, l, v in zip(b.row, b.col, b.data):
+        by_col.setdefault(l, []).append((k, v))
+    index = {state: i for i, state in enumerate(fb.states)}
+    rows, cols, data = [], [], []
+    for c, state in enumerate(fb.states):
+        for l, occ in enumerate(state):
+            if occ == 0 or l not in by_col:
+                continue
+            for k, v in by_col[l]:
+                target = list(state)
+                target[l] -= 1
+                amp = np.sqrt(occ) * np.sqrt(target[k] + 1)
+                target[k] += 1
+                rows.append(index[tuple(target)])
+                cols.append(c)
+                data.append(v * amp)
+    return sp.csr_matrix((data, (rows, cols)), shape=(fb.dim, fb.dim),
+                         dtype=complex)

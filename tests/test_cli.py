@@ -167,16 +167,28 @@ def test_main_refuses_invalid_grid(tmp_path, capsys, override):
     ("dynamics", "dynamics.tol=0"),
     ("dynamics", "dynamics.n_times=0"),
     ("dynamics", "dynamics.n_times=1"),
+    ("dynamics", "dynamics.t_max=0"),
+    ("dynamics", "dynamics.t_max=-1"),
+    ("virial-scan", "virial-scan.alphas=[]"),
+    ("feshbach-fuzz", "feshbach-fuzz.instances=0"),
+    ("feshbach-fuzz", "feshbach-fuzz.dim_max=5"),
+    ("flow-check", "flow-check.n_points=0"),
     ("feshbach-fuzz", "fuzz.instances=4"),
     ("feshbach-fuzz", "feshbach-fuzz.instance=4"),
     ("feshbach-fuzz", "run.format=xml"),
-    ("fgr", "fgr.eps_list=[]")])
+    ("fgr", "fgr.eps_list=[]"),
+    ("fgr", "fgr.eps_list=[0.1,0]"),
+    ("fgr", "fgr.eps_list=[-0.1]"),
+    ("fgr", "fgr.operator_eps=0 fgr.operator_check=true"),
+    ("fgr", "fgr.operator_eps=-0.5")])
 def test_main_refuses_pipeline_errors(tmp_path, capsys, kind, override):
     # a ValueError from the pipeline itself is a usage error too (so is
-    # more eigenpairs than ARPACK serves: dim 12 allows 10, and a golden
-    # rule with no width), and so is an option scoped to anything but the
-    # kind or not declared by it (no pipeline would read it), or a report
-    # format other than json or csv; the error names the option
+    # more eigenpairs than ARPACK serves: dim 12 allows 10, a golden rule
+    # with no width, and an option out of its range: a pipeline refuses it
+    # before it runs, not by a crash deeper down), and so is an option
+    # scoped to anything but the kind or not declared by it (no pipeline
+    # would read it), or a report format other than json or csv; the error
+    # names the option
     out = tmp_path / "bad"
     assert main([kind, "--out", str(out), *override.split()]) == 1
     err = capsys.readouterr().err

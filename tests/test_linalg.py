@@ -4,12 +4,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh, expm
 
-from csr_oracle import bisection_min_eig, liouvillian, to_csr
+from csr_oracle import bisection_min_eig, liouvillian, symmetrize, to_csr
 from thermion.linalg import (DiagPlus, eig_pairs_smallest, lanczos_functions,
                              min_eig_diag_plus_lowrank, min_eig_hermitian,
                              operator_norm)
 from thermion.operators import (LowRank, Truncation, assemble_conjugates,
-                                assemble_liouvillian, hermitize)
+                                assemble_liouvillian)
 from thermion.params import ModelParams
 
 
@@ -279,7 +279,7 @@ def _chain_form(n_e, n_u, lam=0.1):
     trunc = Truncation(ModelParams(n_e=n_e, n_u=n_u, n_max=1, e_max=4.0,
                                    u_max=4.0))
     d = trunc.number - 0.5 * (1.0 - trunc.vacuum_proj)
-    dense = hermitize(sp.diags(d.astype(complex))
+    dense = symmetrize(sp.diags(d.astype(complex))
                       + lam * to_csr(trunc.commutator(1))).toarray()
     return DiagPlus(d, lam, trunc.commutator(1)), dense
 

@@ -3,8 +3,10 @@ import pytest
 import scipy.sparse as sp
 
 from csr_oracle import (conj_full, hermiticity_defect, liouvillian,
-                        lowrank_diagonal, number_comm,
-                        sparse_hermiticity_defect, to_csr)
+                        loop_lowering_op, loop_second_quantized,
+                        loop_second_quantized_diag, lowrank_diagonal,
+                        number_comm, sparse_hermiticity_defect, symmetrize,
+                        to_csr)
 from thermion.lattice import FieldGrid, FockBasis, build_bases
 from thermion.linalg import DiagPlus, operator_norm
 from thermion.operators import (LiouvillianAction, LowRank, Truncation,
@@ -12,7 +14,8 @@ from thermion.operators import (LiouvillianAction, LowRank, Truncation,
                                 assemble_field_ops, assemble_liouvillian,
                                 assemble_particle_ops, check_j,
                                 coupling_matrix, field_op, glue_tau_beta,
-                                hermitize, lowering_op,
+                                lowering_op, second_quantized,
+                                second_quantized_diag,
                                 reflect_conjugate, tau_beta_values,
                                 thermal_weight)
 from thermion.params import Kernel, ModelParams, PowerExpProfile
@@ -149,6 +152,50 @@ def test_ccr_on_one_particle_sector(small):
     assert np.allclose(block, np.vdot(f, g) * np.eye(len(low)), atol=1e-12)
 
 
+def _csr_bits(m) -> tuple:
+    return (m.shape, m.indptr.tobytes(), m.indices.tobytes(),
+            m.data.tobytes())
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+def test_table_builds_match_the_state_loops_bit_for_bit(n_max):
+    # a(f), dGamma(B) and the dGamma diagonals read off the annihilation
+    # table have the loop-built sparsity (no entry where f_k = 0) and bits;
+    # the general B has diagonal entries, whose terms are summed in order
+    fb = FockBasis(FieldGrid(4.0, 8), n_max)
+    rng = np.random.default_rng(n_max)
+    f = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    f[[2, 5]] = 0.0
+    d = assemble_field_ops(fb).mode_derivative
+    b = sp.csr_matrix(sp.random(8, 8, density=0.4, random_state=rng)
+                      * (0.5 - 1.5j) + sp.diags(rng.standard_normal(8)))
+    pairs = [(lowering_op(fb, f), loop_lowering_op(fb, f))]
+    pairs += [(second_quantized(fb, m), loop_second_quantized(fb, m))
+              for m in (sp.csr_matrix(1j * d), b)]
+    for got, want in pairs:
+        assert want.nnz and _csr_bits(got) == _csr_bits(want)
+    for mv in (np.ones(8), fb.grid.nodes, fb.grid.nodes ** 2 + 1.0):
+        assert second_quantized_diag(fb, mv).tobytes() \
+            == loop_second_quantized_diag(fb, mv).tobytes()
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4])
+def test_factors_hermitian_as_built(n_max):
+    # nothing is symmetrised after assembly: every Fock factor of I and of
+    # I_1 to I_3, dGamma(i D_u) and the particle flow generator are
+    # Hermitian bit for bit as built
+    trunc = Truncation(ModelParams(n_e=4, n_u=6, n_max=n_max, e_max=4.0,
+                                   u_max=4.0, lam=0.1))
+    fock = [f for x in (trunc.interaction,
+                        *(trunc.commutator(n) for n in (1, 2, 3)))
+            for f, _, _ in x.terms]
+    assert len(fock) == 2 + 4 + 6 + 8
+    for m in (*fock, trunc.field.translation_gen):
+        assert m.nnz and (m - m.conj().T).nnz == 0
+    ap = trunc.particle.flow_gen
+    assert np.any(ap) and np.array_equal(ap, ap.conj().T)
+
+
 def test_coupling_matrix_hermitian(small):
     p, b = small
     g = coupling_matrix(p, b)
@@ -279,9 +326,9 @@ def test_lowrank_corrections_match_outer_product_form(small):
     l_e = p.lam * (liou.interaction @ e)
     l_x = liou.l0_diag * x + p.lam * (liou.interaction @ x)
     th_lam = p.theta * p.lam
-    old = {"correction": hermitize(1j * th_lam * (
+    old = {"correction": symmetrize(1j * th_lam * (
                _sparse_outer(e, x) - _sparse_outer(x, e))),
-           "correction_comm": hermitize(-th_lam * (
+           "correction_comm": symmetrize(-th_lam * (
                _sparse_outer(l_e, x) + _sparse_outer(x, l_e)
                - _sparse_outer(l_x, e) - _sparse_outer(e, l_x)))}
     rng = np.random.default_rng(5)
