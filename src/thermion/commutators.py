@@ -18,7 +18,7 @@ import numpy as np
 
 from .linalg import DiagPlus, min_eig_hermitian, operator_norm
 from .operators import (KronSum, LiouvillianAction, Truncation,
-                        interaction_like, pair_diag)
+                        interaction_like)
 from .flows import VectorField, saturating_profile
 from .params import ModelParams
 from .reports import BoundReport
@@ -77,8 +77,8 @@ def closed_form_commutator(liou: LiouvillianAction, order: int):
     trunc = liou.trunc
     prof = _profile_diag(trunc.basis.left.grid.nodes, trunc.params.a,
                          saturating_profile(), order)
-    diag = pair_diag(trunc.basis, prof, (-1.0) ** (order + 1))
-    diag = diag + trunc.number if order == 1 else diag
+    diag = trunc.basis.diag(trunc.field.number if order == 1 else 0.0,
+                            (-1.0) ** (order + 1) * prof, prof)
     return DiagPlus(diag, liou.params.lam, trunc.commutator(order))
 
 

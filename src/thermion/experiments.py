@@ -110,14 +110,23 @@ def run_fgr(cfg: ExperimentConfig) -> Report:
 
 # ---------------------------------------------------------------------------
 
+def _chain_options(cfg: ExperimentConfig, names) -> dict:
+    """The bound chain's optional theta, epsilon and gamma (None: the
+    recipe's), refused before any work unless theta and epsilon are
+    positive and gamma is not negative (the recipe floors a zero rate)."""
+    opts = {name: cfg.opt(name, None) for name in names}
+    for name, val in opts.items():
+        if val is not None and not (val >= 0 if name == "gamma" else val > 0):
+            need = "non-negative" if name == "gamma" else "positive"
+            raise ValueError(f"{cfg.kind}.{name} must be {need}, got {val}")
+    return opts
+
+
 def run_bound_chain(cfg: ExperimentConfig) -> Report:
     p = cfg.params
     rep = fesh.verify_bound_chain(
-        p,
-        theta=cfg.opt("theta", None),
-        epsilon=cfg.opt("epsilon", None),
-        lam=cfg.opt("lam", None),
-        gamma=cfg.opt("gamma", None))
+        p, lam=cfg.opt("lam", None),
+        **_chain_options(cfg, ("theta", "epsilon", "gamma")))
     stats = {"gamma": rep.gamma, "k49": rep.k49, **rep.closed_form,
              "recipe": asdict(rep.recipe), "measured": rep.measured,
              "run_params": rep.params}
@@ -174,12 +183,15 @@ def run_feshbach_fuzz(cfg: ExperimentConfig) -> Report:
 # ---------------------------------------------------------------------------
 
 def run_flow_check(cfg: ExperimentConfig) -> Report:
-    prof = flows.saturating_profile()
-    prof.certify()
     tol = float(cfg.opt("tol", 1e-10))
     n_pts = int(cfg.opt("n_points", 50))
-    if n_pts < 1:
-        raise ValueError(f"flow-check.n_points must be >= 1, got {n_pts}")
+    scale = float(cfg.opt("gronwall_scale", 0.25))
+    if n_pts < 1 or not tol > 0 or not scale > 0:
+        raise ValueError("flow-check.n_points must be >= 1 and tol and "
+                         f"gronwall_scale positive, got {n_pts}, {tol} and "
+                         f"{scale}")
+    prof = flows.saturating_profile()
+    prof.certify()
     rng = _instance_rng(cfg.seed, 0)
     xs = rng.uniform(0.05, 8.0, n_pts)
     ts = np.linspace(-2.0, 2.0, 9)
@@ -218,8 +230,7 @@ def run_flow_check(cfg: ExperimentConfig) -> Report:
     checks.append(flows.generator_check(
         prof, lambda x: np.ones_like(x), nodes, psi))
     checks.append(flows.verify_gronwall(prof, xs, ts, tol=tol))
-    checks.append(flows.verify_gronwall(
-        prof, xs, ts, scale=float(cfg.opt("gronwall_scale", 0.25)), tol=tol))
+    checks.append(flows.verify_gronwall(prof, xs, ts, scale=scale, tol=tol))
     return Report(kind="flow-check", config=_config_echo(cfg), checks=checks)
 
 
@@ -230,8 +241,9 @@ def run_virial_scan(cfg: ExperimentConfig) -> Report:
     n_pairs = int(cfg.opt("n_pairs", 10))
     alphas = tuple(cfg.opt("alphas",
                              (0.4, 0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625)))
-    if not alphas:
-        raise ValueError("virial-scan.alphas must hold at least one width")
+    if not alphas or min(alphas) <= 0:
+        raise ValueError("virial-scan.alphas must hold at least one width, "
+                         f"each positive, got {list(alphas)}")
     trunc = Truncation(p)
     dim = trunc.basis.dim
     if not 1 <= n_pairs <= dim - 2:
@@ -398,9 +410,12 @@ def run_lambda0_scan(cfg: ExperimentConfig) -> Report:
     lam_grid = list(cfg.opt("lambdas",
                             (1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1)))
     betas = tuple(cfg.opt("betas", (0.5, 1.0, 2.0)))
-    rows, reports = fesh.scan_lambda0(p, lam_grid, betas,
-                                      theta=cfg.opt("theta", None),
-                                      epsilon=cfg.opt("epsilon", None))
+    if not lam_grid or not betas or min(betas) <= 0:
+        raise ValueError("lambda0-scan.lambdas and betas must be nonempty and "
+                         f"each beta positive, got {lam_grid} and "
+                         f"{list(betas)}")
+    rows, reports = fesh.scan_lambda0(
+        p, lam_grid, betas, **_chain_options(cfg, ("theta", "epsilon")))
     lam0 = [r[2] for r in rows]
     ratios = [r[3] for r in rows if r[3] > 0]
     spread = (max(ratios) / min(ratios)) if ratios else np.inf

@@ -23,8 +23,7 @@ import numpy as np
 from .fgr import gamma_limit
 from .linalg import min_eig_diag_plus_lowrank
 from .operators import (ConjugateOps, LiouvillianAction, LowRank, Truncation,
-                        assemble_conjugates, assemble_liouvillian, hermitize,
-                        pair_diag)
+                        assemble_conjugates, assemble_liouvillian, hermitize)
 from .params import ModelParams
 from .reports import BoundReport
 
@@ -158,8 +157,8 @@ def assemble_bound_operators(liou: LiouvillianAction, conj: ConjugateOps,
                              k49: float) -> BoundOperators:
     trunc, lam = liou.trunc, liou.params.lam
     offset = 0.9 * (1.0 - trunc.vacuum_proj) - k49 * lam ** 2
-    d_scaled = pair_diag(trunc.basis, trunc.particle.xi_of_h) + offset
-    d_limit = pair_diag(trunc.basis, trunc.particle.continuum_proj) + offset
+    d_scaled, d_limit = (trunc.basis.diag(0.0, x, x) + offset for x in (
+        trunc.particle.xi_of_h, trunc.particle.continuum_proj))
     return BoundOperators(d_scaled, d_limit, conj.correction_comm, float(k49))
 
 

@@ -142,25 +142,26 @@ def thermal_factor(omega, beta):
         return omega ** 2 / np.expm1(beta * omega)
 
 
+def _cutoff(weight, fallback: float) -> float:
+    """First node of a log grid on [1e-3, 400] past the last value of
+    ``weight`` above TINY_REL of its peak; ``fallback`` for a zero weight."""
+    x = np.geomspace(1e-3, 400.0, 4000)
+    vals = weight(x)
+    if vals.max() == 0.0:
+        return fallback
+    keep = np.flatnonzero(vals > TINY_REL * vals.max())
+    return float(x[min(keep[-1] + 1, len(x) - 1)])
+
+
 def _freq_cutoff(params: ModelParams) -> float:
     """Frequency beyond which the integrand is below TINY_REL of its peak."""
-    om = np.geomspace(1e-3, 400.0, 4000)
-    vals = thermal_factor(om, params.beta) * np.abs(params.form_factor(om))**2
-    peak = vals.max()
-    if peak == 0.0:
-        return max(10.0, -1.5 * params.bound_energy)
-    keep = np.flatnonzero(vals > TINY_REL * peak)
-    return float(om[min(keep[-1] + 1, len(om) - 1)])
+    return _cutoff(lambda om: thermal_factor(om, params.beta)
+                   * np.abs(params.form_factor(om)) ** 2,
+                   max(10.0, -1.5 * params.bound_energy))
 
 
 def _energy_cutoff(params: ModelParams) -> float:
-    e = np.geomspace(1e-3, 400.0, 4000)
-    vals = np.abs(params.kernel.gamma(e)) ** 2
-    peak = vals.max()
-    if peak == 0.0:
-        return 10.0
-    keep = np.flatnonzero(vals > TINY_REL * peak)
-    return float(e[min(keep[-1] + 1, len(e) - 1)])
+    return _cutoff(lambda e: np.abs(params.kernel.gamma(e)) ** 2, 10.0)
 
 
 def _freq_weight(params: ModelParams, omega):

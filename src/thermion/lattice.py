@@ -147,6 +147,16 @@ class CompositeBasis:
         """View a flat vector as a (fock, right, left) tensor."""
         return vec.reshape(self.fock.dim, self.right.dim, self.left.dim)
 
+    def diag(self, fock=0.0, right=0.0, left=0.0) -> np.ndarray:
+        """Flat diagonal of fock x 1 x 1 + 1 x right x 1 + 1 x 1 x left,
+        each a factor's diagonal or a scalar (that multiple of 1), summed
+        as (fock + left) + right."""
+        f, r, l = (np.broadcast_to(np.asarray(x, float).reshape(-1), (n,))
+                   for x, n in ((fock, self.fock.dim),
+                                (right, self.right.dim),
+                                (left, self.left.dim)))
+        return ((f[:, None, None] + l) + r[:, None]).ravel()
+
     def vacuum_bound_index(self) -> int:
         """Flat index of bound x bound x vacuum (the invariant reference):
         0, because the bound state and the vacuum come first in their

@@ -159,33 +159,47 @@ def min_eig_diag_plus_lowrank(d: np.ndarray, lr) -> tuple[float, float]:
                 + np.count_nonzero(evals < 0))
 
     # Weyl: the lowest eigenvalue is within ||W||_F^2 of min(ds)
-    lo = np.nextafter(ds.min() - sq.sum(), -np.inf)
-    hi = np.nextafter(ds.min() + sq.sum(), np.inf)
-    a, b, s = lo, hi, ds.min()
-    in_p = ds <= s + 2.0 * sq.sum()
-    if np.count_nonzero(in_p) <= 64:
-        # candidate: s <- lowest eigenvalue of D_P + W_P M(s) W_P* on the near
-        # block P, the rest Q eliminated by Woodbury: S = W_Q* (D_Q - s)^-1 W_Q
-        # and M = J - J (S - S (J + S)^-1 S) J, shifted by min(ds) for accuracy
-        wp, wq, dq, j, d0 = ws[in_p], ws[~in_p], ds[~in_p], np.diag(sign), s
-        for _ in range(8):
-            sm = (wq.conj().T / (dq - s)) @ wq
-            m = j - np.outer(sign, sign) * (sm - sm @ np.linalg.solve(j + sm,
-                                                                     sm))
-            new = d0 + np.linalg.eigvalsh(np.diag(ds[in_p] - d0)
-                                          + wp @ m @ wp.conj().T)[0]
-            if not lo < new < hi or new == s:
-                break
-            s = new
-        # the window: s -+ 4 ulps (eps^2 ||W||_F^2 at s = 0), each end
-        # widened x64 until count(a) = 0 and count(b) >= 1, or the bracket
-        ulps = 4.0 * np.spacing(max(abs(s), np.finfo(float).eps * sq.sum()))
-        step = ulps
-        while (a := s - step) > lo and below(a) >= 1:
-            step *= 64.0
-        step = ulps
-        while (b := s + step) < hi and below(b) < 1:
-            step *= 64.0
+    d0 = ds.min()
+    lo = np.nextafter(d0 - sq.sum(), -np.inf)
+    hi = np.nextafter(d0 + sq.sum(), np.inf)
+    # candidate: a root of f(s) = lowest eigenvalue of D_P - s + W_P M(s)
+    # W_P* on the near block P (the at most 64 lowest pivots within 2
+    # ||W||_F^2 of min(ds)), the rest Q eliminated by Woodbury: S = W_Q* (D_Q
+    # - s)^-1 W_Q and M = J - J (S - S (J + S)^-1 S) J, shifted by min(ds)
+    # for accuracy.  It starts at the lower bound min(ds) - ||W_-||_F^2 (W_-:
+    # the columns of J = -1); up to the lowest eigenvalue of the Q block f
+    # falls with slope <= -1, so each step is s - f / slope, the slope -1 or
+    # a steeper secant
+    in_p = np.zeros(len(ds), bool)
+    in_p[np.argpartition(ds, min(63, len(ds) - 1))[:64]] = True
+    in_p &= ds <= d0 + 2.0 * sq.sum()
+    wp, wq, dq, j = ws[in_p], ws[~in_p], ds[~in_p], np.diag(sign)
+    s, s_prev, f_prev = d0 - np.sum(np.abs(ws[:, sign < 0]) ** 2), None, None
+    for _ in range(8):
+        try:    # singular where the cap splits a tie: a pivot of Q at s
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                sm = (wq.conj().T / (dq - s)) @ wq
+                m = j - np.outer(sign, sign) * (
+                    sm - sm @ np.linalg.solve(j + sm, sm))
+        except (FloatingPointError, np.linalg.LinAlgError):
+            break
+        f = d0 + np.linalg.eigvalsh(np.diag(ds[in_p] - d0)
+                                    + wp @ m @ wp.conj().T)[0] - s
+        slope = -1.0 if f_prev is None else min(-1.0, (f - f_prev)
+                                                 / (s - s_prev))
+        new = s - f / slope
+        if not lo < new < hi or new == s:
+            break
+        s_prev, f_prev, s = s, f, new
+    # the window: s -+ 4 ulps (eps^2 ||W||_F^2 at s = 0), each end widened
+    # x64 until count(a) = 0 and count(b) >= 1, or the bracket
+    ulps = 4.0 * np.spacing(max(abs(s), np.finfo(float).eps * sq.sum()))
+    step = ulps
+    while (a := s - step) > lo and below(a) >= 1:
+        step *= 64.0
+    step = ulps
+    while (b := s + step) < hi and below(b) < 1:
+        step *= 64.0
     # bisection to adjacent floats, counting only inside the window
     while (mid := 0.5 * (lo + hi)) not in (lo, hi):
         up = mid >= b or (mid > a and below(mid) >= 1)

@@ -1,13 +1,13 @@
 """Assembly of all model operators on the truncated composite basis.
 
-Matrix conventions: a flat composite index is i + dim_p * j + dim_p^2 * n
-(left particle fastest), so a composite operator built from per-factor
-matrices is kron(fock_op, kron(right_op, left_op)), kept factored as a
-``KronSum``.  Every factor flagged Hermitian is Hermitian by
-construction, tested; every Fock-space factor is read off the basis's
-annihilation table.  Functions embedded on a grid carry sqrt(weight),
-which makes the euclidean inner product the discrete L2 product and
-keeps every assembled matrix weight-free.
+Matrix conventions: the flat composite index is ``CompositeBasis``'s (left
+particle fastest), so a composite operator built from per-factor matrices
+is kron(fock_op, kron(right_op, left_op)), kept factored as a ``KronSum``,
+and a composite diagonal is ``CompositeBasis.diag``.  Every factor
+flagged Hermitian is Hermitian by construction, tested; every Fock-space
+factor is read off the basis's annihilation table.  Functions embedded on
+a grid carry sqrt(weight), which makes the euclidean inner product the
+discrete L2 product and keeps every assembled matrix weight-free.
 
 Every operator is assembled once per truncation; lam, theta and epsilon
 only combine the parts.  A ``Truncation`` (grids, beta, a, form factor,
@@ -289,15 +289,6 @@ def interaction_like(basis: CompositeBasis, g: np.ndarray, sign: float,
             (field_op(basis.fock, f_image), -sign * np.conj(g), None)]
 
 
-def pair_diag(basis: CompositeBasis, diag_p: np.ndarray,
-              sign: float = 1.0) -> np.ndarray:
-    """Diagonal of 1 x 1 x d + sign 1 x d x 1: a particle diagonal on the
-    left factor plus (or minus) it on the right."""
-    ones_f, ones_p = np.ones(basis.fock.dim), np.ones(basis.left.dim)
-    return (np.kron(ones_f, np.kron(ones_p, diag_p))
-            + sign * np.kron(ones_f, np.kron(diag_p, ones_p)))
-
-
 def diag_commutator(x, d: np.ndarray) -> sp.csr_matrix:
     """[X, diag(d)] entrywise: X_ij (d_j - d_i), in X's own field."""
     xc = sp.coo_matrix(x)
@@ -341,8 +332,7 @@ class Truncation:
     @cached_property
     def l0_diag(self) -> np.ndarray:
         e = self.particle.h
-        return (self.field.dgamma_u[:, None, None] + e[None, None, :]
-                - e[None, :, None]).ravel()
+        return self.basis.diag(self.field.dgamma_u, -e, e)
 
     @cached_property
     def coupling(self) -> np.ndarray:
@@ -374,21 +364,19 @@ class Truncation:
 
     @cached_property
     def number(self) -> np.ndarray:
-        """Diagonal of 1 x 1 x N."""
-        return np.kron(self.field.number, np.ones(self.basis.left.dim ** 2))
+        """Diagonal of N x 1 x 1."""
+        return self.basis.diag(self.field.number)
 
     @cached_property
     def vacuum_proj(self) -> np.ndarray:
-        """Diagonal of 1 x 1 x P_Omega."""
-        return np.kron((self.field.number == 0).astype(float),
-                       np.ones(self.basis.left.dim ** 2))
+        """Diagonal of P_Omega x 1 x 1."""
+        return self.basis.diag(self.field.number == 0)
 
     @cached_property
     def comparison(self) -> np.ndarray:
         """Diagonal of the GJN comparison operator."""
-        return (pair_diag(self.basis, self.particle.comparison)
-                + np.kron(self.field.comparison,
-                          np.ones(self.basis.left.dim ** 2)))
+        comp = self.particle.comparison
+        return self.basis.diag(self.field.comparison, comp, comp)
 
     @cached_property
     def number_comm(self) -> KronSum:
@@ -586,16 +574,9 @@ def apply_j(basis: CompositeBasis) -> ModularConjugation:
     fock_perm = np.array([index[tuple(np.asarray(state)[refl])]
                           for state in fb.states], dtype=np.int64)
 
-    dp = basis.left.dim
-    i = np.arange(dp)
-    j = np.arange(dp)
-    n = np.arange(fb.dim)
-    ii, jj, nn = np.meshgrid(i, j, n, indexing="ij")
-    flat = (ii + dp * jj + dp * dp * nn).ravel()
-    target = (jj + dp * ii + dp * dp * fock_perm[nn]).ravel()
-    perm = np.empty(basis.dim, dtype=np.int64)
-    perm[flat] = target
-    return ModularConjugation(perm)
+    # (J psi)[n, j, i] = conj psi[fock_perm[n], i, j]
+    flat = basis.as_tensor(np.arange(basis.dim))
+    return ModularConjugation(flat[fock_perm].swapaxes(1, 2).ravel())
 
 
 def check_j(liou: LiouvillianAction) -> BoundReport:

@@ -41,8 +41,7 @@ from thermion.flows import saturating_profile
 from thermion.lattice import build_bases
 from thermion.linalg import eig_pairs_smallest
 from thermion.operators import (assemble_conjugates, assemble_field_ops,
-                                assemble_liouvillian, apply_j,
-                                pair_diag)
+                                assemble_liouvillian, apply_j)
 from thermion.params import ModelParams
 from thermion.reports import report_to_json
 from thermion.virial import (build_regularized_family,
@@ -174,7 +173,7 @@ def test_criterion_06_scaled_operator_converges():
     norms = []
     for a in (0.5, 0.25, 0.125, 0.0625):
         xi = np.concatenate(([0.0], np.asarray(prof.xi(nodes / a))))
-        dd = pair_diag(basis, xi - cont)
+        dd = basis.diag(0.0, xi - cont, xi - cont)
         norms.append([float(np.linalg.norm(dd * v)) for v in vecs])
     worst_gap = float(np.max(np.diff(norms, axis=0)))
     ok = worst_gap < 0.0

@@ -180,7 +180,20 @@ def test_main_refuses_invalid_grid(tmp_path, capsys, override):
     ("fgr", "fgr.eps_list=[0.1,0]"),
     ("fgr", "fgr.eps_list=[-0.1]"),
     ("fgr", "fgr.operator_eps=0 fgr.operator_check=true"),
-    ("fgr", "fgr.operator_eps=-0.5")])
+    ("fgr", "fgr.operator_eps=-0.5"),
+    ("virial-scan", "virial-scan.alphas=[0]"),
+    ("virial-scan", "virial-scan.alphas=[-0.1,0.05]"),
+    ("flow-check", "flow-check.gronwall_scale=0"),
+    ("flow-check", "flow-check.tol=0"),
+    ("lambda0-scan", "lambda0-scan.betas=[0]"),
+    ("lambda0-scan", "lambda0-scan.betas=[1,-1]"),
+    ("lambda0-scan", "lambda0-scan.betas=[]"),
+    ("lambda0-scan", "lambda0-scan.lambdas=[]"),
+    ("lambda0-scan", "lambda0-scan.theta=0"),
+    ("lambda0-scan", "lambda0-scan.epsilon=-1"),
+    ("bound-chain", "bound-chain.gamma=-1"),
+    ("bound-chain", "bound-chain.theta=0"),
+    ("bound-chain", "bound-chain.epsilon=-1")])
 def test_main_refuses_pipeline_errors(tmp_path, capsys, kind, override):
     # a ValueError from the pipeline itself is a usage error too (so is
     # more eigenpairs than ARPACK serves: dim 12 allows 10, a golden rule
@@ -195,6 +208,14 @@ def test_main_refuses_pipeline_errors(tmp_path, capsys, kind, override):
     assert err.startswith("error:")
     assert override.split("=")[0].rsplit(".", 1)[1] in err
     assert not out.exists()
+
+
+def test_bound_chain_admits_a_zero_gamma(tmp_path):
+    # the recipe floors a zero rate: the chain runs and fails its smallness
+    # flags (exit 2, a report), where a negative gamma is refused
+    assert main(["bound-chain", "--out", str(tmp_path), "model.n_e=4",
+                 "model.n_u=4", "model.n_max=1", "bound-chain.gamma=0"]) == 2
+    assert (tmp_path / "bound-chain.json").exists()
 
 
 @pytest.mark.parametrize("override, failed, not_finite", [

@@ -490,3 +490,26 @@ def test_chain_workload_brackets_take_few_evaluations(monkeypatch):
     monkeypatch.setattr(feshbach, "min_eig_diag_plus_lowrank", tallied)
     verify_bound_chain(ModelParams(n_e=24, n_u=24, n_max=1))
     assert len(per) == 2 and max(per) <= 20
+
+
+def test_lambda0_scan_brackets_take_few_evaluations(monkeypatch):
+    # each of the 42 inertia brackets of lambda0-scan at its defaults takes
+    # at most 20 eigvalsh evaluations; the four at the larger couplings,
+    # whose near pivots are over the block's cap of 64, once took 81 to 91
+    calls, per = [0], []
+    eigvalsh, bracket = np.linalg.eigvalsh, feshbach.min_eig_diag_plus_lowrank
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return eigvalsh(*args, **kwargs)
+
+    def tallied(d, lr):
+        calls[0] = 0
+        out = bracket(d, lr)
+        per.append(calls[0])
+        return out
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(feshbach, "min_eig_diag_plus_lowrank", tallied)
+    run(ExperimentConfig(kind="lambda0-scan"))
+    assert len(per) == 42 and max(per) <= 20

@@ -62,3 +62,21 @@ def test_flat_index_convention():
                 assert t[n, j, i] == i + d * j + d * d * n
     assert b.left.energies[0] == -1.0 and not any(b.fock.states[0])
     assert b.vacuum_bound_index() == t[0, 0, 0] == 0
+
+
+def test_composite_diag_is_the_kron_sum_in_flat_order():
+    # f x 1 x 1 + 1 x r x 1 + 1 x 1 x l, summed (f + l) + r bit for bit; a
+    # scalar is that multiple of the identity
+    b = build_bases(ModelParams(n_e=2, n_u=4, n_max=2))
+    d = b.left.dim
+    rng = np.random.default_rng(0)
+    f, r, l = (rng.standard_normal(n) for n in (b.fock.dim, d, d))
+    got = b.as_tensor(b.diag(f, r, l))
+    for n in range(b.fock.dim):
+        for j in range(d):
+            for i in range(d):
+                assert got[n, j, i] == (f[n] + l[i]) + r[j]
+    assert np.array_equal(b.diag(f), np.kron(f, np.ones(d * d)))
+    assert np.array_equal(b.diag(right=r, left=2.5), np.kron(
+        np.ones(b.fock.dim), np.kron(r, np.ones(d)) + 2.5))
+    assert b.diag().shape == (b.dim,) and not b.diag().any()

@@ -238,22 +238,32 @@ def test_bracket_with_the_root_on_an_entry_of_d():
     assert 1.0 in (val, val + width)
 
 
-def test_bracket_falls_back_over_the_near_block_cap(monkeypatch):
-    # 100 entries within 2 ||W||_F^2 of min(d): no candidate, so the window
-    # is the whole Weyl bracket and every midpoint is counted, as before
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("psd", [False, True])
+def test_bracket_over_the_near_block_cap_beats_plain_bisection(monkeypatch,
+                                                              tied, psd):
+    # 100 entries within 2 ||W||_F^2 of min(d): the candidate's block P is
+    # the 64 lowest, the rest eliminated.  With min(d) 80-fold the cap
+    # splits the tie, and under a positive correction the candidate starts
+    # on min(d), then a pivot of Q: its first step is singular, and the
+    # window starts at min(d)
     rng = np.random.default_rng(5)
     d = np.linspace(0.0, 0.01, 100)
+    if tied:
+        d[:80] = 0.0
     lr = _lowrank(rng, len(d), 2, 0.1, False)
-    calls, eigvalsh = [], np.linalg.eigvalsh
+    if psd:
+        lr = LowRank(lr.u, lr.c @ lr.c.conj().T)
+    calls, eigvalsh = [0], np.linalg.eigvalsh
 
-    def counted(a, *args, **kwargs):
-        calls.append(len(a))
-        return eigvalsh(a, *args, **kwargs)
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return eigvalsh(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    assert min_eig_diag_plus_lowrank(d, lr) == bisection_min_eig(d, lr)
-    assert len(calls) % 2 == 0 and len(calls) > 40
-    assert calls[:len(calls) // 2] == calls[len(calls) // 2:]
+    got, ours = min_eig_diag_plus_lowrank(d, lr), calls[0]
+    assert got == bisection_min_eig(d, lr)
+    assert ours < calls[0] - ours
 
 
 def test_bracket_in_a_noisy_count_stays_in_its_band():

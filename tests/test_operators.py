@@ -353,6 +353,20 @@ def test_conjugates_reject_zero_epsilon(small):
         ModelParams(epsilon=0.0)
 
 
+def test_j_swaps_the_particles_and_reflects_the_modes(small):
+    # J e_(i, j, s) = e_(j, i, s reflected): flat i + d j + d^2 n goes to
+    # j + d i + d^2 n', the occupation of n' that of n read backwards
+    p, b = small
+    d, states = b.left.dim, b.fock.states
+    perm = apply_j(b).perm
+    for n, s in enumerate(states):
+        n_refl = states.index(s[::-1])
+        for j in range(d):
+            for i in range(d):
+                flat, image = i + d * (j + d * n), j + d * (i + d * n_refl)
+                assert perm[flat] == image
+
+
 def test_j_fixes_reference_and_squares_to_identity(small):
     p, b = small
     conj = apply_j(b)
