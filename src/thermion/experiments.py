@@ -410,10 +410,9 @@ def run_lambda0_scan(cfg: ExperimentConfig) -> Report:
     lam_grid = list(cfg.opt("lambdas",
                             (1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1)))
     betas = tuple(cfg.opt("betas", (0.5, 1.0, 2.0)))
-    if not lam_grid or not betas or min(betas) <= 0:
+    if not lam_grid or not betas or min(lam_grid) <= 0 or min(betas) <= 0:
         raise ValueError("lambda0-scan.lambdas and betas must be nonempty and "
-                         f"each beta positive, got {lam_grid} and "
-                         f"{list(betas)}")
+                         f"positive, got {lam_grid} and {list(betas)}")
     rows, reports = fesh.scan_lambda0(
         p, lam_grid, betas, **_chain_options(cfg, ("theta", "epsilon")))
     lam0 = [r[2] for r in rows]

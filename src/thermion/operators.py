@@ -236,13 +236,43 @@ class CouplingVectors:
     image: np.ndarray
 
 
+def _stored(entries: list, shape: tuple, filled: int, size: int):
+    """The product with COO ``entries`` [(rows, cols, values), ..] as it is
+    applied: dense where the Fock sector blocks in it are at least half
+    filled (``filled`` nonzeros of ``size``), else CSR."""
+    r, c, v = (np.concatenate(a) for a in zip(*entries))
+    product = sp.csr_matrix((v, (r, c)), shape=shape)
+    return product.toarray() if 2 * filled >= size else product
+
+
+def _product(block, x: np.ndarray) -> np.ndarray:
+    """block @ x for a dense or CSR block; a real block meets a complex x
+    through x's float64 view: real arithmetic in a third of the mixed
+    product's time, and as thread-invariant as einsum in a seventh of its."""
+    if block.dtype.kind == "f" and x.dtype.kind == "c":
+        return (block @ x.view(float)).view(complex)
+    return block @ x
+
+
 class KronSum:
     """A sum S of Kronecker products fock x right x left, kept factored,
     with ``phase`` p * S Hermitian: ``terms`` are (fock, right, left) with
     a sparse Fock-space factor and dense particle factors, None standing
     for the identity; a factor with zero imaginary part is stored real
     (see ``dtype``).  ``@`` applies S; the phase is held outside (p = 1j
-    keeps the purely imaginary i[I, N] on real factors), so S* = p^2 S."""
+    keeps the purely imaginary i[I, N] on real factors), so S* = p^2 S.
+
+    A term with both a Fock factor F and particle factors is applied
+    through F's two sector blocks, split at ``n_low``, the number of Fock
+    states with fewer than n_max bosons (the first ones): the low block
+    F[:n_low] acts on the input, and the top block F[n_low:, :m] on the
+    particle factors' action on its first m rows, m = n_low where F's
+    top-to-top block is zero, as for every field operator (it moves the
+    boson number by one), else every row.  So the particle factors act on
+    n_low + m rows, not on every Fock row.  All such terms share two
+    products, built on first use: the gather stacks each term's low block
+    over the m rows it passes up, and the scatter adds the low rows and
+    applies the top blocks.  Other terms are applied whole."""
 
     def __init__(self, basis: CompositeBasis, terms, phase: complex = 1):
         self.basis, self.shape, self.phase = basis, (basis.dim,) * 2, phase
@@ -251,27 +281,76 @@ class KronSum:
             else m.real for m in term) for term in terms)
         self.dtype = np.result_type(*(m.dtype for term in self.terms
                                       for m in term if m is not None))
+        fb = basis.fock
+        self.n_low = np.count_nonzero(
+            second_quantized_diag(fb, np.ones(fb.grid.n_u)) < fb.n_max)
+
+    @cached_property
+    def _sectors(self) -> tuple:
+        """(whole terms, split terms as (gathered rows, right, left), gather,
+        scatter); gather and scatter are stored by ``_stored`` and are real
+        where the Fock factors are."""
+        n, nf = self.n_low, self.basis.fock.dim
+        whole, split, gather, scatter, fill = [], [], [], [], np.zeros((2, 2))
+        for fock, right, left in self.terms:
+            if fock is None or right is None and left is None:
+                whole.append((fock, right, left))
+                continue
+            f = sp.coo_matrix(fock)
+            r, c, v = (a[f.data != 0] for a in (f.row, f.col, f.data))
+            m = nf if np.any((r >= n) & (c >= n)) else n
+            low, top = r < n, (r >= n) & (c < m)
+            w = split[-1][0].stop if split else 0
+            i, k, cat = np.arange(n), np.arange(m), np.concatenate
+            gather.append((cat([r[low], n + k]) + w, cat([c[low], k]),
+                           cat([v[low], np.ones(m)])))
+            scatter.append((cat([i, r[top]]), cat([i, n + c[top]]) + w,
+                            cat([np.ones(n), v[top]])))
+            split.append((slice(w, w + n + m), right, left))
+            # nonzeros and size of the low block, then of the top block
+            fill += [[low.sum(), n * nf], [top.sum(), (nf - n) * m]]
+        if not split:
+            return whole, split, None, None
+        w = split[-1][0].stop
+        return (whole, split, _stored(gather, (w, nf), *fill[0]),
+                _stored(scatter, (nf, w), *fill[1]))
+
+    def _particle(self, s: np.ndarray, right, left) -> np.ndarray:
+        """1 x right x left on the rows of an (r, k dp^2) array (Fock
+        index, then k columns of right-then-left particle entries); a left
+        factor is one 2-D gemm on the rows of the reshaped input."""
+        dp = self.basis.left.dim
+        if left is not None:
+            flat, s = s.reshape(-1, dp), np.empty(s.shape, s.dtype)
+            # in row blocks of at most 2^16 multiply-adds: on a 2-vCPU host
+            # OpenBLAS threaded complex gemms above that, and A's matvec at
+            # dim 9,537 ran twofold slower; the bound is untested on other
+            # hosts.  Below it a gemm's bits do not follow the BLAS thread
+            # count.  Nor do the real Fock products' (``_product``): a
+            # complex product with a one-row low block, applied alone, was
+            # a zgemv whose bits did
+            rows, out = max(1, 2 ** 16 // dp ** 2), s.reshape(-1, dp)
+            for i in range(0, len(flat), rows):
+                np.matmul(flat[i:i + rows], left.T, out=out[i:i + rows])
+        if right is not None:
+            s = np.matmul(right, s.reshape(-1, dp, dp)).reshape(len(s), -1)
+        return s
 
     def matvec(self, psi: np.ndarray) -> np.ndarray:
         """Tensor contraction; no composite matrix is formed.  A (dim, k)
-        block is contracted at once, its columns a batch axis: a left factor
-        is one 2-D gemm on the rows of the reshaped input."""
+        block is contracted at once, its columns a batch axis."""
         nf, dp, cols = self.basis.fock.dim, self.basis.left.dim, psi.shape[1:]
-        t = np.ascontiguousarray(psi.reshape(nf, dp * dp, *cols).swapaxes(
-            1, -1), np.result_type(psi, self.dtype)).reshape(-1, dp)
-        # in row blocks of at most 2^16 multiply-adds: on a 2-vCPU host
-        # OpenBLAS threaded complex gemms above that, and A's matvec at dim
-        # 9,537 ran twofold slower; the bound is untested on other hosts
-        rows = max(1, 2 ** 16 // dp ** 2)
+        x = np.ascontiguousarray(psi.reshape(nf, dp * dp, *cols).swapaxes(
+            1, -1), np.result_type(psi, self.dtype)).reshape(nf, -1)
+        whole, split, gather, scatter = self._sectors
         out = None
-        for fock, right, left in self.terms:
-            s = t
-            if left is not None:
-                s = np.empty_like(t)
-                for i in range(0, len(t), rows):
-                    np.matmul(t[i:i + rows], left.T, out=s[i:i + rows])
-            s = s if right is None else np.matmul(right, s.reshape(-1, dp, dp))
-            s = s.reshape(nf, -1)
+        if split:
+            z = _product(gather, x)
+            out = _product(scatter, np.concatenate([
+                self._particle(z[rows], right, left)
+                for rows, right, left in split]))
+        for fock, right, left in whole:
+            s = self._particle(x, right, left)
             s = s if fock is None else fock @ s
             out = s if out is None else np.add(out, s, out=out)
         return out.reshape(nf, *cols, dp * dp).swapaxes(1, -1).reshape(

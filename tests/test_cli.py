@@ -189,6 +189,7 @@ def test_main_refuses_invalid_grid(tmp_path, capsys, override):
     ("lambda0-scan", "lambda0-scan.betas=[1,-1]"),
     ("lambda0-scan", "lambda0-scan.betas=[]"),
     ("lambda0-scan", "lambda0-scan.lambdas=[]"),
+    ("lambda0-scan", "lambda0-scan.lambdas=[-0.1]"),
     ("lambda0-scan", "lambda0-scan.theta=0"),
     ("lambda0-scan", "lambda0-scan.epsilon=-1"),
     ("bound-chain", "bound-chain.gamma=-1"),
@@ -324,7 +325,12 @@ def test_report_bytes_do_not_depend_on_blas_threads(tmp_path, kind, code):
     # eigenvalue; both exit 2 at defaults, on the chain's failing steps.
     # dynamics and virial-scan run Lanczos on the factored operators, whose
     # left factors are gemms small enough that OpenBLAS runs each on one
-    # thread; flow-check integrates its flows by solve_ivp
+    # thread, and whose real Fock-block products (the gather and scatter
+    # of the sector blocks) take a complex input as its float64 view: gjn's
+    # modular-conjugation check applies L to complex vectors, and a complex
+    # product with one term's one-row low block was a zgemv whose bits
+    # followed the thread count; flow-check integrates its flows by
+    # solve_ivp
     src = str(Path(thermion.__file__).resolve().parents[1])
     texts, codes = [], []
     for threads in ("1", "2"):

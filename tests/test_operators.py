@@ -9,8 +9,8 @@ from csr_oracle import (conj_full, hermiticity_defect, liouvillian,
                         to_csr)
 from thermion.lattice import FieldGrid, FockBasis, build_bases
 from thermion.linalg import DiagPlus, operator_norm
-from thermion.operators import (LiouvillianAction, LowRank, Truncation,
-                                apply_j, assemble_conjugates,
+from thermion.operators import (KronSum, LiouvillianAction, LowRank,
+                                Truncation, apply_j, assemble_conjugates,
                                 assemble_field_ops, assemble_liouvillian,
                                 assemble_particle_ops, check_j,
                                 coupling_matrix, field_op, glue_tau_beta,
@@ -441,21 +441,29 @@ def test_factored_conjugate_and_number_commutator_match_csr(small):
                 want)
 
 
-@pytest.mark.parametrize("n_max", [1, 2])
+@pytest.mark.parametrize("n_max", [1, 2, 3])
 def test_every_kron_sum_matches_its_csr(n_max):
     # one contraction serves vectors and blocks, real and complex: each
     # KronSum a truncation builds against the CSR of its factors (A's
     # particle terms have no Fock factor); the 64-column block spans more
-    # than one row block of the left factors' gemms
+    # than one row block of the left factors' gemms.  The Fock factors are
+    # applied through their sector blocks, split at n_low (1 + n_u at
+    # n_max = 3, two sectors); the synthetic term dGamma(i D_u) x 1 x A_p
+    # keeps the boson number, so its top-to-top block is nonzero and a
+    # split that dropped it would miss the CSR
     p = ModelParams(n_e=4, n_u=8, n_max=n_max, e_max=4.0, u_max=4.0, lam=0.1)
     trunc = Truncation(p)
     dim, nf, dp = trunc.basis.dim, trunc.basis.fock.dim, trunc.basis.left.dim
     assert nf * 64 * dp > 2 ** 16 // dp ** 2
     assert any(f is None for f, _, _ in trunc.conj_full.terms)
+    n_low = {1: 1, 2: 9, 3: 45}[n_max]
+    gen = trunc.field.translation_gen
+    assert trunc.interaction.n_low == n_low and gen[n_low:, n_low:].nnz
+    mixed = KronSum(trunc.basis, [(gen, None, trunc.particle.flow_gen)])
     rng = np.random.default_rng(11)
     inputs = [rng.standard_normal(dim), rng.standard_normal((dim, 64))]
     inputs += [v + 1j * rng.standard_normal(v.shape) for v in inputs]
-    for x in (trunc.interaction, trunc.number_comm, trunc.conj_full,
+    for x in (trunc.interaction, trunc.number_comm, trunc.conj_full, mixed,
               *(trunc.commutator(n) for n in (1, 2, 3))):
         csr = to_csr(x)
         for v in inputs:
