@@ -28,9 +28,9 @@ def survival(params: ModelParams, times: np.ndarray, tol: float = 1e-8,
     """|<e_pi, exp(-i t L) e_pi>|^2 for e_pi the bound x bound x vacuum
     reference state: a quadratic form of L, so one Lanczos
     tridiagonalisation gives every sample time.  The Krylov dimension
-    doubles until the survival at m/2 and m agrees within tol; meta
-    carries that difference as ``krylov_error``.  ``trunc`` is a
-    truncation of ``params`` (a new one when none is given)."""
+    grows by an eighth until the survival at its last two checks agrees
+    within tol; meta carries that difference as ``krylov_error``.
+    ``trunc`` is a truncation of ``params`` (a new one when none is given)."""
     times = np.asarray(times, float)
     act = assemble_liouvillian(params, trunc)
     basis = act.trunc.basis

@@ -81,7 +81,7 @@ class RegularizedFamily:
     base: np.ndarray
     alphas: tuple
     vectors: list               # one per alpha, nu = alpha^3
-    krylov_error: float         # m/2-vs-m difference of the f(alpha A) psi
+    krylov_error: float         # last two Krylov dimensions' difference
 
 
 def build_regularized_family(psi: np.ndarray, a_op, number_diag: np.ndarray,
@@ -92,8 +92,8 @@ def build_regularized_family(psi: np.ndarray, a_op, number_diag: np.ndarray,
     Every f(alpha A) psi comes from one Krylov space of the conjugate
     operator: the mollifier is entire of exponential type alpha, so the
     Lanczos approximation converges fast and A is only ever applied; each
-    vector changes by at most 1e-12 in 2-norm between Krylov dimensions
-    m/2 and m.  The number operator is diagonal.
+    vector changes by at most 1e-12 in 2-norm between the last two checked
+    Krylov dimensions.  The number operator is diagonal.
     """
     alphas = tuple(alphas)
     res = lanczos_functions(

@@ -308,12 +308,14 @@ def test_runs_leave_lazy_scipy_modules_unloaded(tmp_path):
     assert _loaded_after(script, str(tmp_path)) == "[]"
 
 
-@pytest.mark.parametrize("kind, code", [
-    pytest.param(kind, code, id=kind) for kind, code in [
+@pytest.mark.parametrize("kind, options, code", [
+    *(pytest.param(kind, [], code, id=kind) for kind, code in [
         ("gjn", 0), ("feshbach-fuzz", 0), ("fgr", 0), ("bound-chain", 2),
         ("lambda0-scan", 2), ("dynamics", 2), ("virial-scan", 2),
-        ("flow-check", 0)]])
-def test_report_bytes_do_not_depend_on_blas_threads(tmp_path, kind, code):
+        ("flow-check", 0)]),
+    pytest.param("dynamics", ["model.n_u=40"], 2, id="dynamics-n_u=40")])
+def test_report_bytes_do_not_depend_on_blas_threads(tmp_path, kind, options,
+                                                    code):
     # default gjn once varied in its number_commutator constants with the
     # BLAS thread count (complex svds); its norms now run in float64.
     # feshbach-fuzz evaluates stacks of reduced blocks through batched
@@ -323,9 +325,13 @@ def test_report_bytes_do_not_depend_on_blas_threads(tmp_path, kind, code):
     # thread count may move.  bound-chain
     # and lambda0-scan take their compensation constant from a Gram
     # eigenvalue; both exit 2 at defaults, on the chain's failing steps.
-    # dynamics and virial-scan run Lanczos on the factored operators, whose
-    # left factors are gemms small enough that OpenBLAS runs each on one
-    # thread, and whose real Fock-block products (the gather and scatter
+    # dynamics and virial-scan run Lanczos on the factored operators.  The
+    # recurrence's reductions, alpha = Re <q, w> and beta = ||w||, are
+    # einsums: as a vdot and a norm they were BLAS dots, which OpenBLAS
+    # threads above dim 10,000, and dynamics at n_u = 40 (dim 11,849)
+    # wrote series 3e-15 apart at 1 and 2 threads.  The operators' left
+    # factors are gemms small enough that OpenBLAS runs each on one
+    # thread, and their real Fock-block products (the gather and scatter
     # of the sector blocks) take a complex input as its float64 view: gjn's
     # modular-conjugation check applies L to complex vectors, and a complex
     # product with one term's one-row low block was a zgemv whose bits
@@ -337,7 +343,7 @@ def test_report_bytes_do_not_depend_on_blas_threads(tmp_path, kind, code):
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
                    OMP_NUM_THREADS=threads)
         proc = subprocess.run([sys.executable, "-m", "thermion.cli", kind,
-                               "--out", str(tmp_path / threads)],
+                               "--out", str(tmp_path / threads), *options],
                               env=env, capture_output=True, timeout=300)
         codes.append(proc.returncode)
         texts.append((tmp_path / threads / f"{kind}.json").read_bytes())

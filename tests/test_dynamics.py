@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from csr_oracle import liouvillian
 from thermion.dynamics import decay_rate, recurrence_time, survival
 from thermion.linalg import lanczos_functions
-from thermion.operators import apply_j, assemble_liouvillian
+from thermion.operators import Truncation, apply_j, assemble_liouvillian
 from thermion.params import ModelParams
 from thermion.reports import TimeSeries
 
@@ -140,6 +140,28 @@ def test_krylov_matches_dense_on_liouvillian(small):
     exact = expm(-1j * 4.0 * dense) @ psi
     approx = _evolved(lambda v: l_csr @ v, psi, [4.0], 1e-10)[0]
     assert np.linalg.norm(exact - approx) < 1e-8
+
+
+def test_default_series_stop_by_krylov_dimension_128(monkeypatch):
+    # at the dynamics defaults the coupled series converge near 104-112
+    # steps; the Krylov dimension grows by an eighth, so they stop by 128,
+    # where doubling went on to 256, and agree with a run at tol 1e-13
+    dims = []
+
+    def recorded(*args, **kw):
+        res = lanczos_functions(*args, **kw)
+        dims.append(res.krylov_dim)
+        return res
+
+    monkeypatch.setattr("thermion.dynamics.lanczos_functions", recorded)
+    params = ModelParams()
+    trunc = Truncation(params)
+    times = np.linspace(0.0, 0.9 * recurrence_time(params), 60)
+    for lam in (0.05, 0.1):
+        ser = survival(params.with_(lam=lam), times, 1e-8, trunc)
+        ref = survival(params.with_(lam=lam), times, 1e-13, trunc)
+        assert np.max(np.abs(ser.values - ref.values)) <= 1e-12
+    assert len(dims) == 4 and max(dims[0::2]) <= 128
 
 
 def test_survival_range_check_slack_and_minimum(small):

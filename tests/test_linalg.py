@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import eigh, expm
+from scipy.linalg import eigh, eigh_tridiagonal, expm
 
 from csr_oracle import bisection_min_eig, liouvillian, symmetrize, to_csr
 from thermion.linalg import (DiagPlus, eig_pairs_smallest, lanczos_functions,
@@ -30,18 +30,33 @@ def _random_unit(dim, seed):
     return v / np.linalg.norm(v)
 
 
-def test_quadratic_form_matches_dense_exponential(dense_liouvillian):
+_TIMES = np.linspace(0.0, 12.0, 7)
+
+
+def _propagators(theta):
+    return np.exp(-1j * np.outer(_TIMES, theta))
+
+
+@pytest.fixture(scope="module")
+def dense_forms(dense_liouvillian):
+    """(v, <v, exp(-i t A) v> at _TIMES by expm) for two start vectors."""
     dense, idx = dense_liouvillian
-    times = np.linspace(0.0, 12.0, 7)
-    step = expm(-1j * (times[1] - times[0]) * dense)
+    step = expm(-1j * (_TIMES[1] - _TIMES[0]) * dense)
+    out = []
     for v in (np.eye(dense.shape[0])[idx], 2.0 * _random_unit(len(dense), 0)):
-        res = lanczos_functions(
-            lambda x: dense @ x, v,
-            lambda theta: np.exp(-1j * np.outer(times, theta)), 1e-12)
         exact, u = [], v.astype(complex)
-        for _ in times:
+        for _ in _TIMES:
             exact.append(np.vdot(v, u))
             u = step @ u
+        out.append((v, np.array(exact)))
+    return out
+
+
+def test_quadratic_form_matches_dense_exponential(dense_liouvillian,
+                                                  dense_forms):
+    dense, _ = dense_liouvillian
+    for v, exact in dense_forms:
+        res = lanczos_functions(lambda x: dense @ x, v, _propagators, 1e-12)
         assert np.max(np.abs(res.values - exact)) < 1e-10
         assert res.error <= 1e-12
 
@@ -59,6 +74,52 @@ def test_vector_form_matches_dense_spectral_calculus(dense_liouvillian):
     exact = (u @ (fns(w) * (u.conj().T @ v)).T).T
     assert res.values.shape == (len(scales), len(dense))
     assert np.max(np.linalg.norm(res.values - exact, axis=1)) < 1e-12
+
+
+def _reorthogonalized_coefficients(dense, v, m):
+    """alpha (m,) and beta (m - 1,) of m Lanczos steps with full
+    reorthogonalisation; their leading k and k - 1 give T_k, the
+    dimension-k Krylov approximation free of the bare recurrence's loss
+    of orthogonality."""
+    basis = np.zeros((m, len(v)), complex)
+    basis[0] = v / np.linalg.norm(v)
+    alpha, beta = np.zeros(m), np.zeros(m - 1)
+    for j in range(m):
+        w = dense @ basis[j]
+        alpha[j] = np.vdot(basis[j], w).real
+        for _ in range(2):
+            w -= basis[:j + 1].T @ (basis[:j + 1].conj() @ w)
+        if j + 1 < m:
+            beta[j] = np.linalg.norm(w)
+            basis[j + 1] = w / beta[j]
+    return alpha, beta
+
+
+def test_krylov_growth_stops_one_step_after_the_error_is_half_tol(
+        dense_liouvillian, dense_forms):
+    # the checked dimensions grow by an eighth (8, 16, ..., 64, 72, ...,
+    # 128, 144, ...); once the dimension-k error against expm is within
+    # tol / 2, the next check differs from it by at most tol and stops
+    dense, tol = dense_liouvillian[0], 1e-10
+
+    def grown(k):
+        return k + max(8, 8 * (k // 64))
+
+    for v, exact in dense_forms:
+        alpha, beta = _reorthogonalized_coefficients(dense, v, 256)
+
+        def error(k):
+            theta, ritz = eigh_tridiagonal(alpha[:k], beta[:k - 1])
+            forms = np.vdot(v, v).real * (_propagators(theta)
+                                          * ritz[0] ** 2).sum(1)
+            return np.max(np.abs(forms - exact))
+
+        k = 8
+        while error(k) > tol / 2:
+            k = grown(k)
+        res = lanczos_functions(lambda x: dense @ x, v, _propagators, tol)
+        assert res.krylov_dim <= grown(k)
+        assert res.error <= tol
 
 
 def test_lanczos_step_copies_an_output_it_does_not_own(dense_liouvillian):
