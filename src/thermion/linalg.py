@@ -56,6 +56,29 @@ class DiagPlus(spla.LinearOperator):
     _matvec, _rmatvec = _matmat, _rmatmat
 
 
+def vdot(a: np.ndarray, b: np.ndarray):
+    """sum_i conj(a_i) b_i as an einsum: OpenBLAS threads a dot above dim
+    10,000, and its bits then follow the thread count."""
+    return np.einsum("i,i", a.conj(), b)
+
+
+def norm(v: np.ndarray) -> float:
+    return float(np.sqrt(vdot(v, v).real))
+
+
+def one_thread_matmul(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """a @ b (2-D) in column blocks of b that OpenBLAS runs on one thread:
+    on 2 vCPUs a complex gemm threaded from 2^16 multiply-adds, and a gemv
+    (a one-row a, or one column) from 2^12 entries.  numpy and scipy each
+    load an OpenBLAS, and a woken worker of one spins against the other."""
+    cols = max(1, ((2 ** 12 if len(a) == 1 else 2 ** 16) - 1) // a.size)
+    if out is None:
+        out = np.empty((len(a), b.shape[1]), np.result_type(a, b))
+    for j in range(0, b.shape[1], cols):
+        np.matmul(a, b[:, j:j + cols], out=out[:, j:j + cols])
+    return out
+
+
 def _start_vector(n: int) -> np.ndarray:
     return np.random.default_rng(12345).standard_normal(n)
 
@@ -231,13 +254,13 @@ def lanczos_functions(apply_op, v: np.ndarray, fns, tol: float,
     sums to a constant times the last) until the largest |difference| of
     measure(values) between the last two checked dimensions (a 2-norm per
     vector) is within tol.  A breakdown makes T exact and stops at once;
-    reaching m_max unconverged raises RuntimeError.  The reductions are
-    einsums, as BLAS dots' bits follow the thread count above dim 10,000.
+    reaching m_max unconverged raises RuntimeError.  No product or
+    reduction here wakes a BLAS worker (``vdot``, ``one_thread_matmul``).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     measure = measure or (lambda x: x)
-    nrm = float(np.linalg.norm(v))
+    nrm = norm(v)
     q_prev, q, b_prev = np.zeros_like(v), v / nrm, 0.0
     alpha, beta, basis, prev, m = [], [], [], None, min(8, m_max)
     while True:
@@ -248,17 +271,18 @@ def lanczos_functions(apply_op, v: np.ndarray, fns, tol: float,
             # updated in place: copied if it is q, or too narrow for q
             if np.may_share_memory(w, q) or w.dtype != np.result_type(w, q):
                 w = w.astype(np.result_type(w, q))
-            alpha.append(float(np.einsum("i,i", q.conj(), w).real))
+            alpha.append(float(vdot(q, w).real))
             w -= alpha[-1] * q
             w -= b_prev * q_prev
-            beta.append(float(np.sqrt(np.einsum("i,i", w.conj(), w).real)))
+            beta.append(norm(w))
             exact = beta[-1] <= 1e-13 * (abs(alpha[-1]) + b_prev)
             q_prev, q, b_prev = q, w / (beta[-1] or 1.0), beta[-1]
         k = len(alpha)
         theta, ritz = eigh_tridiagonal(np.array(alpha), np.array(beta[:-1]))
         weighted = np.asarray(fns(theta)) * ritz[0]
-        cur = (nrm * (weighted @ ritz.T) @ np.array(basis) if vectors
-               else nrm ** 2 * (weighted @ ritz[0]))
+        cur = (nrm * one_thread_matmul(one_thread_matmul(weighted, ritz.T),
+                                       np.array(basis)) if vectors
+               else nrm ** 2 * np.einsum("jk,k", weighted, ritz[0]))
         if exact:
             return KrylovFunctions(cur, 0.0, k)
         if prev is not None:

@@ -29,7 +29,8 @@ import scipy.sparse as sp
 
 from .lattice import CompositeBasis, FieldGrid, FockBasis, build_bases
 from .flows import saturating_profile
-from .linalg import DiagPlus, min_eig_hermitian, operator_norm
+from .linalg import (DiagPlus, min_eig_hermitian, one_thread_matmul,
+                     operator_norm)
 from .params import ModelParams
 from .reports import BoundReport
 
@@ -322,16 +323,9 @@ class KronSum:
         dp = self.basis.left.dim
         if left is not None:
             flat, s = s.reshape(-1, dp), np.empty(s.shape, s.dtype)
-            # in row blocks of at most 2^16 multiply-adds: on a 2-vCPU host
-            # OpenBLAS threaded complex gemms above that, and A's matvec at
-            # dim 9,537 ran twofold slower; the bound is untested on other
-            # hosts.  Below it a gemm's bits do not follow the BLAS thread
-            # count.  Nor do the real Fock products' (``_product``): a
-            # complex product with a one-row low block, applied alone, was
-            # a zgemv whose bits did
-            rows, out = max(1, 2 ** 16 // dp ** 2), s.reshape(-1, dp)
-            for i in range(0, len(flat), rows):
-                np.matmul(flat[i:i + rows], left.T, out=out[i:i + rows])
+            # by ``one_thread_matmul``: threaded, A's matvec at dim 9,537
+            # ran twofold slower, and a gemm's bits follow the thread count
+            one_thread_matmul(left, flat.T, out=s.reshape(-1, dp).T)
         if right is not None:
             s = np.matmul(right, s.reshape(-1, dp, dp)).reshape(len(s), -1)
         return s

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import lanczos_functions
+from .linalg import lanczos_functions, norm, vdot
 from .reports import BoundReport
 
 
@@ -52,7 +52,7 @@ def virial_residual(l_op, a_op, psi: np.ndarray) -> float:
 
 def _im_form(lp: np.ndarray, ap: np.ndarray) -> float:
     """-2 Im <L psi, A psi> from L psi and A psi."""
-    return float(-2.0 * np.imag(np.vdot(lp, ap)))
+    return float(-2.0 * vdot(lp, ap).imag)
 
 
 def eigenpair_residual_check(l_op, a_op, vecs: np.ndarray) -> BoundReport:
@@ -62,10 +62,10 @@ def eigenpair_residual_check(l_op, a_op, vecs: np.ndarray) -> BoundReport:
     rows = []
     for psi in vecs.T:
         lp, ap = l_op @ psi, a_op @ psi
-        e = float(np.real(np.vdot(psi, lp)))
-        r = float(np.linalg.norm(lp - e * psi))
+        e = float(vdot(psi, lp).real)
+        r = norm(lp - e * psi)
         lhs = abs(_im_form(lp, ap))
-        rhs = 2.0 * r * float(np.linalg.norm(ap)) + 1e-14
+        rhs = 2.0 * r * norm(ap) + 1e-14
         rows.append((e, r, lhs, rhs))
         worst = max(worst, lhs - rhs)
     return BoundReport.of(
@@ -108,9 +108,9 @@ def build_regularized_family(psi: np.ndarray, a_op, number_diag: np.ndarray,
 
 def family_checks(family: RegularizedFamily) -> list:
     """Norm bound and convergence of the smoothed family to its base."""
-    base_norm = np.linalg.norm(family.base)
-    norms = [np.linalg.norm(vc) for vc in family.vectors]
-    gaps = [np.linalg.norm(vc - family.base) for vc in family.vectors]
+    base_norm = norm(family.base)
+    norms = [norm(vc) for vc in family.vectors]
+    gaps = [norm(vc - family.base) for vc in family.vectors]
     return [
         BoundReport.of(
             "smoothed family stays norm bounded", max(norms), "<=",
@@ -131,7 +131,7 @@ def commutator_expectation_scan(family: RegularizedFamily, l_op,
     tend to the exact value 0 for an exact finite-dimensional eigenpair)."""
     out = []
     for alpha, vc in zip(family.alphas, family.vectors):
-        n = np.linalg.norm(vc)
+        n = norm(vc)
         val = virial_residual(l_op, a_op, vc) / max(n * n, 1e-300)
         out.append((alpha, val))
     return out
@@ -145,15 +145,15 @@ def regularity_check(c_op, p_diag: np.ndarray, b_op,
     psi = family.base
     hyp_worst = np.inf
     for vc in family.vectors:
-        n2 = float(np.real(np.vdot(vc, vc)))
+        n2 = float(vdot(vc, vc).real)
         if n2 == 0:
             continue
-        lhs = float(np.real(np.vdot(vc, c_op @ vc)))
-        rhs = float(np.real(np.vdot(vc, p_diag * vc))
-                    - np.real(np.vdot(vc, b_op @ vc)))
+        lhs = float(vdot(vc, c_op @ vc).real)
+        rhs = float(vdot(vc, p_diag * vc).real
+                    - vdot(vc, b_op @ vc).real)
         hyp_worst = min(hyp_worst, (lhs - rhs) / n2)
-    b_exp = float(np.real(np.vdot(psi, b_op @ psi)))
-    p_exp = float(np.real(np.vdot(psi, p_diag * psi)))
+    b_exp = float(vdot(psi, b_op @ psi).real)
+    p_exp = float(vdot(psi, p_diag * psi).real)
     return BoundReport.of(
         "eigenvector regularity bound from the form inequality", p_exp, "<=",
         b_exp + tol, also=hyp_worst >= -tol and b_exp >= -tol,

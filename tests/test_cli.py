@@ -313,7 +313,9 @@ def test_runs_leave_lazy_scipy_modules_unloaded(tmp_path):
         ("gjn", 0), ("feshbach-fuzz", 0), ("fgr", 0), ("bound-chain", 2),
         ("lambda0-scan", 2), ("dynamics", 2), ("virial-scan", 2),
         ("flow-check", 0)]),
-    pytest.param("dynamics", ["model.n_u=40"], 2, id="dynamics-n_u=40")])
+    pytest.param("dynamics", ["model.n_u=40"], 2, id="dynamics-n_u=40"),
+    pytest.param("virial-scan", ["model.n_e=16", "model.n_u=40"], 2,
+                 id="virial-scan-n_e=16-n_u=40")])
 def test_report_bytes_do_not_depend_on_blas_threads(tmp_path, kind, options,
                                                     code):
     # default gjn once varied in its number_commutator constants with the
@@ -326,12 +328,15 @@ def test_report_bytes_do_not_depend_on_blas_threads(tmp_path, kind, options,
     # and lambda0-scan take their compensation constant from a Gram
     # eigenvalue; both exit 2 at defaults, on the chain's failing steps.
     # dynamics and virial-scan run Lanczos on the factored operators.  The
-    # recurrence's reductions, alpha = Re <q, w> and beta = ||w||, are
-    # einsums: as a vdot and a norm they were BLAS dots, which OpenBLAS
-    # threads above dim 10,000, and dynamics at n_u = 40 (dim 11,849)
-    # wrote series 3e-15 apart at 1 and 2 threads.  The operators' left
-    # factors are gemms small enough that OpenBLAS runs each on one
-    # thread, and their real Fock-block products (the gather and scatter
+    # recurrence's reductions, alpha = Re <q, w> and beta = ||w||, and
+    # virial-scan's expectations and norms are linalg.vdot and
+    # linalg.norm, einsums: as np.vdot and np.linalg.norm they were BLAS
+    # dots, which OpenBLAS threads above dim 10,000, and at dim 11,849
+    # dynamics wrote series 3e-15 apart at 1 and 2 threads, virial-scan
+    # <psi, L psi> 2e-15 apart.  The operators' left factors and
+    # Lanczos' vector combine go through linalg.one_thread_matmul, in
+    # blocks that OpenBLAS runs on one thread, and the operators' real
+    # Fock-block products (the gather and scatter
     # of the sector blocks) take a complex input as its float64 view: gjn's
     # modular-conjugation check applies L to complex vectors, and a complex
     # product with one term's one-row low block was a zgemv whose bits
@@ -349,6 +354,51 @@ def test_report_bytes_do_not_depend_on_blas_threads(tmp_path, kind, options,
         texts.append((tmp_path / threads / f"{kind}.json").read_bytes())
     assert codes == [code, code]
     assert texts[0] == texts[1]
+
+
+def test_runs_wake_no_numpy_blas_worker(tmp_path):
+    # numpy and scipy each load their own OpenBLAS, and on 2 vCPUs a woken
+    # worker of one pool spins against the main thread: the Krylov paths'
+    # vector combine, a threaded zgemm, was the larger part of a virial-scan
+    # run.  The threads present after `import numpy`, before scipy loads,
+    # are numpy's BLAS workers; their CPU time must not grow over a run of
+    # every kind at its defaults, of the two Krylov paths above dim 10,000
+    # and at the virial workload's truncation, and of virial-scan at a
+    # particle dimension of 16, where a row block of 2^16 // 16^2 made the
+    # left factors' complex gemms exactly 2^16 multiply-adds, threaded
+    script = "\n".join([
+        "import os, sys, time",
+        "import numpy",
+        "tasks = '/proc/self/task'",
+        "workers = [t for t in os.listdir(tasks) if t != str(os.getpid())]",
+        "paths = [f'{tasks}/{t}/schedstat' for t in workers]",
+        "if not workers or not all(map(os.path.exists, paths)):",
+        "    print('skip'); sys.exit()",
+        "def runtime():",
+        "    return sum(int(open(p).read().split()[0]) for p in paths)",
+        "from thermion.cli import main",
+        "before = runtime()",
+        "while (time.sleep(0.05), now := runtime())[1] != before:",
+        "    before = now",
+        *(f"main({[kind, '--out', str(tmp_path), *options]!r})"
+          for kind, options in [
+              *((kind, []) for kind in (
+                  "gjn", "feshbach-fuzz", "fgr", "bound-chain",
+                  "lambda0-scan", "dynamics", "virial-scan", "flow-check")),
+              ("virial-scan", ["model.n_e=10", "model.n_u=20"]),
+              ("virial-scan", ["model.n_e=15", "model.n_u=16"]),
+              ("dynamics", ["model.n_u=40"])]),
+        "print(runtime() - before)"])
+    src = str(Path(thermion.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="2",
+               OMP_NUM_THREADS="2")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=600,
+                          check=True)
+    grown = proc.stdout.strip().splitlines()[-1]
+    if grown == "skip":
+        pytest.skip("no numpy BLAS worker thread, or no schedstat")
+    assert int(grown) == 0
 
 
 @pytest.mark.parametrize("n_e", [1, 2])

@@ -7,7 +7,7 @@ from scipy.linalg import eigh, eigh_tridiagonal, expm
 from csr_oracle import bisection_min_eig, liouvillian, symmetrize, to_csr
 from thermion.linalg import (DiagPlus, eig_pairs_smallest, lanczos_functions,
                              min_eig_diag_plus_lowrank, min_eig_hermitian,
-                             operator_norm)
+                             one_thread_matmul, operator_norm)
 from thermion.operators import (LowRank, Truncation, assemble_conjugates,
                                 assemble_liouvillian)
 from thermion.params import ModelParams
@@ -143,6 +143,27 @@ def test_lanczos_step_copies_an_output_it_does_not_own(dense_liouvillian):
                       (u.astype(complex), lambda x: real @ x.real)):
         res = lanczos_functions(op, start, fns, 1e-13, vectors=True)
         assert np.max(np.linalg.norm(res.values - exact, axis=1)) < 1e-12
+
+
+def _matrix(shape, seed, complex_):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal(shape)
+    return m + 1j * rng.standard_normal(shape) if complex_ else m
+
+
+@pytest.mark.parametrize("a_shape, a_complex, b_shape, b_complex", [
+    ((7, 24), False, (24, 2541), True),     # virial's combine: 6 x 390 + 201
+    ((60, 100), True, (100, 9537), False),  # 10-column gemms, last one 7
+    ((1, 72), True, (72, 1000), True),      # one-row a: gemvs of 56 columns
+    ((60, 600), True, (600, 50), False),    # over 2^15 entries: one column
+])
+def test_one_thread_matmul_matches_matmul(a_shape, a_complex, b_shape,
+                                          b_complex):
+    a, b = _matrix(a_shape, 1, a_complex), _matrix(b_shape, 2, b_complex)
+    got = one_thread_matmul(a, b)
+    assert got.shape == (len(a), b.shape[1])
+    assert got.dtype == np.result_type(a, b)
+    assert np.max(np.abs(got - a @ b)) <= 1e-13 * a.shape[1]
 
 
 def test_eigenvector_start_gives_survival_exactly_one(small):

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from csr_oracle import commutator, conj_full, liouvillian, to_csr
-from thermion.linalg import eig_pairs_smallest
+from thermion.linalg import eig_pairs_smallest, norm, vdot
 from thermion.operators import assemble_conjugates, assemble_liouvillian
 from thermion.params import ModelParams
 from thermion.virial import (bandlimited_mollifier, bump,
@@ -89,10 +89,10 @@ def test_residual_check_applies_each_operator_once_per_pair(setup):
     assert counts == {"l": 4, "a": 4}
     worst, rows = -np.inf, []
     for psi in vecs.T:
-        e = float(np.real(np.vdot(psi, l_op @ psi)))
-        r = float(np.linalg.norm(l_op @ psi - e * psi))
+        e = float(vdot(psi, l_op @ psi).real)
+        r = norm(l_op @ psi - e * psi)
         lhs = abs(virial_residual(l_op, a_full, psi))
-        rhs = 2.0 * r * float(np.linalg.norm(a_full @ psi)) + 1e-14
+        rhs = 2.0 * r * norm(a_full @ psi) + 1e-14
         rows.append({"eig": e, "residual": r, "lhs": lhs, "rhs": rhs})
         worst = max(worst, lhs - rhs)
     assert rep.value == worst and rep.detail["pairs"] == rows
